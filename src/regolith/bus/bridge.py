@@ -142,6 +142,7 @@ class TcpBridgeServer:
     def accept(self, timeout: float = 30.0) -> None:
         self._listener.settimeout(timeout)
         conn, _ = self._listener.accept()
+        conn.settimeout(timeout)        # a hung planner fails sync()
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._endpoint = _Endpoint(self.bus, conn)
 

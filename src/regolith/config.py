@@ -252,8 +252,3 @@ def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
     if overrides:
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     return validate_config(raw, path.parent, name=path.stem)
-
-
-def bundled_scenario_path(name: str) -> Path:
-    """Path of a reference scenario shipped inside the package."""
-    return Path(__file__).parent / "scenarios" / f"{name}.json"

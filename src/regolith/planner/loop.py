@@ -66,7 +66,7 @@ class PlannerLoop:
         self.sub_telemetry = runtime.bus.subscribe_category("telemetry")
         self.sub_skill = runtime.bus.subscribe_category("skill")
         self.tick_count = 0
-        self.tick_seconds: list[float] = []
+        self.tick_seconds_total = 0.0
         #: (sim_time, root status, {top-level child name: status}) per tick
         self.trace: list[tuple] = []
         leveling = self.runtime.params.get("leveling")
@@ -96,7 +96,7 @@ class PlannerLoop:
                           tick_count=self.tick_count, sim_time=sim_time)
         start = time.perf_counter()
         status = self.tree.tick(ctx)
-        self.tick_seconds.append(time.perf_counter() - start)
+        self.tick_seconds_total += time.perf_counter() - start
         self.tick_count += 1
         self.trace.append((sim_time, status,
                            {child.name: child.last_status
@@ -104,6 +104,13 @@ class PlannerLoop:
         return status
 
     def mean_tick_seconds(self) -> float:
-        if not self.tick_seconds:
+        if not self.tick_count:
             return 0.0
-        return sum(self.tick_seconds) / len(self.tick_seconds)
+        return self.tick_seconds_total / self.tick_count
+
+    def status_report(self, status: NodeStatus) -> dict:
+        """The run driver's view of a tick, as JSON-ready data."""
+        return {"status": status.name,
+                "mean_tick_seconds": self.mean_tick_seconds(),
+                "cell_switch_times": list(self.runtime.wm.cell_switch_times),
+                "cell_index": self.runtime.wm.cell_index}

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .bt import SUCCESS
 from .bus import Bus, TcpBridgeClient
 from .config import load_config
 from .planner import SITE_ID
@@ -47,14 +46,7 @@ def main(argv=None) -> int:
             sim_time = client.wait_sync()
             if sim_time is None:
                 break
-            status = loop.step(sim_time)
-            client.ack({
-                "status": "SUCCESS" if status is SUCCESS else str(status),
-                "mean_tick_seconds": loop.mean_tick_seconds(),
-                "cell_switch_times": list(
-                    loop.runtime.wm.cell_switch_times),
-                "cell_index": loop.runtime.wm.cell_index,
-            })
+            client.ack(loop.status_report(loop.step(sim_time)))
     finally:
         client.close()
     return 0

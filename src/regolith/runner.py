@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bt import SUCCESS, parse_document, resolve
+from .bt import NodeStatus, SUCCESS, parse_document, resolve
 from .bus import Bus, LoopbackBridge, TcpBridgeServer
 from .config import ScenarioConfig
 from .planner import (
@@ -150,54 +150,120 @@ def _progress_signature(sim: Simulator, cell_index: int) -> tuple:
     return tuple(parts)
 
 
-# -- loopback mode -----------------------------------------------------------
+# -- planner links -----------------------------------------------------------
+# Once per planner period the run driver calls link.tick(sim_time), which
+# returns PlannerLoop.status_report's dict, and link.close() when it stops.
 
-def run_loopback(config: ScenarioConfig, out_dir=None,
-                 snapshot: Optional[str] = None,
-                 bridge_delay: float = 0.0,
-                 observer=None) -> RunReport:
-    """observer(sim, loop, status), when given, is called after every
-    planner tick; test harnesses use it for fault injection and tree
-    introspection."""
+class _InProcessLink:
+    """Planner loop in this process, on its own bus joined by a bridge."""
+
+    def __init__(self, config: ScenarioConfig, sim_bus: Bus,
+                 terrain: Optional[Heightfield], cell_index: int):
+        bus = Bus(machine_ids=_bus_ids(config))
+        self.bridge = LoopbackBridge(bus, sim_bus)
+        self.loop = build_planner(config, bus, terrain=terrain,
+                                  cell_index=cell_index)
+        self.planner_errors = bus.error_events
+
+    def tick(self, sim_time: float) -> dict:
+        self.bridge.pump(sim_time)
+        status = self.loop.step(sim_time)
+        self.bridge.pump(sim_time)
+        return self.loop.status_report(status)
+
+    def close(self) -> None:
+        pass
+
+
+class _ChildLink:
+    """Planner in a `regolith.planner_proc` child, in TCP lockstep."""
+
+    def __init__(self, config: ScenarioConfig, config_path, sim_bus: Bus,
+                 overrides: Optional[dict], snapshot: Optional[str]):
+        self.server = TcpBridgeServer(sim_bus)
+        args = [sys.executable, "-m", "regolith.planner_proc",
+                "--config", str(config_path), "--port", str(self.server.port),
+                "--hash", config.config_hash]
+        if overrides:
+            args += ["--overrides", json.dumps(overrides)]
+        if snapshot:
+            args += ["--snapshot", str(snapshot)]
+        self.child = subprocess.Popen(args)
+        self.connected = False
+        self.planner_errors: list = []      # kept in the child's own bus
+
+    def tick(self, sim_time: float) -> dict:
+        # accept here, so a child that never connects fails inside the
+        # driver's error handling and the run keeps its partial artifacts
+        if not self.connected:
+            self.server.accept(timeout=30.0)
+            self.connected = True
+        return self.server.sync(sim_time)
+
+    def close(self) -> None:
+        self.server.shutdown()
+        try:
+            self.child.wait(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            self.child.kill()
+
+
+def run(config: ScenarioConfig, config_path=None, out_dir=None,
+        mode: Optional[str] = None, overrides: Optional[dict] = None,
+        snapshot: Optional[str] = None, observer=None) -> RunReport:
+    """Runs a scenario with its planner in this process (loopback) or in a
+    child process in TCP lockstep (tcp, which needs config_path).
+
+    observer(sim, loop, status), when given, is called after every planner
+    tick; test harnesses use it for fault injection and tree
+    introspection.  It needs the planner loop in this process, so it is
+    loopback only."""
+    mode = mode or config.transport
+    if mode == "tcp":
+        if config_path is None:
+            raise ValueError("tcp mode needs the config file path")
+        if observer is not None:
+            raise ValueError("an observer needs loopback mode")
     snap = load_snapshot(snapshot) if snapshot else None
     sim_bus = Bus(machine_ids=_bus_ids(config))
-    planner_bus = Bus(machine_ids=_bus_ids(config))
-    bridge = LoopbackBridge(planner_bus, sim_bus, delay=bridge_delay)
     sim = Simulator(config, sim_bus,
                     terrain=snap["terrain"] if snap else None,
                     machine_states=snap["machines"] if snap else None)
     if snap:
         sim.sim_time = snap["sim_time"]
     collector = TelemetryCollector(sim_bus)
-    loop = build_planner(config, planner_bus,
-                         terrain=sim.terrain if snap else None,
-                         cell_index=snap["cell_index"] if snap else 0)
-    steps_per_tick = max(1, round(loop.period / config.timestep))
+    cell_index = snap["cell_index"] if snap else 0
+    if mode == "tcp":
+        link = _ChildLink(config, config_path, sim_bus, overrides, snapshot)
+    else:
+        link = _InProcessLink(config, sim_bus,
+                              sim.terrain if snap else None, cell_index)
+    period = float(config.planner.get("period", PLANNER_PERIOD))
+    steps_per_tick = max(1, round(period / config.timestep))
 
     start_wall = time.perf_counter()
     complete = False
     deadlocked = False
     error = None
-    end_time = sim.sim_time + config.max_sim_time if snap \
-        else config.max_sim_time
+    planner_state = {"mean_tick_seconds": 0.0, "cell_switch_times": [],
+                     "cell_index": cell_index}
+    end_time = sim.sim_time + config.max_sim_time
     last_sig = None
     last_change = sim.sim_time
     try:
         while sim.sim_time < end_time - 1e-9:
             for _ in range(steps_per_tick):
                 sim.step()
-            bridge.pump(sim.sim_time)
-            status = loop.step(sim.sim_time)
-            bridge.pump(sim.sim_time)
+            planner_state = link.tick(sim.sim_time)
             # drain every tick so long runs do not overflow the bounded
             # subscription queues
             collector.drain()
             if observer is not None:
-                observer(sim, loop, status)
-            if status is SUCCESS:
+                observer(sim, link.loop, NodeStatus[planner_state["status"]])
+            if planner_state["status"] == SUCCESS.name:
                 complete = True
                 break
-            sig = _progress_signature(sim, loop.runtime.wm.cell_index)
+            sig = _progress_signature(sim, planner_state["cell_index"])
             if sig != last_sig:
                 last_sig = sig
                 last_change = sim.sim_time
@@ -206,112 +272,22 @@ def run_loopback(config: ScenarioConfig, out_dir=None,
                 break
     except Exception as exc:               # report with partial artifacts
         error = f"{type(exc).__name__}: {exc}"
+    finally:
+        link.close()
     wall = time.perf_counter() - start_wall
     sim.flush_terrain()
-    bridge.pump(sim.sim_time)
-    loop.drain()
     collector.drain()
 
     report = _finalize(config, sim, collector, wall,
                        complete=complete, deadlocked=deadlocked, error=error,
-                       mean_tick=loop.mean_tick_seconds(),
-                       cell_switches=list(loop.runtime.wm.cell_switch_times),
-                       bus_errors=len(sim_bus.error_events) + len(planner_bus.error_events))
+                       mean_tick=planner_state["mean_tick_seconds"],
+                       cell_switches=planner_state["cell_switch_times"],
+                       bus_errors=len(sim_bus.error_events)
+                       + len(link.planner_errors))
     if out_dir:
         _write_outputs(Path(out_dir), report, collector, config, sim,
-                       loop.runtime.wm.cell_index)
+                       planner_state["cell_index"])
     return report
-
-
-# -- two-process (TCP lockstep) mode -----------------------------------------
-
-def run_tcp(config: ScenarioConfig, config_path, out_dir=None,
-            overrides: Optional[dict] = None,
-            snapshot: Optional[str] = None) -> RunReport:
-    snap = load_snapshot(snapshot) if snapshot else None
-    sim_bus = Bus(machine_ids=_bus_ids(config))
-    sim = Simulator(config, sim_bus,
-                    terrain=snap["terrain"] if snap else None,
-                    machine_states=snap["machines"] if snap else None)
-    if snap:
-        sim.sim_time = snap["sim_time"]
-    collector = TelemetryCollector(sim_bus)
-    server = TcpBridgeServer(sim_bus)
-    args = [sys.executable, "-m", "regolith.planner_proc",
-            "--config", str(config_path), "--port", str(server.port),
-            "--hash", config.config_hash]
-    if overrides:
-        args += ["--overrides", json.dumps(overrides)]
-    if snapshot:
-        args += ["--snapshot", str(snapshot)]
-    child = subprocess.Popen(args)
-    steps_per_tick = max(
-        1, round(float(config.planner.get("period", PLANNER_PERIOD))
-                 / config.timestep))
-
-    start_wall = time.perf_counter()
-    complete = False
-    deadlocked = False
-    error = None
-    mean_tick = 0.0
-    cell_switches: list = []
-    cell_index = 0
-    end_time = sim.sim_time + config.max_sim_time if snap \
-        else config.max_sim_time
-    last_sig = None
-    last_change = sim.sim_time
-    try:
-        server.accept(timeout=30.0)
-        while sim.sim_time < end_time - 1e-9:
-            for _ in range(steps_per_tick):
-                sim.step()
-            ack = server.sync(sim.sim_time)
-            collector.drain()
-            mean_tick = ack.get("mean_tick_seconds", mean_tick)
-            cell_switches = ack.get("cell_switch_times", cell_switches)
-            cell_index = ack.get("cell_index", cell_index)
-            if ack.get("status") == "SUCCESS":
-                complete = True
-                break
-            sig = _progress_signature(sim, cell_index)
-            if sig != last_sig:
-                last_sig = sig
-                last_change = sim.sim_time
-            elif sim.sim_time - last_change > config.deadlock_window:
-                deadlocked = True
-                break
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    finally:
-        server.shutdown()
-        try:
-            child.wait(timeout=30.0)
-        except subprocess.TimeoutExpired:
-            child.kill()
-    wall = time.perf_counter() - start_wall
-    sim.flush_terrain()
-    collector.drain()
-
-    report = _finalize(config, sim, collector, wall, complete=complete,
-                       deadlocked=deadlocked, error=error,
-                       mean_tick=mean_tick, cell_switches=cell_switches,
-                       bus_errors=len(sim_bus.error_events))
-    if out_dir:
-        _write_outputs(Path(out_dir), report, collector, config, sim,
-                       cell_index)
-    return report
-
-
-def run(config: ScenarioConfig, config_path=None, out_dir=None,
-        mode: Optional[str] = None, overrides: Optional[dict] = None,
-        snapshot: Optional[str] = None) -> RunReport:
-    mode = mode or config.transport
-    if mode == "tcp":
-        if config_path is None:
-            raise ValueError("tcp mode needs the config file path")
-        return run_tcp(config, config_path, out_dir=out_dir,
-                       overrides=overrides, snapshot=snapshot)
-    return run_loopback(config, out_dir=out_dir, snapshot=snapshot)
 
 
 # -- artifacts ---------------------------------------------------------------

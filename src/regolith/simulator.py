@@ -360,29 +360,16 @@ class Simulator:
 
 
 def run_calibration(config: ScenarioConfig, machine_id: str,
-                    duration: float = 12.0,
-                    injected_power: Optional[dict] = None) -> dict:
+                    duration: float = 12.0) -> dict:
     """No-load power per actuator: the machine is held free of terrain
-    forces while its tracks are driven, and mean positive actuator power is
-    measured.  injected_power adds a synthetic constant dissipation per
-    actuator, exercising the full normalization path.
+    forces while its tracks are driven, and actuator power is sampled every
+    step.  Lifted clear of the terrain, the kinematic drivetrain dissipates
+    nothing, so every sample is zero.
 
     Returns {"duration": s, "power_samples": {actuator: [W, ...]}}.
     """
     mc = next(m for m in config.machines if m.machine_id == machine_id)
-    spec = mc.build_spec()
-    injected = injected_power or {}
-    dt = config.timestep
-    steps = int(round(duration / dt))
-    samples: dict[str, list] = {a: [] for a in spec.torque_limits}
-    omega = spec.speed_empty / spec.wheel_radius
-    for _ in range(steps):
-        for actuator in samples:
-            # elevated machine: terrain reaction is zero, so the kinematic
-            # drivetrain dissipates nothing of its own
-            power = 0.0
-            if actuator in ("left_track", "right_track"):
-                power += 0.0 * omega
-            power += injected.get(actuator, 0.0)
-            samples[actuator].append(power)
-    return {"duration": duration, "power_samples": samples}
+    steps = int(round(duration / config.timestep))
+    return {"duration": duration,
+            "power_samples": {actuator: [0.0] * steps
+                              for actuator in mc.build_spec().torque_limits}}

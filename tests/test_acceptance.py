@@ -37,7 +37,7 @@ from regolith.bt import (
     serialize,
 )
 from regolith.config import load_config
-from regolith.runner import run_loopback, run_tcp
+from regolith.runner import run
 from regolith.scenarios import scenario_path
 from regolith.terrain import (
     Heightfield,
@@ -82,7 +82,7 @@ def announce(request):
 def flat_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("flat")
     config = load_config(scenario_path("scenario1_flat"))
-    report = run_loopback(config, out_dir=out)
+    report = run(config, out_dir=out)
     return report, out
 
 
@@ -90,7 +90,7 @@ def flat_run(tmp_path_factory):
 def sloped_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("sloped")
     config = load_config(scenario_path("scenario1_sloped"))
-    report = run_loopback(config, out_dir=out)
+    report = run(config, out_dir=out)
     return report, out
 
 
@@ -108,7 +108,7 @@ def smoke_run(tmp_path_factory):
         if data["first_success"] is None and status is SUCCESS:
             data["first_success"] = sim.sim_time
 
-    report = run_loopback(config, out_dir=out, observer=observer)
+    report = run(config, out_dir=out, observer=observer)
     return report, out, data, config
 
 
@@ -116,7 +116,7 @@ def smoke_run(tmp_path_factory):
 def smoke_rerun(tmp_path_factory):
     out = tmp_path_factory.mktemp("smoke_b")
     config = load_config(scenario_path("scenario2_smoke"))
-    report = run_loopback(config, out_dir=out)
+    report = run(config, out_dir=out)
     return report, out
 
 
@@ -126,7 +126,8 @@ def smoke_tcp(tmp_path_factory):
     path = scenario_path("scenario2_smoke")
     overrides = {"transport": "tcp"}
     config = load_config(path, overrides=overrides)
-    report = run_tcp(config, path, out_dir=out, overrides=overrides)
+    report = run(config, config_path=path, out_dir=out,
+                 overrides=overrides)
     return report, out
 
 
@@ -152,7 +153,7 @@ def fault_run():
         elif t >= 120.0:
             sim.set_available("truck1", True)
 
-    report = run_loopback(config, observer=observer)
+    report = run(config, observer=observer)
     return report, data
 
 
@@ -346,6 +347,9 @@ def test_criterion_11_determinism_and_transport(smoke_run, smoke_rerun,
             json.dumps(stats_tcp, sort_keys=True)
         assert _read_rows(out_a, "cycles.csv") == \
             _read_rows(out_tcp, "cycles.csv")
+        for name in ("samples.csv", "events.csv"):
+            assert (Path(out_a) / name).read_bytes() == \
+                (Path(out_tcp) / name).read_bytes()
 
 
 def test_criterion_12_failure_recovery(fault_run, announce):

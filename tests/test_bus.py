@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regolith.bus import (
+    BridgeError,
     Bus,
     Envelope,
     LoopbackBridge,
@@ -273,3 +275,26 @@ def test_tcp_bridge_lockstep_exchange():
     assert not thread.is_alive()
     assert result["seen"] == [0, 1, 2]
     assert [e.payload["at"] for e in cmd_sub.poll(10)] == [0.0, 1.0, 2.0]
+
+
+def test_tcp_bridge_sync_times_out_on_silent_planner():
+    server = TcpBridgeServer(Bus())
+    peer = socket.create_connection(("127.0.0.1", server.port))
+    server.accept(timeout=0.5)
+    raised = []
+
+    def simulator_side():
+        try:
+            server.sync(0.0)
+        except BridgeError as exc:
+            raised.append(exc)
+
+    # daemon: without a deadline the sync blocks forever
+    thread = threading.Thread(target=simulator_side, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    finished = not thread.is_alive()
+    peer.close()
+    server.shutdown()
+    assert finished
+    assert raised

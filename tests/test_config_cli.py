@@ -7,6 +7,7 @@ import pytest
 
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
+from regolith.runner import run
 from regolith.scenarios import REFERENCE_SCENARIOS, scenario_path
 
 BASE = Path(__file__).parent
@@ -118,6 +119,13 @@ def test_cli_run_incomplete_and_plots(tmp_path, capsys):
                  "work_excavation.csv", "markers.csv"):
         assert (out / name).exists()
     assert info["rows"] >= 0
+
+
+def test_run_rejects_observer_in_tcp_mode():
+    path = scenario_path("scenario2_smoke")
+    config = load_config(path, overrides={"transport": "tcp"})
+    with pytest.raises(ValueError):
+        run(config, config_path=path, observer=lambda sim, loop, status: None)
 
 
 def test_cli_plots_missing_dir_is_error(tmp_path):
