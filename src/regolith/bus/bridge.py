@@ -10,6 +10,7 @@ plus a sync mark, and waits for the planner's envelopes plus an ack.
 from __future__ import annotations
 
 import socket
+from collections import deque
 from typing import Optional
 
 from . import wire
@@ -76,11 +77,12 @@ class _Endpoint:
         self.bus = bus
         self.sock = sock
         self.decoder = wire.FrameDecoder()
-        self._inbox: list = []
+        self._inbox: deque = deque()
 
-    def send(self, obj) -> None:
+    def send(self, objs: list) -> None:
+        """Frame each object and send them all in one write."""
         try:
-            self.sock.sendall(wire.frame(obj))
+            self.sock.sendall(b"".join([wire.frame(obj) for obj in objs]))
         except OSError as exc:
             self.bus.report_error(f"bridge connection lost: {exc}")
             raise BridgeError(str(exc))
@@ -89,7 +91,7 @@ class _Endpoint:
         """Deliver envelope frames until a control frame in ctl_kinds."""
         while True:
             while self._inbox:
-                obj = self._inbox.pop(0)
+                obj = self._inbox.popleft()
                 if not isinstance(obj, dict):
                     self.bus.report_error(f"dropped non-dict frame: {obj!r}")
                     continue
@@ -150,15 +152,14 @@ class TcpBridgeServer:
         """One lockstep exchange; returns the planner's ack payload."""
         if self._endpoint is None:
             raise BridgeError("no planner connected")
-        for env in _drain(self._subs):
-            self._endpoint.send(env.to_wire())
-        self._endpoint.send({"_ctl": "sync", "sim_time": sim_time})
+        self._endpoint.send([env.to_wire() for env in _drain(self._subs)]
+                            + [{"_ctl": "sync", "sim_time": sim_time}])
         return self._endpoint.recv_until(("ack",))
 
     def shutdown(self) -> None:
         if self._endpoint is not None:
             try:
-                self._endpoint.send({"_ctl": "shutdown"})
+                self._endpoint.send([{"_ctl": "shutdown"}])
             except BridgeError:
                 pass
             self._endpoint.close()
@@ -186,12 +187,11 @@ class TcpBridgeClient:
         return ctl.get("sim_time", 0.0)
 
     def ack(self, extra: Optional[dict] = None) -> None:
-        for env in _drain(self._subs):
-            self._endpoint.send(env.to_wire())
         msg = {"_ctl": "ack"}
         if extra:
             msg.update(extra)
-        self._endpoint.send(msg)
+        self._endpoint.send([env.to_wire() for env in _drain(self._subs)]
+                            + [msg])
 
     def close(self) -> None:
         self._endpoint.close()

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import statistics
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -193,6 +194,7 @@ def segment_cycles(samples: Iterable[TelemetrySample],
                     key=lambda e: (e.sim_time, e.activation_id))
     samples = sorted((s for s in samples if s.machine in works),
                      key=lambda s: s.sim_time)
+    times = [s.sim_time for s in samples]
     if len(dig_starts) < 2:
         if dig_starts:
             warnings.warn("dropping unterminated final dig cycle")
@@ -203,7 +205,7 @@ def segment_cycles(samples: Iterable[TelemetrySample],
     for k in range(len(dig_starts) - 1):
         lo, hi = dig_starts[k], dig_starts[k + 1]
         duration = hi - lo
-        span_samples = [s for s in samples if lo <= s.sim_time < hi]
+        span_samples = samples[bisect_left(times, lo):bisect_left(times, hi)]
         raw = integrate_work(span_samples, dt)
         actuator_work = {joint: normalize(w, duration, cal, joint)
                          for joint, w in raw.items()}

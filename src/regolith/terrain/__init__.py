@@ -14,5 +14,5 @@ from .deform import (
     excavate_swept,
     max_region_slope,
 )
-from .forces import BETA_MAX, BETA_MIN, DigForce, dig_resistance, wedge_coefficients
+from .forces import BETA_MAX, BETA_MIN, DigForce, dig_resistance
 from .generate import generate_heightfield

@@ -1,10 +1,14 @@
 """Config validation and command-line interface behaviour."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import regolith
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
 from regolith.runner import run
@@ -160,3 +164,15 @@ def test_cli_validate_bt_bad_file(tmp_path, capsys):
     assert main(["validate-bt", "--file", str(bad)]) == EXIT_ERROR
     assert main(["validate-bt", "--file", str(tmp_path / "none.bt")]) \
         == EXIT_ERROR
+
+
+def test_entry_points_import_without_scipy():
+    src = str(Path(regolith.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import regolith.cli, regolith.runner, regolith.planner_proc\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +182,32 @@ def test_other_machines_ignored():
     with pytest.warns(UserWarning):
         records = segment_cycles([], events, "m1", 0.01)
     assert len(records) == 2 and all(r.machine == "m1" for r in records)
+
+
+def test_sample_at_dig_start_belongs_to_later_cycle():
+    # dig starts at 0, 12 and 24: spans are lo <= t < hi
+    samples = [sample(0.0, torque=1.0, omega=1.0),
+               sample(11.9, torque=2.0, omega=1.0),
+               sample(12.0, torque=4.0, omega=1.0),
+               sample(24.0, torque=8.0, omega=1.0)]
+    with pytest.warns(UserWarning):
+        records = segment_cycles(samples, synthetic_stream(), "m1", 1.0)
+    assert [r.work_J for r in records] == [3.0, 4.0]
+
+
+def test_segment_cycles_independent_of_sample_order():
+    dt = 0.1
+    samples = [sample(k * dt, joint=("boom", "arm")[k % 2],
+                      torque=float(k % 7), omega=1.0 + k % 3)
+               for k in range(250)]
+    shuffled = list(samples)
+    random.Random(5).shuffle(shuffled)
+    with pytest.warns(UserWarning):
+        expected = segment_cycles(samples, synthetic_stream(), "m1", dt)
+    with pytest.warns(UserWarning):
+        got = segment_cycles(shuffled, synthetic_stream(), "m1", dt)
+    assert len(expected) == 2
+    assert got == expected
 
 
 # -- summaries ---------------------------------------------------------------
