@@ -25,22 +25,19 @@ class BridgeError(Exception):
 
 
 class LoopbackBridge:
-    """Connects two in-process buses, optionally with a delivery delay.
+    """Connects two in-process buses.  Pumping after every publish makes
+    the pair of buses behave exactly like one shared bus."""
 
-    With zero delay, pumping after every publish makes the pair of buses
-    behave exactly like one shared bus.
-    """
-
-    def __init__(self, planner_bus: Bus, sim_bus: Bus, delay: float = 0.0):
+    def __init__(self, planner_bus: Bus, sim_bus: Bus):
         self.planner_bus = planner_bus
         self.sim_bus = sim_bus
-        self.delay = delay
         self._to_planner = [sim_bus.subscribe_category(c) for c in SIM_TO_PLANNER]
         self._to_sim = [planner_bus.subscribe_category(c) for c in PLANNER_TO_SIM]
-        self._in_flight: list[tuple[float, Envelope, Bus]] = []
 
-    def pump(self, now: float) -> int:
-        """Move envelopes whose delay has elapsed; returns deliveries."""
+    def pump(self) -> int:
+        """Republish every pending envelope on the other bus; returns the
+        number delivered."""
+        delivered = 0
         for sub, dest in ([(s, self.planner_bus) for s in self._to_planner]
                           + [(s, self.sim_bus) for s in self._to_sim]):
             while True:
@@ -48,16 +45,8 @@ class LoopbackBridge:
                 if not batch:
                     break
                 for env in batch:
-                    self._in_flight.append((env.sim_time + self.delay, env, dest))
-        delivered = 0
-        remaining = []
-        for due, env, dest in self._in_flight:
-            if now >= due:
-                dest.republish(env)
-                delivered += 1
-            else:
-                remaining.append((due, env, dest))
-        self._in_flight = remaining
+                    dest.republish(env)
+                delivered += len(batch)
         return delivered
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 CATEGORIES = ("target", "telemetry", "skill")
@@ -211,7 +211,3 @@ class Bus:
     def report_error(self, message: str) -> None:
         with self._lock:
             self.error_events.append(message)
-
-    def topics(self) -> list[str]:
-        with self._lock:
-            return sorted(self._topics)

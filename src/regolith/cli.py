@@ -1,5 +1,5 @@
-"""Command line interface: run scenarios, emit plot series, calibrate
-no-load power, and validate behaviour-tree files.
+"""Command line interface: run scenarios, emit plot series, and validate
+behaviour-tree files.
 
 Exit codes: 0 scenario complete / command succeeded, 2 scenario ran but
 did not complete, 3 error.
@@ -66,33 +66,6 @@ def _cmd_plots(args) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
-    path = _resolve_config_path(args.config)
-    try:
-        config = load_config(path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    machine = args.machine or config.machines[0].machine_id
-    if machine not in config.machine_ids():
-        print(f"no machine {machine!r} in config", file=sys.stderr)
-        return EXIT_ERROR
-    from .simulator import run_calibration
-    from .telemetry import calibrate_baseline
-    data = run_calibration(config, machine, duration=args.duration)
-    try:
-        cal = calibrate_baseline(data["power_samples"], data["duration"],
-                                 efficiency=args.efficiency)
-    except ValueError as exc:
-        print(f"calibration error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    text = json.dumps(cal.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return EXIT_OK
-
-
 def _cmd_validate_bt(args) -> int:
     try:
         text = Path(args.file).read_text()
@@ -130,15 +103,6 @@ def main(argv=None) -> int:
     plots_p = sub.add_parser("plots", help="emit plot series from run CSVs")
     plots_p.add_argument("--in", dest="in_dir", required=True)
     plots_p.set_defaults(func=_cmd_plots)
-
-    cal_p = sub.add_parser("calibrate",
-                           help="measure no-load actuator power")
-    cal_p.add_argument("--config", required=True)
-    cal_p.add_argument("--machine", default=None)
-    cal_p.add_argument("--duration", type=float, default=12.0)
-    cal_p.add_argument("--efficiency", type=float, default=1.0)
-    cal_p.add_argument("--out", default=None)
-    cal_p.set_defaults(func=_cmd_calibrate)
 
     bt_p = sub.add_parser("validate-bt",
                           help="parse and resolve a behaviour-tree file")

@@ -58,10 +58,6 @@ class ArmGeometry:
             if not lo < hi:
                 raise ValueError(f"empty joint range for {name}")
 
-    @property
-    def max_reach(self) -> float:
-        return self.boom_length + self.stick_length + self.bucket_length
-
     def clamp(self, name: str, value: float) -> float:
         lo, hi = self.joint_ranges[name]
         return min(max(value, lo), hi)

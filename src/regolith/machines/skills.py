@@ -8,11 +8,9 @@ the caller can keep a global mass ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..terrain import (
-    DigForce,
     Heightfield,
     SoilParams,
     SweptCut,
@@ -210,8 +208,7 @@ class DigExecution:
             advance = math.hypot(tip[0] - prev[0], tip[1] - prev[1])
             depth = max(0.0, h.height_at(tip[0], tip[1]) - tip[2])
             attack_c = min(max(attack, 0.06), math.pi / 2 - 0.06)
-            force = dig_resistance(depth, self.traj.width, attack_c,
-                                   spec.dig_speed, soil)
+            force = dig_resistance(depth, self.traj.width, attack_c, soil)
             if advance > 1e-9:
                 step_cut = SweptCut(
                     points=[(prev[0], prev[1], prev[2], attack_c),
@@ -543,10 +540,13 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
     area = cs * cs
     graded_volume = 0.0
     max_depth = 0.0
-    i_lo = max(int((min(bx - half_l, bx + half_l) - half_w - h.origin[0]) / cs) - 1, 0)
-    i_hi = min(int((bx + half_l + half_w - h.origin[0]) / cs) + 1, h.nx - 1)
-    j_lo = max(int((by - half_l - half_w - h.origin[1]) / cs) - 1, 0)
-    j_hi = min(int((by + half_l + half_w - h.origin[1]) / cs) + 1, h.ny - 1)
+    # axis-aligned extent of the blade rectangle, padded by one cell
+    ext_x = half_l * abs(ch) + half_w * abs(sh)
+    ext_y = half_l * abs(sh) + half_w * abs(ch)
+    i_lo = max(int((bx - ext_x - h.origin[0]) / cs) - 1, 0)
+    i_hi = min(int((bx + ext_x - h.origin[0]) / cs) + 1, h.nx - 1)
+    j_lo = max(int((by - ext_y - h.origin[1]) / cs) - 1, 0)
+    j_hi = min(int((by + ext_y - h.origin[1]) / cs) + 1, h.ny - 1)
     for i in range(i_lo, i_hi + 1):
         for j in range(j_lo, j_hi + 1):
             cx, cy = h.cell_center(i, j)
@@ -577,7 +577,7 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
 
     if max_depth > 0.0:
         force = dig_resistance(min(max_depth, 0.4), spec.blade_width,
-                               BLADE_ATTACK, abs(state.speed), soil)
+                               BLADE_ATTACK, soil)
         tau = force.resistance * 0.4 + state.blade_load_kg * soil.gravity * 0.3
     else:
         tau = state.blade_load_kg * soil.gravity * 0.3

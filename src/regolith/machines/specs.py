@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,7 +39,6 @@ class MachineSpec:
     rolling_resistance: float = 0.08     # dimensionless coefficient
     turning_resistance: float = 400.0    # N*m of chassis yaw drag per rad/s
     turning_resistance_subcrawler: float = 1200.0  # same, sub-crawlers down
-    idle_power: float = 0.0              # W, baseline draw while powered
     # excavator
     arm: Optional[ArmGeometry] = None
     bucket_capacity_kg: float = 75.0
@@ -76,11 +74,6 @@ class MachineSpec:
                 raise ValueError(f"torque limit for {actuator} must be positive")
         if self.role == "excavator" and self.arm is None:
             self.arm = ArmGeometry()
-
-    @property
-    def payload_capacity(self) -> float:
-        return (self.bucket_capacity_kg if self.role == "excavator"
-                else self.bed_capacity_kg)
 
     def target_speed(self, loaded: bool) -> float:
         return self.speed_loaded if loaded else self.speed_empty

@@ -166,9 +166,9 @@ class _InProcessLink:
         self.planner_errors = bus.error_events
 
     def tick(self, sim_time: float) -> dict:
-        self.bridge.pump(sim_time)
+        self.bridge.pump()
         status = self.loop.step(sim_time)
-        self.bridge.pump(sim_time)
+        self.bridge.pump()
         return self.loop.status_report(status)
 
     def close(self) -> None:
@@ -300,24 +300,21 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
     cycles = {}
     summary = {}
     fleet = []
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for machine_id in sim.machine_order:
-            records = collector.cycles(machine_id, sample_dt)
-            if records:
-                cycles[machine_id] = records
-                summary[machine_id] = summarize(records)
-        # fleet view: the digging machine's cycle spans, work charged
-        # across every machine's actuators
-        diggers = [m for m in sim.machine_order
-                   if dig_start_times(collector.events, m)]
-        if diggers:
-            fleet = segment_cycles(collector.samples, collector.events,
-                                   diggers[0], sample_dt,
-                                   work_machines=sim.machine_order)
-            if fleet:
-                summary["fleet"] = summarize(fleet)
+    for machine_id in sim.machine_order:
+        records = collector.cycles(machine_id, sample_dt)
+        if records:
+            cycles[machine_id] = records
+            summary[machine_id] = summarize(records)
+    # fleet view: the digging machine's cycle spans, work charged across
+    # every machine's actuators
+    diggers = [m for m in sim.machine_order
+               if dig_start_times(collector.events, m)]
+    if diggers:
+        fleet = segment_cycles(collector.samples, collector.events,
+                               diggers[0], sample_dt,
+                               work_machines=sim.machine_order)
+        if fleet:
+            summary["fleet"] = summarize(fleet)
     return RunReport(
         complete=complete, sim_time=sim.sim_time, wall_time=wall,
         cycles=cycles, summary=summary, mean_tick_seconds=mean_tick,

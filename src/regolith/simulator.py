@@ -8,7 +8,7 @@ status (with periodic Running heartbeats), and terrain patches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bus import Bus, split_topic, topic_for
@@ -306,10 +306,6 @@ class Simulator:
         if self.step_count % TERRAIN_EVERY == 0:
             self._publish_terrain_patches()
 
-    def run_until(self, sim_time: float) -> None:
-        while self.sim_time < sim_time - 1e-9:
-            self.step()
-
     # -- telemetry -----------------------------------------------------------
 
     def _publish_machine_telemetry(self) -> None:
@@ -358,18 +354,3 @@ class Simulator:
     def mass_closure_error(self) -> float:
         return self.ledger.residual_error(self.residual_payload_kg())
 
-
-def run_calibration(config: ScenarioConfig, machine_id: str,
-                    duration: float = 12.0) -> dict:
-    """No-load power per actuator: the machine is held free of terrain
-    forces while its tracks are driven, and actuator power is sampled every
-    step.  Lifted clear of the terrain, the kinematic drivetrain dissipates
-    nothing, so every sample is zero.
-
-    Returns {"duration": s, "power_samples": {actuator: [W, ...]}}.
-    """
-    mc = next(m for m in config.machines if m.machine_id == machine_id)
-    steps = int(round(duration / config.timestep))
-    return {"duration": duration,
-            "power_samples": {actuator: [0.0] * steps
-                              for actuator in mc.build_spec().torque_limits}}

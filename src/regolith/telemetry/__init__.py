@@ -1,11 +1,9 @@
 """Work and cycle telemetry: per-step actuator samples, positive-work
-integration, no-load power normalization, dig-cycle segmentation, summary
-statistics, and CSV export."""
+integration, dig-cycle segmentation, summary statistics, and CSV export."""
 
 from __future__ import annotations
 
 import statistics
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -18,9 +16,6 @@ CYCLE_CSV_HEADER = ("cycle,machine,loaded_kg,spilled_kg,duration_s,work_J,"
 #: Column header of the per-sample CSV (bit-exact contract).
 SAMPLE_CSV_HEADER = ("sim_time,machine,joint,torque_Nm,omega_rad_s,"
                      "payload_kg,skill_state")
-
-#: Minimum calibration run length (s).
-MIN_CALIBRATION_DURATION = 10.0
 
 #: Skill action → task-time bucket of the cycle breakdown.
 TASK_BUCKETS = {"dig": "dig", "drive": "drive", "dump": "dump",
@@ -51,36 +46,9 @@ class SkillEvent:
 
 
 @dataclass
-class BaselineCalibration:
-    """No-load power per actuator plus the drivetrain efficiency factor."""
-    no_load_power: dict = field(default_factory=dict)    # actuator -> W
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        for actuator, power in self.no_load_power.items():
-            if power < 0.0:
-                raise ValueError(
-                    f"no-load power for {actuator!r} must be >= 0")
-
-    def power(self, actuator: str) -> float:
-        return self.no_load_power.get(actuator, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"no_load_power": dict(self.no_load_power),
-                "efficiency": self.efficiency}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "BaselineCalibration":
-        return cls(no_load_power=dict(obj.get("no_load_power", {})),
-                   efficiency=float(obj.get("efficiency", 1.0)))
-
-
-@dataclass
 class WorkCycleRecord:
-    """One dig cycle: loaded/spilled mass, duration, normalized work, and
-    the per-task time breakdown."""
+    """One dig cycle: loaded/spilled mass, duration, positive actuator work,
+    and the per-task time breakdown."""
     cycle: int
     machine: str
     loaded_kg: float
@@ -107,32 +75,6 @@ def integrate_work(samples: Iterable[TelemetrySample], dt: float) -> dict:
         else:
             work.setdefault(sample.joint, 0.0)
     return work
-
-
-def normalize(work: float, duration: float, cal: BaselineCalibration,
-              actuator: str) -> float:
-    """Work with the no-load dissipation removed and efficiency divided out:
-    max(0, work - no_load_power*duration) / efficiency."""
-    return max(0.0, work - cal.power(actuator) * duration) / cal.efficiency
-
-
-def calibrate_baseline(power_samples: dict, duration: float,
-                       efficiency: float = 1.0) -> BaselineCalibration:
-    """Per-actuator mean power over a dedicated no-load run.
-
-    power_samples maps actuator name to the list of instantaneous power
-    readings (W) collected while the machine ran free of terrain forces.
-    """
-    if duration < MIN_CALIBRATION_DURATION:
-        raise ValueError(
-            f"calibration run of {duration} s is too short; need at least "
-            f"{MIN_CALIBRATION_DURATION} s")
-    no_load = {}
-    for actuator, readings in power_samples.items():
-        readings = list(readings)
-        mean = sum(readings) / len(readings) if readings else 0.0
-        no_load[actuator] = max(mean, 0.0)
-    return BaselineCalibration(no_load_power=no_load, efficiency=efficiency)
 
 
 def _skill_intervals(events: list[SkillEvent]) -> list[tuple]:
@@ -172,7 +114,6 @@ def dig_start_times(events: Iterable[SkillEvent], machine: str) -> list[float]:
 
 def segment_cycles(samples: Iterable[TelemetrySample],
                    events: Iterable[SkillEvent], machine: str, dt: float,
-                   cal: Optional[BaselineCalibration] = None,
                    work_machines: Optional[list] = None
                    ) -> list[WorkCycleRecord]:
     """One record per dig-start → next dig-start span for one machine.
@@ -181,24 +122,22 @@ def segment_cycles(samples: Iterable[TelemetrySample],
     completion report inside the span, work from positive-power
     integration over the span's samples, and the task breakdown from the
     skill activity intervals; time in no skill counts as waiting.  The
-    trailing span with no terminating dig start is dropped with a warning.
+    trailing span with no terminating dig start is dropped: events.csv
+    still lists its dig start.
 
     work_machines widens the work integration (only) to other machines'
     actuators, e.g. to charge a hauler's transit work to the digging
     machine's cycles.
     """
-    cal = cal or BaselineCalibration()
     dig_starts = dig_start_times(events, machine)
+    if len(dig_starts) < 2:
+        return []
     works = set(work_machines) if work_machines else {machine}
     events = sorted((e for e in events if e.machine == machine),
                     key=lambda e: (e.sim_time, e.activation_id))
     samples = sorted((s for s in samples if s.machine in works),
                      key=lambda s: s.sim_time)
     times = [s.sim_time for s in samples]
-    if len(dig_starts) < 2:
-        if dig_starts:
-            warnings.warn("dropping unterminated final dig cycle")
-        return []
     intervals = _skill_intervals(events)
 
     records = []
@@ -206,9 +145,7 @@ def segment_cycles(samples: Iterable[TelemetrySample],
         lo, hi = dig_starts[k], dig_starts[k + 1]
         duration = hi - lo
         span_samples = samples[bisect_left(times, lo):bisect_left(times, hi)]
-        raw = integrate_work(span_samples, dt)
-        actuator_work = {joint: normalize(w, duration, cal, joint)
-                         for joint, w in raw.items()}
+        actuator_work = integrate_work(span_samples, dt)
         loaded = spilled = 0.0
         for ev in events:
             if not (lo <= ev.sim_time < hi) or ev.state != "Succeeded":
@@ -228,7 +165,6 @@ def segment_cycles(samples: Iterable[TelemetrySample],
             dig_s=breakdown["dig"], drive_s=breakdown["drive"],
             dump_s=breakdown["dump"], wait_s=max(0.0, duration - busy),
             actuator_work_J=actuator_work))
-    warnings.warn("dropping unterminated final dig cycle")
     return records
 
 
@@ -327,18 +263,14 @@ class TelemetryCollector:
         return sorted({e.machine for e in self.events}
                       | {s.machine for s in self.samples})
 
-    def cycles(self, machine: str, dt: float,
-               cal: Optional[BaselineCalibration] = None
-               ) -> list[WorkCycleRecord]:
-        return segment_cycles(self.samples, self.events, machine, dt, cal)
+    def cycles(self, machine: str, dt: float) -> list[WorkCycleRecord]:
+        return segment_cycles(self.samples, self.events, machine, dt)
 
 
 __all__ = [
-    "BaselineCalibration", "CYCLE_CSV_HEADER", "MIN_CALIBRATION_DURATION",
-    "SAMPLE_CSV_HEADER", "SUMMARY_COLUMNS", "SkillEvent", "TASK_BUCKETS",
-    "TelemetryCollector", "TelemetrySample", "WorkCycleRecord",
-    "calibrate_baseline", "cycles_csv_text", "dig_start_times",
-    "integrate_work", "normalize",
-    "samples_csv_text", "segment_cycles", "summarize", "write_cycles_csv",
+    "CYCLE_CSV_HEADER", "SAMPLE_CSV_HEADER", "SUMMARY_COLUMNS", "SkillEvent",
+    "TASK_BUCKETS", "TelemetryCollector", "TelemetrySample",
+    "WorkCycleRecord", "cycles_csv_text", "dig_start_times",
+    "integrate_work", "samples_csv_text", "segment_cycles", "summarize", "write_cycles_csv",
     "write_samples_csv",
 ]

@@ -137,12 +137,8 @@ def _bounded_min(f, lo: float, hi: float, xatol: float) -> float:
 
 
 def dig_resistance(depth: float, width: float, attack_angle: float,
-                   speed: float, soil: SoilParams) -> DigForce:
-    """Cutting force for a blade of the given width at the given depth.
-
-    ``speed`` is accepted for interface stability but does not enter the
-    quasi-static wedge model.
-    """
+                   soil: SoilParams) -> DigForce:
+    """Cutting force for a blade of the given width at the given depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if width <= 0:

@@ -54,20 +54,20 @@ def wedge_oracle_force(depth, width, attack_angle, soil, n_beta=2000):
 
 
 def test_zero_depth_is_exactly_zero():
-    f = dig_resistance(0.0, 0.6, 0.5, 0.1, SOIL)
+    f = dig_resistance(0.0, 0.6, 0.5, SOIL)
     assert f.resistance == 0.0
     assert f.normal == 0.0
     assert f.torque_about_edge == 0.0
 
 
 def test_linear_in_width():
-    f1 = dig_resistance(0.1, 0.6, 0.5, 0.1, SOIL)
-    f2 = dig_resistance(0.1, 1.2, 0.5, 0.1, SOIL)
+    f1 = dig_resistance(0.1, 0.6, 0.5, SOIL)
+    f2 = dig_resistance(0.1, 1.2, 0.5, SOIL)
     assert f2.resistance == pytest.approx(2 * f1.resistance, rel=1e-9)
 
 
 def test_reference_point_matches_oracle():
-    f = dig_resistance(0.1, 0.6, 0.5, 0.1, SOIL)
+    f = dig_resistance(0.1, 0.6, 0.5, SOIL)
     expected = wedge_oracle_force(0.1, 0.6, 0.5, SOIL)
     assert f.resistance == pytest.approx(expected, rel=0.05)
 
@@ -84,7 +84,7 @@ def test_oracle_agreement_over_random_parameters():
         depth = rng.uniform(0.01, 0.3)
         width = rng.uniform(0.2, 1.5)
         attack = rng.uniform(0.2, 1.2)
-        got = dig_resistance(depth, width, attack, 0.1, soil).resistance
+        got = dig_resistance(depth, width, attack, soil).resistance
         expected = wedge_oracle_force(depth, width, attack, soil)
         assert got == pytest.approx(expected, rel=0.05), (depth, width, attack)
 
@@ -96,11 +96,11 @@ def test_monotone_in_depth_width_cohesion():
         soil = SoilParams(internal_friction_angle=rng.uniform(0.3, 1.1),
                           cohesion=rng.uniform(100.0, 1500.0))
         depths = np.linspace(0.0, 0.4, 6)
-        forces = [dig_resistance(d, 0.6, attack, 0.1, soil).resistance
+        forces = [dig_resistance(d, 0.6, attack, soil).resistance
                   for d in depths]
         assert all(b >= a - 1e-9 for a, b in zip(forces, forces[1:]))
         widths = np.linspace(0.2, 1.4, 5)
-        forces_w = [dig_resistance(0.15, w, attack, 0.1, soil).resistance
+        forces_w = [dig_resistance(0.15, w, attack, soil).resistance
                     for w in widths]
         assert all(b >= a - 1e-9 for a, b in zip(forces_w, forces_w[1:]))
         cohesions = np.linspace(50.0, 2500.0, 5)
@@ -108,7 +108,7 @@ def test_monotone_in_depth_width_cohesion():
         for c in cohesions:
             s = SoilParams(internal_friction_angle=soil.internal_friction_angle,
                            cohesion=c)
-            forces_c.append(dig_resistance(0.15, 0.6, attack, 0.1, s).resistance)
+            forces_c.append(dig_resistance(0.15, 0.6, attack, s).resistance)
         assert all(b >= a - 1e-9 for a, b in zip(forces_c, forces_c[1:]))
 
 
@@ -118,19 +118,19 @@ def test_non_negative_over_random_inputs():
         soil = SoilParams(internal_friction_angle=rng.uniform(0.3, 1.2),
                           cohesion=rng.uniform(10.0, 3000.0))
         f = dig_resistance(rng.uniform(0, 0.5), rng.uniform(0.1, 2.0),
-                           rng.uniform(0.1, 1.4), 0.1, soil)
+                           rng.uniform(0.1, 1.4), soil)
         assert f.resistance >= 0.0
 
 
 def test_attack_angle_domain():
     with pytest.raises(ValueError):
-        dig_resistance(0.1, 0.6, 0.0, 0.1, SOIL)
+        dig_resistance(0.1, 0.6, 0.0, SOIL)
     with pytest.raises(ValueError):
-        dig_resistance(0.1, 0.6, math.pi / 2, 0.1, SOIL)
+        dig_resistance(0.1, 0.6, math.pi / 2, SOIL)
     with pytest.raises(ValueError):
-        dig_resistance(-0.1, 0.6, 0.5, 0.1, SOIL)
+        dig_resistance(-0.1, 0.6, 0.5, SOIL)
     with pytest.raises(ValueError):
-        dig_resistance(0.1, 0.0, 0.5, 0.1, SOIL)
+        dig_resistance(0.1, 0.0, 0.5, SOIL)
 
 
 # resistance, normal, torque_about_edge for each (soil, depth, attack angle)
@@ -203,6 +203,6 @@ def test_bit_exact_against_recorded_forces():
             for j, attack in enumerate(BIT_EXACT_ATTACKS):
                 if (i + j) % 2:     # callers pass numpy scalars too
                     depth, attack = np.float64(depth), np.float64(attack)
-                f = dig_resistance(depth, 0.6, attack, 0.1, soil)
+                f = dig_resistance(depth, 0.6, attack, soil)
                 got.append((f.resistance, f.normal, f.torque_about_edge))
     assert got == BIT_EXACT_FORCES

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,17 +5,14 @@ from hypothesis import given, strategies as st
 
 from regolith.bus import Bus, topic_for
 from regolith.telemetry import (
-    BaselineCalibration,
     CYCLE_CSV_HEADER,
     SAMPLE_CSV_HEADER,
     SkillEvent,
     TelemetryCollector,
     TelemetrySample,
     WorkCycleRecord,
-    calibrate_baseline,
     cycles_csv_text,
     integrate_work,
-    normalize,
     samples_csv_text,
     segment_cycles,
     summarize,
@@ -60,50 +56,6 @@ def test_integrated_work_nonnegative(pairs):
         assert value >= 0.0
 
 
-# -- normalization -----------------------------------------------------------
-
-def test_normalize_identity_without_baseline():
-    cal = BaselineCalibration()
-    assert normalize(120.0, 5.0, cal, "boom") == 120.0
-
-
-def test_normalize_subtracts_baseline_and_divides_efficiency():
-    cal = BaselineCalibration(no_load_power={"boom": 10.0}, efficiency=0.8)
-    assert normalize(120.0, 5.0, cal, "boom") == pytest.approx(87.5)
-
-
-def test_normalize_clamps_at_zero():
-    cal = BaselineCalibration(no_load_power={"boom": 10.0})
-    assert normalize(50.0, 5.0, cal, "boom") == 0.0
-
-
-@given(st.floats(0, 1e4), st.floats(0.01, 100), st.floats(0, 50),
-       st.floats(0.1, 1.0))
-def test_normalized_bounds(work, duration, power, eff):
-    cal = BaselineCalibration(no_load_power={"j": power}, efficiency=eff)
-    value = normalize(work, duration, cal, "j")
-    assert 0.0 <= value <= work / eff + 1e-9
-
-
-def test_calibration_validation():
-    with pytest.raises(ValueError):
-        BaselineCalibration(efficiency=0.0)
-    with pytest.raises(ValueError):
-        BaselineCalibration(no_load_power={"boom": -1.0})
-
-
-def test_calibrate_baseline_recovers_injected_power():
-    readings = {"left_track": [25.0 + 0.1 * math.sin(k) for k in range(1000)]}
-    cal = calibrate_baseline(readings, duration=10.0)
-    assert cal.power("left_track") == pytest.approx(25.0, rel=0.01)
-    assert cal.power("other") == 0.0
-
-
-def test_calibrate_baseline_rejects_short_run():
-    with pytest.raises(ValueError):
-        calibrate_baseline({}, duration=9.9)
-
-
 # -- cycle segmentation ------------------------------------------------------
 
 def synthetic_stream():
@@ -130,8 +82,7 @@ def synthetic_stream():
 
 
 def test_segment_cycles_known_breakdown():
-    with pytest.warns(UserWarning):
-        records = segment_cycles([], synthetic_stream(), "m1", 0.01)
+    records = segment_cycles([], synthetic_stream(), "m1", 0.01)
     assert len(records) == 2
     for k, r in enumerate(records):
         assert r.duration_s == pytest.approx(12.0)
@@ -148,20 +99,9 @@ def test_segment_cycles_known_breakdown():
 def test_segment_cycles_integrates_span_work():
     dt = 0.1
     samples = [sample(k * dt, torque=5.0, omega=2.0) for k in range(240)]
-    with pytest.warns(UserWarning):
-        records = segment_cycles(samples, synthetic_stream(), "m1", dt)
+    records = segment_cycles(samples, synthetic_stream(), "m1", dt)
     for r in records:
         assert r.work_J == pytest.approx(10.0 * 12.0, rel=1e-6)
-
-
-def test_segment_cycles_applies_calibration():
-    dt = 0.1
-    samples = [sample(k * dt, torque=5.0, omega=2.0) for k in range(240)]
-    cal = BaselineCalibration(no_load_power={"boom": 2.0}, efficiency=0.5)
-    with pytest.warns(UserWarning):
-        records = segment_cycles(samples, synthetic_stream(), "m1", dt, cal)
-    for r in records:
-        assert r.work_J == pytest.approx((120.0 - 24.0) / 0.5, rel=1e-6)
 
 
 def test_no_dig_events_empty():
@@ -169,18 +109,16 @@ def test_no_dig_events_empty():
                           "m1", 0.01) == []
 
 
-def test_single_unterminated_cycle_dropped_with_warning():
+def test_single_unterminated_cycle_dropped():
     events = [event(0.0, "dig", "Running", 1),
               event(4.0, "dig", "Succeeded", 1, loaded_kg=50.0)]
-    with pytest.warns(UserWarning):
-        assert segment_cycles([], events, "m1", 0.01) == []
+    assert segment_cycles([], events, "m1", 0.01) == []
 
 
 def test_other_machines_ignored():
     events = synthetic_stream() + [event(1.0, "dig", "Running", 99,
                                          machine="m2")]
-    with pytest.warns(UserWarning):
-        records = segment_cycles([], events, "m1", 0.01)
+    records = segment_cycles([], events, "m1", 0.01)
     assert len(records) == 2 and all(r.machine == "m1" for r in records)
 
 
@@ -190,8 +128,7 @@ def test_sample_at_dig_start_belongs_to_later_cycle():
                sample(11.9, torque=2.0, omega=1.0),
                sample(12.0, torque=4.0, omega=1.0),
                sample(24.0, torque=8.0, omega=1.0)]
-    with pytest.warns(UserWarning):
-        records = segment_cycles(samples, synthetic_stream(), "m1", 1.0)
+    records = segment_cycles(samples, synthetic_stream(), "m1", 1.0)
     assert [r.work_J for r in records] == [3.0, 4.0]
 
 
@@ -202,10 +139,8 @@ def test_segment_cycles_independent_of_sample_order():
                for k in range(250)]
     shuffled = list(samples)
     random.Random(5).shuffle(shuffled)
-    with pytest.warns(UserWarning):
-        expected = segment_cycles(samples, synthetic_stream(), "m1", dt)
-    with pytest.warns(UserWarning):
-        got = segment_cycles(shuffled, synthetic_stream(), "m1", dt)
+    expected = segment_cycles(samples, synthetic_stream(), "m1", dt)
+    got = segment_cycles(shuffled, synthetic_stream(), "m1", dt)
     assert len(expected) == 2
     assert got == expected
 
