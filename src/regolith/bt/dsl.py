@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .core import (
-    Condition,
-    Decorator,
     FailureIsRunning,
     Inverter,
     Parallel,
     ParallelPolicy,
     Selector,
     Sequence,
-    Task,
     TreeNode,
 )
 

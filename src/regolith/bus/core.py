@@ -140,6 +140,14 @@ class Bus:
 
     # -- API ---------------------------------------------------------------
 
+    @property
+    def dropped(self) -> int:
+        """Envelopes dropped by full queues, over every subscription."""
+        with self._lock:
+            return (sum(sub.dropped for topic in self._topics.values()
+                        for sub in topic.subscribers)
+                    + sum(sub.dropped for _, sub in self._wildcards))
+
     def publish(self, topic_name: str, payload: dict, sim_time: float,
                 publisher: str = "default") -> Envelope:
         with self._lock:

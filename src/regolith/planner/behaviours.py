@@ -4,7 +4,6 @@ files."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 from ..bt import (

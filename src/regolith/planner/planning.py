@@ -4,7 +4,7 @@ predicates, all computed from the WorldModel belief only."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..terrain import SweptCut

@@ -8,7 +8,6 @@ stale; planning on stale data degrades to skill failure and re-planning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 

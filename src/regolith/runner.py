@@ -53,6 +53,7 @@ class RunReport:
     deadlocked: bool = False
     error: Optional[str] = None
     bus_errors: int = 0
+    bus_dropped: int = 0
     config_hash: str = ""
     mass_closure_error: float = 0.0
 
@@ -64,7 +65,8 @@ class RunReport:
             "realtime_factor": self.realtime_factor,
             "cell_switch_times": list(self.cell_switch_times),
             "deadlocked": self.deadlocked, "error": self.error,
-            "bus_errors": self.bus_errors, "config_hash": self.config_hash,
+            "bus_errors": self.bus_errors, "bus_dropped": self.bus_dropped,
+            "config_hash": self.config_hash,
             "mass_closure_error": self.mass_closure_error,
             "cycles_per_machine": {m: len(rs) for m, rs in
                                    self.cycles.items()},
@@ -163,7 +165,7 @@ class _InProcessLink:
         self.bridge = LoopbackBridge(bus, sim_bus)
         self.loop = build_planner(config, bus, terrain=terrain,
                                   cell_index=cell_index)
-        self.planner_errors = bus.error_events
+        self.planner_bus = bus
 
     def tick(self, sim_time: float) -> dict:
         self.bridge.pump()
@@ -190,7 +192,7 @@ class _ChildLink:
             args += ["--snapshot", str(snapshot)]
         self.child = subprocess.Popen(args)
         self.connected = False
-        self.planner_errors: list = []      # kept in the child's own bus
+        self.planner_bus = None             # lives in the child
 
     def tick(self, sim_time: float) -> dict:
         # accept here, so a child that never connects fails inside the
@@ -278,12 +280,13 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     sim.flush_terrain()
     collector.drain()
 
+    buses = [b for b in (sim_bus, link.planner_bus) if b is not None]
     report = _finalize(config, sim, collector, wall,
                        complete=complete, deadlocked=deadlocked, error=error,
                        mean_tick=planner_state["mean_tick_seconds"],
                        cell_switches=planner_state["cell_switch_times"],
-                       bus_errors=len(sim_bus.error_events)
-                       + len(link.planner_errors))
+                       bus_errors=sum(len(b.error_events) for b in buses),
+                       bus_dropped=sum(b.dropped for b in buses))
     if out_dir:
         _write_outputs(Path(out_dir), report, collector, config, sim,
                        planner_state["cell_index"])
@@ -295,7 +298,8 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
 def _finalize(config: ScenarioConfig, sim: Simulator,
               collector: TelemetryCollector, wall: float, *, complete: bool,
               deadlocked: bool, error: Optional[str], mean_tick: float,
-              cell_switches: list, bus_errors: int) -> RunReport:
+              cell_switches: list, bus_errors: int,
+              bus_dropped: int) -> RunReport:
     sample_dt = config.timestep * TELEMETRY_EVERY
     cycles = {}
     summary = {}
@@ -321,7 +325,8 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
         realtime_factor=sim.sim_time / wall if wall > 0 else 0.0,
         cell_switch_times=cell_switches, fleet_cycles=fleet,
         deadlocked=deadlocked, error=error,
-        bus_errors=bus_errors, config_hash=config.config_hash,
+        bus_errors=bus_errors, bus_dropped=bus_dropped,
+        config_hash=config.config_hash,
         mass_closure_error=sim.mass_closure_error())
 
 

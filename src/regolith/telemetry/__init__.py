@@ -3,10 +3,13 @@ integration, dig-cycle segmentation, summary statistics, and CSV export."""
 
 from __future__ import annotations
 
+import io
 import statistics
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+import numpy as np
 
 from ..bus import split_topic
 
@@ -16,6 +19,9 @@ CYCLE_CSV_HEADER = ("cycle,machine,loaded_kg,spilled_kg,duration_s,work_J,"
 #: Column header of the per-sample CSV (bit-exact contract).
 SAMPLE_CSV_HEADER = ("sim_time,machine,joint,torque_Nm,omega_rad_s,"
                      "payload_kg,skill_state")
+
+#: Rows formatted per write when exporting the sample log.
+SAMPLE_CSV_CHUNK = 4096
 
 #: Skill action → task-time bucket of the cycle breakdown.
 TASK_BUCKETS = {"dig": "dig", "drive": "drive", "dump": "dump",
@@ -62,19 +68,113 @@ class WorkCycleRecord:
     actuator_work_J: dict = field(default_factory=dict)
 
 
+class SampleLog:
+    """Actuator readings in arrival order, one column per field.
+
+    The float columns are `array('d')`; machine, joint and skill state are
+    codes into one table of names, so a row costs 38 bytes and no Python
+    object.  Indexing returns a `TelemetrySample` view of one row.  While a
+    numpy view of a column is alive the column cannot grow, so views stay
+    local to the functions that read them.
+    """
+
+    def __init__(self):
+        self.sim_time = array("d")
+        self.torque = array("d")
+        self.omega = array("d")
+        self.payload_kg = array("d")
+        self.machine = array("H")
+        self.joint = array("H")
+        self.skill_state = array("H")
+        self.names: list[str] = []
+        self._codes: dict[str, int] = {}
+
+    @classmethod
+    def of(cls, samples: Iterable[TelemetrySample]) -> "SampleLog":
+        """The log itself, or a new log holding the samples in order."""
+        if isinstance(samples, SampleLog):
+            return samples
+        log = cls()
+        for s in samples:
+            log.extend(s.sim_time, s.machine, ((s.joint, s.torque, s.omega),),
+                       s.payload_kg, s.skill_state)
+        return log
+
+    def _code(self, name: str) -> int:
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+    def extend(self, sim_time: float, machine: str, rows,
+               payload_kg: float, skill_state: str) -> None:
+        """Appends one (joint, torque, omega) row per entry of rows, all
+        read at sim_time on machine."""
+        joints, code = self.joint, self._code
+        for joint, torque, omega in rows:
+            joints.append(code(joint))
+            self.torque.append(torque)
+            self.omega.append(omega)
+        n = len(joints) - len(self.sim_time)
+        self.sim_time.extend([sim_time] * n)
+        self.payload_kg.extend([payload_kg] * n)
+        self.machine.extend([code(machine)] * n)
+        self.skill_state.extend([code(skill_state)] * n)
+
+    def __len__(self) -> int:
+        return len(self.sim_time)
+
+    def __getitem__(self, i: int) -> TelemetrySample:
+        names = self.names
+        return TelemetrySample(
+            self.sim_time[i], names[self.machine[i]], names[self.joint[i]],
+            self.torque[i], self.omega[i], self.payload_kg[i],
+            names[self.skill_state[i]])
+
+    def machine_ids(self) -> set[str]:
+        codes = np.unique(np.frombuffer(self.machine, np.uint16))
+        return {self.names[c] for c in codes.tolist()}
+
+    def span_work(self, machines, bounds: list[float],
+                  dt: float) -> list[dict]:
+        """Per-joint positive work of the machines' rows in each time span
+        [bounds[k], bounds[k + 1]), the rows taken in time order (ties in
+        arrival order)."""
+        codes = [self._codes[m] for m in machines if m in self._codes]
+        rows = np.flatnonzero(
+            np.isin(np.frombuffer(self.machine, np.uint16), codes))
+        times = np.frombuffer(self.sim_time)[rows]
+        order = np.argsort(times, kind="stable")
+        cuts = np.searchsorted(times, bounds, "left", sorter=order).tolist()
+        rows = rows[order]
+        return [self._work(rows[lo:hi], dt)
+                for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    def _work(self, rows: np.ndarray, dt: float) -> dict:
+        """W += max(tau*omega, 0)*dt per joint over the rows, in row order
+        from 0.0, keyed in order of each joint's first row."""
+        joints = np.frombuffer(self.joint, np.uint16)[rows]
+        with np.errstate(all="ignore"):     # overflow to inf, as floats do
+            power = np.frombuffer(self.torque)[rows] \
+                * np.frombuffer(self.omega)[rows]
+            energy = np.where(power > 0.0, power * dt, 0.0)
+        # bincount adds each joint's weights one by one in row order: the
+        # same sums as a loop over the rows
+        totals = np.bincount(joints, weights=energy,
+                             minlength=len(self.names))
+        codes, first = np.unique(joints, return_index=True)
+        return {self.names[c]: float(totals[c])
+                for c in codes[np.argsort(first)].tolist()}
+
+
 def integrate_work(samples: Iterable[TelemetrySample], dt: float) -> dict:
     """Cumulative positive actuator work per joint: W += max(tau*omega,0)*dt.
 
     Braking (negative power) and zero-velocity holds contribute nothing.
     """
-    work: dict[str, float] = {}
-    for sample in samples:
-        power = sample.torque * sample.omega
-        if power > 0.0:
-            work[sample.joint] = work.get(sample.joint, 0.0) + power * dt
-        else:
-            work.setdefault(sample.joint, 0.0)
-    return work
+    log = SampleLog.of(samples)
+    return log._work(np.arange(len(log)), dt)
 
 
 def _skill_intervals(events: list[SkillEvent]) -> list[tuple]:
@@ -135,17 +235,14 @@ def segment_cycles(samples: Iterable[TelemetrySample],
     works = set(work_machines) if work_machines else {machine}
     events = sorted((e for e in events if e.machine == machine),
                     key=lambda e: (e.sim_time, e.activation_id))
-    samples = sorted((s for s in samples if s.machine in works),
-                     key=lambda s: s.sim_time)
-    times = [s.sim_time for s in samples]
+    span_work = SampleLog.of(samples).span_work(works, dig_starts, dt)
     intervals = _skill_intervals(events)
 
     records = []
     for k in range(len(dig_starts) - 1):
         lo, hi = dig_starts[k], dig_starts[k + 1]
         duration = hi - lo
-        span_samples = samples[bisect_left(times, lo):bisect_left(times, hi)]
-        actuator_work = integrate_work(span_samples, dt)
+        actuator_work = span_work[k]
         loaded = spilled = 0.0
         for ev in events:
             if not (lo <= ev.sim_time < hi) or ev.state != "Succeeded":
@@ -199,13 +296,23 @@ def cycles_csv_text(records: list[WorkCycleRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_sample_rows(fh, log: SampleLog) -> None:
+    fh.write(SAMPLE_CSV_HEADER + "\n")
+    names = log.names
+    for lo in range(0, len(log), SAMPLE_CSV_CHUNK):
+        hi = lo + SAMPLE_CSV_CHUNK
+        fh.write("".join(
+            f"{t!r},{names[m]},{names[j]},{tq!r},{om!r},{kg!r},{names[s]}\n"
+            for t, m, j, tq, om, kg, s in zip(
+                log.sim_time[lo:hi], log.machine[lo:hi], log.joint[lo:hi],
+                log.torque[lo:hi], log.omega[lo:hi], log.payload_kg[lo:hi],
+                log.skill_state[lo:hi])))
+
+
 def samples_csv_text(samples: Iterable[TelemetrySample]) -> str:
-    lines = [SAMPLE_CSV_HEADER]
-    for s in samples:
-        lines.append(",".join([_fmt(s.sim_time), s.machine, s.joint,
-                               _fmt(s.torque), _fmt(s.omega),
-                               _fmt(s.payload_kg), s.skill_state]))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    _write_sample_rows(buf, SampleLog.of(samples))
+    return buf.getvalue()
 
 
 def write_cycles_csv(path, records: list[WorkCycleRecord]) -> None:
@@ -214,8 +321,9 @@ def write_cycles_csv(path, records: list[WorkCycleRecord]) -> None:
 
 
 def write_samples_csv(path, samples: Iterable[TelemetrySample]) -> None:
+    """Writes samples.csv a chunk of rows at a time."""
     with open(path, "w") as fh:
-        fh.write(samples_csv_text(samples))
+        _write_sample_rows(fh, SampleLog.of(samples))
 
 
 class TelemetryCollector:
@@ -230,7 +338,7 @@ class TelemetryCollector:
     def __init__(self, bus):
         self.sub_telemetry = bus.subscribe_category("telemetry")
         self.sub_skill = bus.subscribe_category("skill")
-        self.samples: list[TelemetrySample] = []
+        self.samples = SampleLog()
         self.events: list[SkillEvent] = []
 
     def drain(self) -> None:
@@ -245,13 +353,10 @@ class TelemetryCollector:
     def _ingest(self, env) -> None:
         machine, category, action = split_topic(env.topic)
         if category == "telemetry" and action == "work":
-            payload_kg = float(env.payload.get("payload_kg", 0.0))
-            skill_state = env.payload.get("skill_state", "Idle")
-            for joint, torque, omega in env.payload.get("rows", []):
-                self.samples.append(TelemetrySample(
-                    sim_time=env.sim_time, machine=machine, joint=joint,
-                    torque=float(torque), omega=float(omega),
-                    payload_kg=payload_kg, skill_state=skill_state))
+            self.samples.extend(
+                env.sim_time, machine, env.payload.get("rows", []),
+                float(env.payload.get("payload_kg", 0.0)),
+                env.payload.get("skill_state", "Idle"))
         elif category == "skill":
             self.events.append(SkillEvent(
                 sim_time=env.sim_time, machine=machine, action=action,
@@ -261,16 +366,17 @@ class TelemetryCollector:
 
     def machine_ids(self) -> list[str]:
         return sorted({e.machine for e in self.events}
-                      | {s.machine for s in self.samples})
+                      | self.samples.machine_ids())
 
     def cycles(self, machine: str, dt: float) -> list[WorkCycleRecord]:
         return segment_cycles(self.samples, self.events, machine, dt)
 
 
 __all__ = [
-    "CYCLE_CSV_HEADER", "SAMPLE_CSV_HEADER", "SUMMARY_COLUMNS", "SkillEvent",
-    "TASK_BUCKETS", "TelemetryCollector", "TelemetrySample",
-    "WorkCycleRecord", "cycles_csv_text", "dig_start_times",
-    "integrate_work", "samples_csv_text", "segment_cycles", "summarize", "write_cycles_csv",
+    "CYCLE_CSV_HEADER", "SAMPLE_CSV_CHUNK", "SAMPLE_CSV_HEADER",
+    "SUMMARY_COLUMNS", "SampleLog", "SkillEvent", "TASK_BUCKETS",
+    "TelemetryCollector", "TelemetrySample", "WorkCycleRecord",
+    "cycles_csv_text", "dig_start_times", "integrate_work",
+    "samples_csv_text", "segment_cycles", "summarize", "write_cycles_csv",
     "write_samples_csv",
 ]

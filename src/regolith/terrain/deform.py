@@ -8,7 +8,7 @@ assert global conservation across arbitrary operation sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

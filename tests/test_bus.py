@@ -122,6 +122,18 @@ def test_bounded_queue_drops_oldest_and_counts():
     assert [e.payload["i"] for e in sub.poll(10)] == [2, 3, 4]
 
 
+def test_bus_dropped_sums_topic_and_wildcard_subscriptions():
+    bus = Bus(queue_limit=2)
+    sub = bus.subscribe("/m1/target/drive")
+    for i in range(5):
+        bus.publish("/m1/target/drive", cmd(i=i), 0.0)
+    assert sub.dropped == 3 and bus.dropped == 3
+    wildcard = bus.subscribe_category("telemetry")
+    for i in range(4):
+        bus.publish("/m1/telemetry/state", tlm(i=i), 0.0)
+    assert wildcard.dropped == 2 and bus.dropped == 5
+
+
 def test_interleaved_publishers_keep_per_publisher_seq_order():
     bus = Bus()
     sub = bus.subscribe("/m1/telemetry/state")

@@ -133,6 +133,23 @@ def test_run_rejects_observer_in_tcp_mode():
         run(config, config_path=path, observer=lambda sim, loop, status: None)
 
 
+def test_run_reports_drops_on_both_buses():
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"max_sim_time": 5.0})
+    flooded = []
+
+    def observer(sim, loop, status):
+        if not flooded:        # never polled: all but one envelope drop
+            flooded.append(sim.bus.subscribe_category("telemetry", limit=1))
+            flooded.append(
+                loop.runtime.bus.subscribe_category("telemetry", limit=1))
+
+    report = run(config, observer=observer)
+    assert all(sub.dropped > 0 for sub in flooded)
+    assert report.bus_dropped == sum(sub.dropped for sub in flooded)
+    assert report.to_dict()["bus_dropped"] == report.bus_dropped
+
+
 def test_cli_plots_missing_dir_is_error(tmp_path):
     assert main(["plots", "--in", str(tmp_path / "void")]) == EXIT_ERROR
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,9 @@ from hypothesis import given, strategies as st
 from regolith.bus import Bus, topic_for
 from regolith.telemetry import (
     CYCLE_CSV_HEADER,
+    SAMPLE_CSV_CHUNK,
     SAMPLE_CSV_HEADER,
+    SampleLog,
     SkillEvent,
     TelemetryCollector,
     TelemetrySample,
@@ -16,6 +19,7 @@ from regolith.telemetry import (
     samples_csv_text,
     segment_cycles,
     summarize,
+    write_samples_csv,
 )
 
 
@@ -215,3 +219,107 @@ def test_collector_builds_samples_and_events_from_bus():
     assert len(collector.events) == 1
     assert collector.events[0].action == "dig"
     assert collector.machine_ids() == ["m1"]
+
+
+# -- columnar sample log -----------------------------------------------------
+
+def loop_work(samples, dt):
+    """Reference for the vectorised integration: one row at a time."""
+    work = {}
+    for s in samples:
+        power = s.torque * s.omega
+        if power > 0.0:
+            work[s.joint] = work.get(s.joint, 0.0) + power * dt
+        else:
+            work.setdefault(s.joint, 0.0)
+    return work
+
+
+def exact(work):
+    return [(joint, repr(value)) for joint, value in work.items()]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["boom", "stick", "swing"]),
+                          st.floats(), st.floats()), max_size=60))
+def test_integrate_work_matches_row_loop(rows):
+    samples = [sample(k * 0.1, joint=joint, torque=tq, omega=om)
+               for k, (joint, tq, om) in enumerate(rows)]
+    assert exact(integrate_work(samples, 0.1)) == exact(loop_work(samples, 0.1))
+
+
+def test_segment_cycles_span_work_matches_row_loop():
+    rng = random.Random(11)
+    samples = [sample(round(rng.uniform(0.0, 26.0), 1),
+                      joint=rng.choice(["boom", "stick", "track_left"]),
+                      torque=rng.uniform(-500.0, 500.0),
+                      omega=rng.uniform(-2.0, 2.0),
+                      machine=rng.choice(["m1", "m2", "m3"]))
+               for _ in range(3000)]
+    records = segment_cycles(samples, synthetic_stream(), "m1", 0.1,
+                             work_machines=["m1", "m2"])
+    ordered = sorted((s for s in samples if s.machine in ("m1", "m2")),
+                     key=lambda s: s.sim_time)
+    assert len(records) == 2
+    for r, (lo, hi) in zip(records, [(0.0, 12.0), (12.0, 24.0)]):
+        span = [s for s in ordered if lo <= s.sim_time < hi]
+        assert exact(r.actuator_work_J) == exact(loop_work(span, 0.1))
+
+
+def test_sample_log_rows_round_trip():
+    samples = [sample(0.5, joint="boom", torque=3.0, omega=-0.5,
+                      payload=12.0, state="Running"),
+               sample(0.5, joint="stick", machine="m2", state="Idle")]
+    log = SampleLog.of(samples)
+    assert len(log) == 2
+    assert [log[0], log[1], log[-1]] == samples + samples[-1:]
+    assert SampleLog.of(log) is log
+
+
+@pytest.mark.parametrize("case", ["empty", "three_chunks", "special"])
+def test_write_samples_csv_equals_text(tmp_path, case):
+    if case == "empty":
+        samples = []
+    elif case == "three_chunks":
+        samples = [sample(k * 0.1, joint=("boom", "stick")[k % 2],
+                          torque=k * 1.5, omega=-k / 7.0)
+                   for k in range(2 * SAMPLE_CSV_CHUNK + 3)]
+    else:
+        samples = [sample(0.1, torque=-0.0, omega=5e-324, payload=1e300),
+                   sample(0.2, torque=-3.5, omega=1e300, payload=-0.0)]
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, samples)
+    text = samples_csv_text(samples)
+    assert path.read_bytes() == text.encode()
+    lines = text.splitlines()
+    assert lines[0] == SAMPLE_CSV_HEADER
+    assert len(lines) == len(samples) + 1
+    if case == "special":
+        assert lines[1:] == ["0.1,m1,boom,-0.0,5e-324,1e+300,Idle",
+                             "0.2,m1,boom,-3.5,1e+300,-0.0,Idle"]
+
+
+def test_collector_retains_few_bytes_per_sample_row():
+    # a TelemetrySample object per row retained about 200 bytes
+    joints = ("swing", "boom", "stick", "bucket", "track_left", "track_right")
+    bus = Bus(machine_ids=["m1"])
+    collector = TelemetryCollector(bus)
+    topic = topic_for("m1", "telemetry", "work")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k = 0
+        for n in range(20_000 // len(joints)):
+            rows = [[joint, 0.5 * (k + i), -0.25 * (k + i)]
+                    for i, joint in enumerate(joints)]
+            k += len(joints)
+            bus.publish(topic, {"kind": "telemetry", "payload_kg": 0.1 * n,
+                                "skill_state": "Running", "rows": rows},
+                        sim_time=0.1 * n, publisher="sim")
+            if n % 100 == 99:
+                collector.drain()
+        collector.drain()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(collector.samples) == k
+    assert retained / k < 64
