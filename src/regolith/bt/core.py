@@ -73,24 +73,13 @@ class Blackboard:
     def read(self, key: str, default=ABSENT):
         return self._data.get(key, default)
 
-    def contains(self, key: str) -> bool:
-        return key in self._data
-
-    def clear(self) -> None:
-        self._data.clear()
-
 
 @dataclass
 class TickContext:
     """Per-tick environment handed down the tree."""
 
     blackboard: Blackboard = field(default_factory=Blackboard)
-    tick_count: int = 0
     sim_time: float = 0.0
-    # Outbound command sink and inbound status source; the planner wires
-    # these to the bus, unit tests can leave them as None.
-    command_sink: Optional[Callable] = None
-    status_source: Optional[object] = None
 
 
 class TreeNode:

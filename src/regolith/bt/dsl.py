@@ -45,7 +45,6 @@ class ParsedLine:
     node_spec: str
     machine_context: Optional[str]
     source_line: int
-    indent_chars: str = ""
 
 
 @dataclass
@@ -112,8 +111,7 @@ def parse_line(raw: str, lineno: int = 1,
 
     level = _indent_depth(indent, indent_unit, lineno)
     return ParsedLine(indent_level=level, node_name=name, node_spec=spec,
-                      machine_context=context, source_line=lineno,
-                      indent_chars=indent)
+                      machine_context=context, source_line=lineno)
 
 
 def _indent_depth(indent: str, unit: Optional[str], lineno: int) -> int:

@@ -3,7 +3,6 @@ from .core import (
     CATEGORIES,
     Envelope,
     PayloadTypeError,
-    SkillStatusState,
     Subscription,
     TopicError,
     split_topic,

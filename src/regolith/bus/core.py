@@ -67,16 +67,8 @@ class Envelope:
                    sim_time=obj["sim_time"], payload=obj["payload"])
 
 
-class SkillStatusState:
-    IDLE = "Idle"
-    RUNNING = "Running"
-    SUCCEEDED = "Succeeded"
-    FAILED = "Failed"
-
-
 class Subscription:
-    def __init__(self, topic: Optional[str], limit: int):
-        self.topic = topic
+    def __init__(self, limit: int):
         self._queue: deque[Envelope] = deque()
         self._limit = limit
         self.dropped = 0
@@ -100,13 +92,11 @@ class Subscription:
 
 
 class _Topic:
-    __slots__ = ("name", "category", "payload_kind", "subscribers",
-                 "seq_by_publisher", "last_sim_time")
+    __slots__ = ("category", "subscribers", "seq_by_publisher",
+                 "last_sim_time")
 
     def __init__(self, name: str):
-        self.name = name
         _, self.category, _ = split_topic(name)
-        self.payload_kind: Optional[str] = None
         self.subscribers: list[Subscription] = []
         self.seq_by_publisher: dict[str, int] = {}
         self.last_sim_time = float("-inf")
@@ -158,8 +148,6 @@ class Bus:
                 raise PayloadTypeError(
                     f"topic {topic_name} carries {expected!r} payloads, "
                     f"got kind {kind!r}")
-            if topic.payload_kind is None:
-                topic.payload_kind = kind
             if sim_time < topic.last_sim_time:
                 raise ValueError(
                     f"sim_time went backwards on {topic_name}: "
@@ -180,8 +168,6 @@ class Bus:
         """Deliver an envelope arriving from a bridge, preserving seq."""
         with self._lock:
             topic = self._get_topic(env.topic)
-            if topic.payload_kind is None:
-                topic.payload_kind = _CATEGORY_KIND[topic.category]
             topic.last_sim_time = max(topic.last_sim_time, env.sim_time)
             for sub in topic.subscribers:
                 sub._push(env)
@@ -190,9 +176,11 @@ class Bus:
                     sub._push(env)
 
     def subscribe(self, topic_name: str) -> Subscription:
+        """Subscription to one topic, for a consumer that reads only some
+        topics of a category."""
         with self._lock:
             topic = self._get_topic(topic_name)
-            sub = Subscription(topic_name, self._queue_limit)
+            sub = Subscription(self._queue_limit)
             topic.subscribers.append(sub)
             return sub
 
@@ -202,19 +190,9 @@ class Bus:
         if category is not None and category not in CATEGORIES:
             raise TopicError(f"unknown topic category {category!r}")
         with self._lock:
-            sub = Subscription(None, limit or self._queue_limit)
+            sub = Subscription(limit or self._queue_limit)
             self._wildcards.append((category, sub))
             return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            if sub.topic is not None:
-                topic = self._topics.get(sub.topic)
-                if topic and sub in topic.subscribers:
-                    topic.subscribers.remove(sub)
-            else:
-                self._wildcards = [(c, s) for c, s in self._wildcards
-                                   if s is not sub]
 
     def report_error(self, message: str) -> None:
         with self._lock:

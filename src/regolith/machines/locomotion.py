@@ -68,13 +68,12 @@ def sub_crawler_policy(state: MachineState, turning: bool,
 
 
 def settle_on_terrain(state: MachineState, h: Heightfield) -> None:
-    """Kinematic ground contact: z and chassis tilt follow the terrain under
-    the track centroid."""
+    """Kinematic ground contact: z and chassis pitch follow the terrain
+    under the track centroid."""
     state.z = h.height_at(state.x, state.y)
     gx, gy = h.gradient_at(state.x, state.y)
     ch, sh = math.cos(state.heading), math.sin(state.heading)
     state.pitch = math.atan(gx * ch + gy * sh)
-    state.roll = math.atan(-gx * sh + gy * ch)
 
 
 def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,

@@ -41,7 +41,6 @@ class MachineSpec:
     turning_resistance_subcrawler: float = 1200.0  # same, sub-crawlers down
     # excavator
     arm: Optional[ArmGeometry] = None
-    bucket_capacity_kg: float = 75.0
     bucket_width: float = 0.6            # m
     arm_joint_speed: float = 0.8         # rad/s rate limit per joint
     swing_accel: float = 1.0             # rad/s^2 accel limit on the swing
@@ -49,7 +48,6 @@ class MachineSpec:
     blade_width: float = 1.6             # m (dozer blade for leveling)
     blade_capacity_kg: float = 150.0
     # dump truck
-    bed_capacity_kg: float = 300.0
     bed_raise_time: float = 2.0          # s to tilt the bed fully
     bed_hold_time: float = 2.0           # s held raised before advancing
     bed_length: float = 1.6              # m, dump footprint behind the axle
@@ -117,7 +115,6 @@ class MachineState:
     z: float = 0.0
     heading: float = 0.0
     pitch: float = 0.0                   # chassis tilt along heading (rad)
-    roll: float = 0.0                    # chassis tilt across heading (rad)
     track_speed_left: float = 0.0        # m/s
     track_speed_right: float = 0.0       # m/s
     turn_rate: float = 0.0               # rad/s chassis yaw rate
@@ -152,15 +149,10 @@ class MachineState:
             s.omega = 0.0
 
     def state_payload(self) -> dict:
-        """Snapshot published on the machine state telemetry topic."""
-        return {
-            "x": self.x, "y": self.y, "z": self.z,
-            "heading": self.heading, "pitch": self.pitch, "roll": self.roll,
-            "speed": self.speed, "turn_rate": self.turn_rate,
-            "payload_kg": self.payload_kg, "blade_load_kg": self.blade_load_kg,
-            "bed_angle": self.bed_angle,
-            "joints": dict(self.joints),
-        }
+        """Published on the machine state telemetry topic: the fields the
+        planner's world model reads."""
+        return {"x": self.x, "y": self.y, "heading": self.heading,
+                "payload_kg": self.payload_kg}
 
     def sample_rows(self):
         """(actuator, torque, omega) triples for telemetry export."""

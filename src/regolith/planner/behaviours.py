@@ -18,10 +18,7 @@ from ..bt import (
 )
 from . import planning
 from .planning import (
-    ALL_CELLS_DONE,
-    BUCKET_NOT_EMPTY,
     DigPlan,
-    NO_WORK_IN_CELL,
     check_scenario_complete,
     plan_dig,
     plan_dump,

@@ -57,18 +57,14 @@ class PlannerLoop:
     """One tree tick per iteration; iterations run at a fixed sim-time
     period driven by the host process."""
 
-    def __init__(self, runtime: PlannerRuntime, tree,
-                 period: float = PLANNER_PERIOD):
+    def __init__(self, runtime: PlannerRuntime, tree):
         self.runtime = runtime
         self.tree = tree
-        self.period = period
         self.blackboard = Blackboard()
         self.sub_telemetry = runtime.bus.subscribe_category("telemetry")
         self.sub_skill = runtime.bus.subscribe_category("skill")
         self.tick_count = 0
         self.tick_seconds_total = 0.0
-        #: (sim_time, root status, {top-level child name: status}) per tick
-        self.trace: list[tuple] = []
         leveling = self.runtime.params.get("leveling")
         if leveling:
             self.blackboard.write("leveling/start_position",
@@ -92,15 +88,11 @@ class PlannerLoop:
     def step(self, sim_time: float) -> NodeStatus:
         self.drain()
         self.runtime.sim_time = sim_time
-        ctx = TickContext(blackboard=self.blackboard,
-                          tick_count=self.tick_count, sim_time=sim_time)
+        ctx = TickContext(blackboard=self.blackboard, sim_time=sim_time)
         start = time.perf_counter()
         status = self.tree.tick(ctx)
         self.tick_seconds_total += time.perf_counter() - start
         self.tick_count += 1
-        self.trace.append((sim_time, status,
-                           {child.name: child.last_status
-                            for child in self.tree.children}))
         return status
 
     def mean_tick_seconds(self) -> float:
@@ -109,8 +101,12 @@ class PlannerLoop:
         return self.tick_seconds_total / self.tick_count
 
     def status_report(self, status: NodeStatus) -> dict:
-        """The run driver's view of a tick, as JSON-ready data."""
+        """The run driver's view of a tick, as JSON-ready data, with the
+        planner bus's drop and error counts so far."""
+        bus = self.runtime.bus
         return {"status": status.name,
                 "mean_tick_seconds": self.mean_tick_seconds(),
                 "cell_switch_times": list(self.runtime.wm.cell_switch_times),
-                "cell_index": self.runtime.wm.cell_index}
+                "cell_index": self.runtime.wm.cell_index,
+                "bus_dropped": bus.dropped,
+                "bus_errors": len(bus.error_events)}

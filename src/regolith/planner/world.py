@@ -8,7 +8,7 @@ stale; planning on stale data degrades to skill failure and re-planning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..bus import Envelope, split_topic
@@ -24,15 +24,8 @@ class MachineReport:
     role: str
     x: float = 0.0
     y: float = 0.0
-    z: float = 0.0
     heading: float = 0.0
-    speed: float = 0.0
-    turn_rate: float = 0.0
     payload_kg: float = 0.0
-    blade_load_kg: float = 0.0
-    bed_angle: float = 0.0
-    joints: dict = field(default_factory=dict)
-    last_time: float = float("-inf")
 
     @property
     def position(self):
@@ -57,13 +50,11 @@ class WorldModel:
         self.leveling_done = False
         # (machine, action) -> last skill status payload
         self.skill_status: dict = {}
-        self.last_ingest_time = float("-inf")
 
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, env: Envelope) -> None:
         machine, category, action = split_topic(env.topic)
-        self.last_ingest_time = max(self.last_ingest_time, env.sim_time)
         if category == "telemetry" and machine == SITE_ID \
                 and action == "terrain":
             for i, j, z in env.payload.get("cells", []):
@@ -77,16 +68,8 @@ class WorldModel:
             p = env.payload
             report.x = p.get("x", report.x)
             report.y = p.get("y", report.y)
-            report.z = p.get("z", report.z)
             report.heading = p.get("heading", report.heading)
-            report.speed = p.get("speed", report.speed)
-            report.turn_rate = p.get("turn_rate", report.turn_rate)
             report.payload_kg = p.get("payload_kg", report.payload_kg)
-            report.blade_load_kg = p.get("blade_load_kg", report.blade_load_kg)
-            report.bed_angle = p.get("bed_angle", report.bed_angle)
-            if "joints" in p:
-                report.joints = dict(p["joints"])
-            report.last_time = env.sim_time
             return
         if category == "skill":
             self.skill_status[(machine, action)] = dict(env.payload,
@@ -125,12 +108,6 @@ class WorldModel:
     def advance_cell(self, sim_time: float) -> None:
         self.cell_index += 1
         self.cell_switch_times.append(sim_time)
-
-    def cell_center(self, index: int):
-        i0, j0, i1, j1 = self.cells[index]
-        cs = self.terrain.cell_size
-        ox, oy = self.terrain.origin
-        return (ox + (i0 + i1) / 2.0 * cs, oy + (j0 + j1) / 2.0 * cs)
 
 
 def grid_cells(h: Heightfield, area, cells_x: int, cells_y: int) -> list:

@@ -103,8 +103,7 @@ def build_planner(config: ScenarioConfig, bus: Bus,
         offload_point=config.poses.get("offload_point"))
     registry = build_registry(runtime)
     tree = resolve(parse_document(config.tree_file.read_text()), registry)
-    period = float(config.planner.get("period", PLANNER_PERIOD))
-    return PlannerLoop(runtime, tree, period=period)
+    return PlannerLoop(runtime, tree)
 
 
 # -- snapshots ---------------------------------------------------------------
@@ -165,7 +164,6 @@ class _InProcessLink:
         self.bridge = LoopbackBridge(bus, sim_bus)
         self.loop = build_planner(config, bus, terrain=terrain,
                                   cell_index=cell_index)
-        self.planner_bus = bus
 
     def tick(self, sim_time: float) -> dict:
         self.bridge.pump()
@@ -192,7 +190,6 @@ class _ChildLink:
             args += ["--snapshot", str(snapshot)]
         self.child = subprocess.Popen(args)
         self.connected = False
-        self.planner_bus = None             # lives in the child
 
     def tick(self, sim_time: float) -> dict:
         # accept here, so a child that never connects fails inside the
@@ -248,7 +245,8 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     deadlocked = False
     error = None
     planner_state = {"mean_tick_seconds": 0.0, "cell_switch_times": [],
-                     "cell_index": cell_index}
+                     "cell_index": cell_index, "bus_dropped": 0,
+                     "bus_errors": 0}
     end_time = sim.sim_time + config.max_sim_time
     last_sig = None
     last_change = sim.sim_time
@@ -280,13 +278,14 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     sim.flush_terrain()
     collector.drain()
 
-    buses = [b for b in (sim_bus, link.planner_bus) if b is not None]
     report = _finalize(config, sim, collector, wall,
                        complete=complete, deadlocked=deadlocked, error=error,
                        mean_tick=planner_state["mean_tick_seconds"],
                        cell_switches=planner_state["cell_switch_times"],
-                       bus_errors=sum(len(b.error_events) for b in buses),
-                       bus_dropped=sum(b.dropped for b in buses))
+                       bus_errors=(len(sim_bus.error_events)
+                                   + planner_state["bus_errors"]),
+                       bus_dropped=(sim_bus.dropped
+                                    + planner_state["bus_dropped"]))
     if out_dir:
         _write_outputs(Path(out_dir), report, collector, config, sim,
                        planner_state["cell_index"])

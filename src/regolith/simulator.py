@@ -342,7 +342,8 @@ class Simulator:
 
     def set_available(self, machine_id: str, available: bool) -> None:
         """Take a machine out of service (or return it); while unavailable
-        it fails its active skill and rejects new commands."""
+        it fails its active skill and rejects new commands.  This is the
+        fault-injection hook for a run's observer callback."""
         self.runners[machine_id].available = available
 
     # -- accounting ----------------------------------------------------------

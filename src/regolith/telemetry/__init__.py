@@ -132,10 +132,6 @@ class SampleLog:
             self.torque[i], self.omega[i], self.payload_kg[i],
             names[self.skill_state[i]])
 
-    def machine_ids(self) -> set[str]:
-        codes = np.unique(np.frombuffer(self.machine, np.uint16))
-        return {self.names[c] for c in codes.tolist()}
-
     def span_work(self, machines, bounds: list[float],
                   dt: float) -> list[dict]:
         """Per-joint positive work of the machines' rows in each time span
@@ -363,10 +359,6 @@ class TelemetryCollector:
                 state=env.payload.get("state", ""),
                 activation_id=int(env.payload.get("id", 0)),
                 payload=dict(env.payload)))
-
-    def machine_ids(self) -> list[str]:
-        return sorted({e.machine for e in self.events}
-                      | self.samples.machine_ids())
 
     def cycles(self, machine: str, dt: float) -> list[WorkCycleRecord]:
         return segment_cycles(self.samples, self.events, machine, dt)

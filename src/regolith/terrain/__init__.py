@@ -1,5 +1,4 @@
 from .heightfield import (
-    GridMismatch,
     Heightfield,
     OutOfBounds,
     SoilParams,

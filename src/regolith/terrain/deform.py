@@ -239,7 +239,8 @@ def _mark_region_dirty(h: Heightfield, region) -> None:
 
 
 def max_region_slope(h: Heightfield, region=None) -> float:
-    """Steepest cell-to-neighbor slope (rise over run) inside a region."""
+    """Steepest cell-to-neighbor slope (rise over run) inside a region;
+    the oracle of the repose invariant checked after relaxation."""
     if region is None:
         region = (0, 0, h.nx, h.ny)
     si, sj = h.region_slice(region)

@@ -39,27 +39,8 @@ class SoilParams:
     def repose_tan(self) -> float:
         return math.tan(self.internal_friction_angle)
 
-    def to_dict(self) -> dict:
-        return {
-            "internal_friction_angle": self.internal_friction_angle,
-            "cohesion": self.cohesion,
-            "dilatancy_angle": self.dilatancy_angle,
-            "bank_density": self.bank_density,
-            "packing_fraction": self.packing_fraction,
-            "compression_index": self.compression_index,
-            "gravity": self.gravity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SoilParams":
-        return cls(**data)
-
 
 class OutOfBounds(ValueError):
-    pass
-
-
-class GridMismatch(ValueError):
     pass
 
 
@@ -152,10 +133,6 @@ class Heightfield:
         gy = (e[i, j_hi] - e[i, j_lo]) / ((j_hi - j_lo) * cs)
         return gx, gy
 
-    def slope_at(self, x: float, y: float) -> float:
-        gx, gy = self.gradient_at(x, y)
-        return math.atan(math.hypot(gx, gy))
-
     def total_volume(self, datum: float = 0.0) -> float:
         return float(np.sum(self.elevation - datum)) * self.cell_size ** 2
 
@@ -170,42 +147,12 @@ class Heightfield:
             raise OutOfBounds(f"region {region} outside {self.nx}x{self.ny} grid")
         return slice(i0, i1), slice(j0, j1)
 
-    def volume_to_target(self, target: "Heightfield", region=None) -> float:
-        """Signed volume above the target over a cell region.
-
-        Positive means material must be removed.
-        """
-        if not self.same_grid(target):
-            raise GridMismatch("heightfield and target grids differ")
-        if region is None:
-            region = (0, 0, self.nx, 0 + self.ny)
-        si, sj = self.region_slice(region)
-        diff = self.elevation[si, sj] - target.elevation[si, sj]
-        return float(np.sum(diff)) * self.cell_size ** 2
-
-    def volume_to_target_abs(self, target: "Heightfield", region=None) -> float:
-        """Total misplaced volume (absolute excess plus deficit)."""
-        if not self.same_grid(target):
-            raise GridMismatch("heightfield and target grids differ")
-        if region is None:
-            region = (0, 0, self.nx, self.ny)
-        si, sj = self.region_slice(region)
-        diff = np.abs(self.elevation[si, sj] - target.elevation[si, sj])
-        return float(np.sum(diff)) * self.cell_size ** 2
-
     # -- I/O ---------------------------------------------------------------
-
-    def save_text(self, path) -> None:
-        """Header `nx ny cell_size origin_x origin_y`, then row-major
-        elevations (one x-row per line)."""
-        with open(path, "w") as fh:
-            fh.write(f"{self.nx} {self.ny} {self.cell_size!r} "
-                     f"{self.origin[0]!r} {self.origin[1]!r}\n")
-            for i in range(self.nx):
-                fh.write(" ".join(repr(float(v)) for v in self.elevation[i]) + "\n")
 
     @classmethod
     def load_text(cls, path) -> "Heightfield":
+        """Header `nx ny cell_size origin_x origin_y`, then row-major
+        elevations (one x-row per line)."""
         text = Path(path).read_text().split("\n")
         header = text[0].split()
         if len(header) != 5:

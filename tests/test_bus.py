@@ -96,13 +96,6 @@ def test_queue_length_after_publishes():
     assert len(sub) == 7
 
 
-def test_unsubscribe_leaves_publisher_unaffected():
-    bus = Bus()
-    sub = bus.subscribe("/m1/target/drive")
-    bus.unsubscribe(sub)
-    bus.publish("/m1/target/drive", cmd(), 0.0)  # must not raise
-
-
 def test_poll_batches():
     bus = Bus()
     sub = bus.subscribe("/m1/target/drive")

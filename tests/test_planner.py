@@ -1,14 +1,26 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from regolith.bt import Blackboard, FAILURE, RUNNING, SUCCESS, TickContext, Task
+from regolith.bt import (
+    Blackboard,
+    Condition,
+    FAILURE,
+    RUNNING,
+    SUCCESS,
+    TickContext,
+    Task,
+)
 from regolith.bus import Bus, Envelope, topic_for
+from regolith.machines import MachineState
 from regolith.planner import (
     ALL_CELLS_DONE,
     BUCKET_NOT_EMPTY,
     DigPlan,
+    PlannerLoop,
     PlannerRuntime,
     RouteError,
     SkillBinding,
@@ -60,7 +72,22 @@ def test_ingest_updates_machine_report():
     wm = make_wm()
     wm.ingest(state_env("excavator1", 3.0, x=11.0, y=12.0, payload_kg=50.0))
     rep = wm.machines["excavator1"]
-    assert (rep.x, rep.payload_kg, rep.last_time) == (11.0, 50.0, 3.0)
+    assert (rep.x, rep.payload_kg) == (11.0, 50.0)
+
+
+def test_state_payload_carries_exactly_what_ingest_reads():
+    """The simulator publishes a state field if and only if the planner's
+    world model reads it."""
+    wm = make_wm()
+    before = dataclasses.asdict(wm.machines["excavator1"])
+    # a distinct value of the field's own kind (number or dict) under the
+    # name of every report field
+    offered = {name: {"k": k} if isinstance(value, dict) else 1000.0 + k
+               for k, (name, value) in enumerate(before.items())}
+    wm.ingest(state_env("excavator1", 7.0, **offered))
+    after = dataclasses.asdict(wm.machines["excavator1"])
+    updated = {name for name in before if after[name] != before[name]}
+    assert updated == set(MachineState().state_payload())
 
 
 def test_ingest_terrain_patch_updates_belief():
@@ -301,6 +328,20 @@ def make_runtime(wm=None):
     bus = Bus(machine_ids=["excavator1", "truck1", "site"])
     runtime = PlannerRuntime(bus, wm, machine_rigs={}, params={})
     return runtime, bus
+
+
+def test_status_report_counts_planner_bus_drops_and_errors():
+    runtime, bus = make_runtime()
+    loop = PlannerLoop(runtime, Condition("Done", lambda ctx: True))
+    flooded = bus.subscribe_category("telemetry", limit=1)   # never polled
+    for k in range(4):
+        bus.publish(topic_for("excavator1", "telemetry", "state"),
+                    {"kind": "telemetry", "x": float(k)}, sim_time=0.0)
+    bus.report_error("dropped bad envelope: test")
+    report = loop.status_report(loop.step(0.1))
+    assert flooded.dropped == 3
+    assert (report["bus_dropped"], report["bus_errors"]) == (3, 1)
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_skill_binding_activation_and_success():

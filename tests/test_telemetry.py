@@ -218,7 +218,6 @@ def test_collector_builds_samples_and_events_from_bus():
     assert collector.samples[0].payload_kg == 12.0
     assert len(collector.events) == 1
     assert collector.events[0].action == "dig"
-    assert collector.machine_ids() == ["m1"]
 
 
 # -- columnar sample log -----------------------------------------------------

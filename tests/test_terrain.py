@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,7 +58,7 @@ def test_height_at_within_neighbor_bounds(x, y):
 
 
 def test_slope_flat_field_is_zero():
-    assert flat().slope_at(5.0, 5.0) == 0.0
+    assert flat().gradient_at(5.0, 5.0) == (0.0, 0.0)
 
 
 def test_slope_of_plane():
@@ -69,7 +67,7 @@ def test_slope_of_plane():
     elev = np.tile(0.5 * xs[:, None], (1, ny))
     h = Heightfield(nx, ny, 1.0, elevation=elev)
     for x, y in [(3.2, 4.5), (6.0, 6.0), (8.7, 2.2)]:
-        assert h.slope_at(x, y) == pytest.approx(math.atan(0.5), abs=1e-9)
+        assert h.gradient_at(x, y) == pytest.approx((0.5, 0.0), abs=1e-9)
 
 
 def test_slope_invariant_under_constant_offset():
@@ -77,7 +75,7 @@ def test_slope_invariant_under_constant_offset():
     elev = rng.uniform(0, 1, (8, 8))
     a = Heightfield(8, 8, 1.0, elevation=elev)
     b = Heightfield(8, 8, 1.0, elevation=elev + 7.0)
-    assert a.slope_at(4.0, 4.0) == pytest.approx(b.slope_at(4.0, 4.0))
+    assert a.gradient_at(4.0, 4.0) == pytest.approx(b.gradient_at(4.0, 4.0))
 
 
 # -- excavation -------------------------------------------------------------
@@ -232,44 +230,33 @@ def test_mass_conserved_across_operation_sequences():
         == pytest.approx(0.0, abs=1e-9)
 
 
-# -- volume to target -------------------------------------------------------
-
-def test_volume_to_target_zero_when_equal():
-    h, t = flat(), flat()
-    assert h.volume_to_target(t) == 0.0
-
-
-def test_volume_to_target_uniform_excess():
-    h = flat(10, 10, cs=1.0, height=2.1)
-    t = flat(10, 10, cs=1.0, height=2.0)
-    # 0.1 m excess over a 2x2 m region -> 0.4 m^3
-    assert h.volume_to_target(t, region=(0, 0, 2, 2)) == pytest.approx(0.4)
-
-
-def test_volume_to_target_antisymmetric_cancels():
-    h = flat(10, 10, height=2.0)
-    t = flat(10, 10, height=2.0)
-    h.elevation[2, 2] += 0.5
-    h.elevation[3, 3] -= 0.5
-    assert h.volume_to_target(t) == pytest.approx(0.0, abs=1e-12)
-    assert h.volume_to_target_abs(t) == pytest.approx(1.0)
-
-
-def test_volume_to_target_grid_mismatch():
-    from regolith.terrain import GridMismatch
-    with pytest.raises(GridMismatch):
-        flat(10, 10).volume_to_target(flat(8, 8))
-
-
 # -- I/O and generation -----------------------------------------------------
 
 def test_heightfield_text_round_trip(tmp_path):
     h = generate_heightfield(12, 9, 0.5, amplitude=0.2, seed=42)
     path = tmp_path / "terrain.txt"
-    h.save_text(path)
+    # header `nx ny cell_size origin_x origin_y`, then one line per x-row
+    path.write_text(
+        f"{h.nx} {h.ny} {h.cell_size!r} {h.origin[0]!r} {h.origin[1]!r}\n"
+        + "".join(" ".join(repr(float(v)) for v in row) + "\n"
+                  for row in h.elevation))
     back = Heightfield.load_text(path)
     assert back.same_grid(h)
     assert np.array_equal(back.elevation, h.elevation)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2 1.0 0.0\n0 0\n0 0\n0 0\n", "bad heightfield header"),
+    ("3 2 1.0 0.0 0.0 9\n0 0\n0 0\n0 0\n", "bad heightfield header"),
+    ("3 2 1.0 0.0 0.0\n0 0\n0 0\n", "does not match header"),
+    ("3 2 1.0 0.0 0.0\n0 0 0\n0 0 0\n0 0 0\n", "does not match header"),
+], ids=["header_4_fields", "header_6_fields", "too_few_rows",
+        "too_many_columns"])
+def test_load_text_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "terrain.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        Heightfield.load_text(path)
 
 
 def test_generation_is_seed_deterministic():
