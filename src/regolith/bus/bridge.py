@@ -9,6 +9,7 @@ plus a sync mark, and waits for the planner's envelopes plus an ack.
 
 from __future__ import annotations
 
+import select
 import socket
 from collections import deque
 from typing import Optional
@@ -129,6 +130,11 @@ class TcpBridgeServer:
         self.port = self._listener.getsockname()[1]
         self._subs = [bus.subscribe_category(c) for c in SIM_TO_PLANNER]
         self._endpoint: Optional[_Endpoint] = None
+
+    def peer_waiting(self, timeout: float) -> bool:
+        """Whether a planner connection is ready to accept, after waiting up
+        to timeout s for one."""
+        return bool(select.select([self._listener], [], [], timeout)[0])
 
     def accept(self, timeout: float = 30.0) -> None:
         self._listener.settimeout(timeout)

@@ -1,9 +1,9 @@
 """In-process topic bus with ROS-like semantics.
 
 Topics are named ``/{machine}/{category}/{action}`` with category one of
-target / telemetry / skill.  Subscribers get bounded FIFO queues (overflow
-drops the oldest envelope and is counted, so the realtime loop never
-blocks).  Timestamps are simulated time.
+target / telemetry / skill.  A subscription receives every topic of one
+category in a bounded FIFO queue (overflow drops the oldest envelope and is
+counted, so the realtime loop never blocks).  Timestamps are simulated time.
 """
 
 from __future__ import annotations
@@ -92,12 +92,10 @@ class Subscription:
 
 
 class _Topic:
-    __slots__ = ("category", "subscribers", "seq_by_publisher",
-                 "last_sim_time")
+    __slots__ = ("category", "seq_by_publisher", "last_sim_time")
 
     def __init__(self, name: str):
         _, self.category, _ = split_topic(name)
-        self.subscribers: list[Subscription] = []
         self.seq_by_publisher: dict[str, int] = {}
         self.last_sim_time = float("-inf")
 
@@ -108,7 +106,8 @@ class Bus:
     def __init__(self, machine_ids: Optional[list[str]] = None,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT):
         self._topics: dict[str, _Topic] = {}
-        self._wildcards: list[tuple[Optional[str], Subscription]] = []
+        self._subscribers: dict[str, list[Subscription]] = {
+            category: [] for category in CATEGORIES}
         self._machine_ids = set(machine_ids) if machine_ids else None
         self._queue_limit = queue_limit
         self._lock = threading.Lock()
@@ -134,9 +133,8 @@ class Bus:
     def dropped(self) -> int:
         """Envelopes dropped by full queues, over every subscription."""
         with self._lock:
-            return (sum(sub.dropped for topic in self._topics.values()
-                        for sub in topic.subscribers)
-                    + sum(sub.dropped for _, sub in self._wildcards))
+            return sum(sub.dropped for subs in self._subscribers.values()
+                       for sub in subs)
 
     def publish(self, topic_name: str, payload: dict, sim_time: float,
                 publisher: str = "default") -> Envelope:
@@ -157,11 +155,8 @@ class Bus:
             topic.seq_by_publisher[publisher] = seq
             env = Envelope(topic=topic_name, seq=seq, sim_time=sim_time,
                            payload=payload)
-            for sub in topic.subscribers:
+            for sub in self._subscribers[topic.category]:
                 sub._push(env)
-            for category, sub in self._wildcards:
-                if category is None or topic.category == category:
-                    sub._push(env)
             return env
 
     def republish(self, env: Envelope) -> None:
@@ -169,29 +164,17 @@ class Bus:
         with self._lock:
             topic = self._get_topic(env.topic)
             topic.last_sim_time = max(topic.last_sim_time, env.sim_time)
-            for sub in topic.subscribers:
+            for sub in self._subscribers[topic.category]:
                 sub._push(env)
-            for category, sub in self._wildcards:
-                if category is None or topic.category == category:
-                    sub._push(env)
 
-    def subscribe(self, topic_name: str) -> Subscription:
-        """Subscription to one topic, for a consumer that reads only some
-        topics of a category."""
-        with self._lock:
-            topic = self._get_topic(topic_name)
-            sub = Subscription(self._queue_limit)
-            topic.subscribers.append(sub)
-            return sub
-
-    def subscribe_category(self, category: Optional[str],
+    def subscribe_category(self, category: str,
                            limit: Optional[int] = None) -> Subscription:
-        """Wildcard subscription over all topics of one category."""
-        if category is not None and category not in CATEGORIES:
+        """Subscription to every topic of one category."""
+        if category not in CATEGORIES:
             raise TopicError(f"unknown topic category {category!r}")
         with self._lock:
             sub = Subscription(limit or self._queue_limit)
-            self._wildcards.append((category, sub))
+            self._subscribers[category].append(sub)
             return sub
 
     def report_error(self, message: str) -> None:

@@ -66,26 +66,6 @@ class ArmGeometry:
         lo, hi = self.joint_ranges[name]
         return lo - 1e-12 <= value <= hi + 1e-12
 
-    def to_dict(self) -> dict:
-        return {
-            "boom_length": self.boom_length,
-            "stick_length": self.stick_length,
-            "bucket_length": self.bucket_length,
-            "joint_ranges": {k: list(v) for k, v in self.joint_ranges.items()},
-            "joint_kinds": {k: v.value for k, v in self.joint_kinds.items()},
-            "pivot_forward": self.pivot_forward,
-            "pivot_up": self.pivot_up,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArmGeometry":
-        kw = dict(data)
-        if "joint_ranges" in kw:
-            kw["joint_ranges"] = {k: tuple(v) for k, v in kw["joint_ranges"].items()}
-        if "joint_kinds" in kw:
-            kw["joint_kinds"] = {k: JointKind(v) for k, v in kw["joint_kinds"].items()}
-        return cls(**kw)
-
 
 @dataclass
 class IkResult:

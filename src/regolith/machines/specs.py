@@ -76,20 +76,6 @@ class MachineSpec:
     def target_speed(self, loaded: bool) -> float:
         return self.speed_loaded if loaded else self.speed_empty
 
-    def to_dict(self) -> dict:
-        data = {k: v for k, v in self.__dict__.items() if k != "arm"}
-        data = {k: (dict(v) if isinstance(v, dict) else v)
-                for k, v in data.items()}
-        data["arm"] = self.arm.to_dict() if self.arm else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MachineSpec":
-        kw = dict(data)
-        if kw.get("arm") is not None:
-            kw["arm"] = ArmGeometry.from_dict(kw["arm"])
-        return cls(**kw)
-
 
 def default_spec(machine_id: str, role: str, **overrides) -> MachineSpec:
     """Spec with per-role defaults: lighter, slightly faster dump truck."""

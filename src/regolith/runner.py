@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .bt import NodeStatus, SUCCESS, parse_document, resolve
-from .bus import Bus, LoopbackBridge, TcpBridgeServer
+from .bus import BridgeError, Bus, LoopbackBridge, TcpBridgeServer
 from .config import ScenarioConfig
 from .planner import (
     PLANNER_PERIOD,
@@ -56,6 +56,7 @@ class RunReport:
     bus_dropped: int = 0
     config_hash: str = ""
     mass_closure_error: float = 0.0
+    boundary_lost_kg: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +69,7 @@ class RunReport:
             "bus_errors": self.bus_errors, "bus_dropped": self.bus_dropped,
             "config_hash": self.config_hash,
             "mass_closure_error": self.mass_closure_error,
+            "boundary_lost_kg": self.boundary_lost_kg,
             "cycles_per_machine": {m: len(rs) for m, rs in
                                    self.cycles.items()},
             "summary": {m: {col: list(stat) for col, stat in s.items()}
@@ -195,9 +197,22 @@ class _ChildLink:
         # accept here, so a child that never connects fails inside the
         # driver's error handling and the run keeps its partial artifacts
         if not self.connected:
-            self.server.accept(timeout=30.0)
+            self._accept()
             self.connected = True
         return self.server.sync(sim_time)
+
+    def _accept(self) -> None:
+        """Waits up to 30 s for the child to connect, in short slices, so a
+        child that exits first fails the run at once."""
+        deadline = time.monotonic() + 30.0
+        while not self.server.peer_waiting(0.1):
+            code = self.child.poll()
+            if code is not None:
+                raise BridgeError(
+                    f"planner child exited with code {code} before connecting")
+            if time.monotonic() > deadline:
+                raise TimeoutError("planner child did not connect in 30 s")
+        self.server.accept(timeout=30.0)
 
     def close(self) -> None:
         self.server.shutdown()
@@ -225,12 +240,12 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
             raise ValueError("an observer needs loopback mode")
     snap = load_snapshot(snapshot) if snapshot else None
     sim_bus = Bus(machine_ids=_bus_ids(config))
-    sim = Simulator(config, sim_bus,
+    collector = TelemetryCollector(sim_bus)
+    sim = Simulator(config, sim_bus, collector.samples,
                     terrain=snap["terrain"] if snap else None,
                     machine_states=snap["machines"] if snap else None)
     if snap:
         sim.sim_time = snap["sim_time"]
-    collector = TelemetryCollector(sim_bus)
     cell_index = snap["cell_index"] if snap else 0
     if mode == "tcp":
         link = _ChildLink(config, config_path, sim_bus, overrides, snapshot)
@@ -326,7 +341,8 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
         deadlocked=deadlocked, error=error,
         bus_errors=bus_errors, bus_dropped=bus_dropped,
         config_hash=config.config_hash,
-        mass_closure_error=sim.mass_closure_error())
+        mass_closure_error=sim.mass_closure_error(),
+        boundary_lost_kg=sim.ledger.boundary_lost_kg)
 
 
 def _write_outputs(out_dir: Path, report: RunReport,

@@ -1,8 +1,9 @@
 """Simulation process: sole owner of terrain and machine state.
 
 Consumes skill commands from `/{machine}/target/*`, advances the physics at
-a fixed timestep, and publishes machine state, actuator work samples, skill
-status (with periodic Running heartbeats), and terrain patches.
+a fixed timestep, and publishes machine state, skill status (with periodic
+Running heartbeats) and terrain patches.  Actuator samples do not cross the
+bus: each telemetry step appends them to the run's `SampleLog`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .machines import (
 )
 from .machines.locomotion import ARRIVED, IDLE
 from .planner.world import SITE_ID
+from .telemetry import SampleLog
 from .terrain import SweptCut
 
 #: Sim seconds between Running heartbeats for an active skill.
 HEARTBEAT_PERIOD = 0.5
-#: Steps between machine-state / work-sample telemetry messages (10 Hz at
+#: Steps between machine-state messages and actuator sample rows (10 Hz at
 #: the 10 ms reference timestep).
 TELEMETRY_EVERY = 10
 #: Steps between terrain patch messages (1 Hz at the reference timestep).
@@ -249,10 +251,11 @@ class SkillRunner:
 class Simulator:
     """Fixed-timestep world: terrain, machines, and their skill runners."""
 
-    def __init__(self, config: ScenarioConfig, bus: Bus,
+    def __init__(self, config: ScenarioConfig, bus: Bus, samples: SampleLog,
                  terrain=None, machine_states: Optional[dict] = None):
         self.config = config
         self.bus = bus
+        self.samples = samples
         self.dt = config.timestep
         self.soil = config.build_soil()
         self.terrain = terrain if terrain is not None \
@@ -316,13 +319,8 @@ class Simulator:
             self.bus.publish(topic_for(machine_id, "telemetry", "state"),
                              {"kind": "telemetry", **state.state_payload()},
                              sim_time=self.sim_time, publisher=machine_id)
-            rows = [[name, torque, omega]
-                    for name, torque, omega in state.sample_rows()]
-            self.bus.publish(topic_for(machine_id, "telemetry", "work"),
-                             {"kind": "telemetry", "rows": rows,
-                              "payload_kg": state.payload_kg,
-                              "skill_state": skill_state},
-                             sim_time=self.sim_time, publisher=machine_id)
+            self.samples.extend(self.sim_time, machine_id, state.sample_rows(),
+                                state.payload_kg, skill_state)
 
     def _publish_terrain_patches(self) -> None:
         dirty = self.terrain.drain_dirty()

@@ -323,42 +323,31 @@ def write_samples_csv(path, samples: Iterable[TelemetrySample]) -> None:
 
 
 class TelemetryCollector:
-    """Builds the sample and event logs from bus envelopes.
+    """The run's sample log and its skill event log.
 
-    Subscribes on the simulator-side bus so the collected data is
-    independent of the planner transport.  Actuator readings arrive on
-    `/{machine}/telemetry/work` as row batches; skill status transitions
-    arrive on `/{machine}/skill/{action}`.
+    The simulator appends actuator readings to `samples` directly.  Skill
+    status transitions arrive on `/{machine}/skill/{action}`; the collector
+    subscribes on the simulator-side bus, so the events are independent of
+    the planner transport.
     """
 
     def __init__(self, bus):
-        self.sub_telemetry = bus.subscribe_category("telemetry")
         self.sub_skill = bus.subscribe_category("skill")
         self.samples = SampleLog()
         self.events: list[SkillEvent] = []
 
     def drain(self) -> None:
-        for sub in (self.sub_telemetry, self.sub_skill):
-            while True:
-                batch = sub.poll(256)
-                if not batch:
-                    break
-                for env in batch:
-                    self._ingest(env)
-
-    def _ingest(self, env) -> None:
-        machine, category, action = split_topic(env.topic)
-        if category == "telemetry" and action == "work":
-            self.samples.extend(
-                env.sim_time, machine, env.payload.get("rows", []),
-                float(env.payload.get("payload_kg", 0.0)),
-                env.payload.get("skill_state", "Idle"))
-        elif category == "skill":
-            self.events.append(SkillEvent(
-                sim_time=env.sim_time, machine=machine, action=action,
-                state=env.payload.get("state", ""),
-                activation_id=int(env.payload.get("id", 0)),
-                payload=dict(env.payload)))
+        while True:
+            batch = self.sub_skill.poll(256)
+            if not batch:
+                break
+            for env in batch:
+                machine, _, action = split_topic(env.topic)
+                self.events.append(SkillEvent(
+                    sim_time=env.sim_time, machine=machine, action=action,
+                    state=env.payload.get("state", ""),
+                    activation_id=int(env.payload.get("id", 0)),
+                    payload=dict(env.payload)))
 
     def cycles(self, machine: str, dt: float) -> list[WorkCycleRecord]:
         return segment_cycles(self.samples, self.events, machine, dt)

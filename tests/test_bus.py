@@ -57,7 +57,7 @@ def test_machine_id_checked_when_configured():
 
 def test_publish_then_poll():
     bus = Bus()
-    sub = bus.subscribe("/m1/target/drive")
+    sub = bus.subscribe_category("target")
     bus.publish("/m1/target/drive", cmd(x=1), 0.5)
     got = sub.poll(10)
     assert len(got) == 1
@@ -67,8 +67,8 @@ def test_publish_then_poll():
 
 def test_two_subscribers_both_receive_in_order():
     bus = Bus()
-    a = bus.subscribe("/m1/target/drive")
-    b = bus.subscribe("/m1/target/drive")
+    a = bus.subscribe_category("target")
+    b = bus.subscribe_category("target")
     for i in range(5):
         bus.publish("/m1/target/drive", cmd(i=i), float(i))
     for sub in (a, b):
@@ -84,13 +84,13 @@ def test_payload_kind_must_match_category():
 def test_no_replay_before_subscription():
     bus = Bus()
     bus.publish("/m1/target/drive", cmd(), 0.0)
-    sub = bus.subscribe("/m1/target/drive")
+    sub = bus.subscribe_category("target")
     assert sub.poll(10) == []
 
 
 def test_queue_length_after_publishes():
     bus = Bus()
-    sub = bus.subscribe("/m1/target/drive")
+    sub = bus.subscribe_category("target")
     for i in range(7):
         bus.publish("/m1/target/drive", cmd(), 0.0)
     assert len(sub) == 7
@@ -98,7 +98,7 @@ def test_queue_length_after_publishes():
 
 def test_poll_batches():
     bus = Bus()
-    sub = bus.subscribe("/m1/target/drive")
+    sub = bus.subscribe_category("target")
     for name in "abc":
         bus.publish("/m1/target/drive", cmd(name=name), 0.0)
     assert [e.payload["name"] for e in sub.poll(2)] == ["a", "b"]
@@ -108,28 +108,28 @@ def test_poll_batches():
 
 def test_bounded_queue_drops_oldest_and_counts():
     bus = Bus(queue_limit=3)
-    sub = bus.subscribe("/m1/target/drive")
+    sub = bus.subscribe_category("target")
     for i in range(5):
         bus.publish("/m1/target/drive", cmd(i=i), 0.0)
     assert sub.dropped == 2
     assert [e.payload["i"] for e in sub.poll(10)] == [2, 3, 4]
 
 
-def test_bus_dropped_sums_topic_and_wildcard_subscriptions():
+def test_bus_dropped_sums_every_subscription():
     bus = Bus(queue_limit=2)
-    sub = bus.subscribe("/m1/target/drive")
+    sub = bus.subscribe_category("target")
     for i in range(5):
         bus.publish("/m1/target/drive", cmd(i=i), 0.0)
     assert sub.dropped == 3 and bus.dropped == 3
-    wildcard = bus.subscribe_category("telemetry")
+    other = bus.subscribe_category("telemetry")
     for i in range(4):
         bus.publish("/m1/telemetry/state", tlm(i=i), 0.0)
-    assert wildcard.dropped == 2 and bus.dropped == 5
+    assert other.dropped == 2 and bus.dropped == 5
 
 
 def test_interleaved_publishers_keep_per_publisher_seq_order():
     bus = Bus()
-    sub = bus.subscribe("/m1/telemetry/state")
+    sub = bus.subscribe_category("telemetry")
 
     def run(publisher):
         for _ in range(50):
@@ -165,8 +165,8 @@ def make_pair():
 
 def test_loopback_bridge_equivalent_to_local_bus():
     planner, sim, bridge = make_pair()
-    sim_sub = sim.subscribe("/m1/target/drive")
-    planner_sub = planner.subscribe("/m1/telemetry/state")
+    sim_sub = sim.subscribe_category("target")
+    planner_sub = planner.subscribe_category("telemetry")
     planner.publish("/m1/target/drive", cmd(w=1), 0.0)
     sim.publish("/m1/telemetry/state", tlm(z=2), 0.0)
     assert bridge.pump() == 2
@@ -176,7 +176,7 @@ def test_loopback_bridge_equivalent_to_local_bus():
 
 def test_loopback_bridge_preserves_order():
     planner, sim, bridge = make_pair()
-    planner_sub = planner.subscribe("/m1/telemetry/state")
+    planner_sub = planner.subscribe_category("telemetry")
     for i in range(4):
         sim.publish("/m1/telemetry/state", tlm(i=i), float(i) * 0.01)
     assert bridge.pump() == 4
@@ -243,7 +243,7 @@ def test_tcp_bridge_lockstep_exchange():
 
     def planner_side():
         client = TcpBridgeClient(planner_bus, "127.0.0.1", server.port)
-        sub = planner_bus.subscribe("/m1/telemetry/state")
+        sub = planner_bus.subscribe_category("telemetry")
         while True:
             t = client.wait_sync()
             if t is None:
@@ -257,7 +257,7 @@ def test_tcp_bridge_lockstep_exchange():
     thread = threading.Thread(target=planner_side)
     thread.start()
     server.accept()
-    cmd_sub = sim_bus.subscribe("/m1/target/drive")
+    cmd_sub = sim_bus.subscribe_category("target")
     for step in range(3):
         sim_bus.publish("/m1/telemetry/state", tlm(step=step), float(step))
         server.sync(float(step))

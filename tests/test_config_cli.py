@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,11 @@ import pytest
 import regolith
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
-from regolith.runner import run
+from regolith.bus import Bus, topic_for
+from regolith.planner import SITE_ID
+from regolith.runner import _finalize, run
+from regolith.simulator import Simulator
+from regolith.telemetry import TelemetryCollector
 from regolith.scenarios import REFERENCE_SCENARIOS, scenario_path
 
 BASE = Path(__file__).parent
@@ -148,6 +153,45 @@ def test_run_reports_drops_on_both_buses():
     assert all(sub.dropped > 0 for sub in flooded)
     assert report.bus_dropped == sum(sub.dropped for sub in flooded)
     assert report.to_dict()["bus_dropped"] == report.bus_dropped
+
+
+def test_report_counts_mass_dumped_off_the_grid():
+    config = load_config(scenario_path("scenario1_flat"))
+    bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])
+    collector = TelemetryCollector(bus)
+    # backed up to the grid's west edge: the bed empties beyond it
+    sim = Simulator(config, bus, collector.samples, machine_states={
+        "truck1": {"x": 0.3, "y": 20.0, "heading": 0.0, "payload_kg": 500.0}})
+    bus.publish(topic_for("truck1", "target", "beddump"),
+                {"kind": "command", "action": "beddump", "id": 1}, 0.0)
+    sim.step()
+    while sim.runners["truck1"].action is not None:
+        assert sim.sim_time < 30.0
+        sim.step()
+    collector.drain()
+    assert collector.events[-1].state == "Succeeded"
+    ledger = sim.ledger
+    assert sim.machines["truck1"][1].payload_kg == 0.0
+    assert ledger.boundary_lost_kg == pytest.approx(500.0, rel=1e-12)
+    assert ledger.boundary_lost_kg == ledger.dumped_kg
+    report = _finalize(config, sim, collector, 1.0, complete=False,
+                       deadlocked=False, error=None, mean_tick=0.0,
+                       cell_switches=[], bus_errors=0, bus_dropped=0)
+    assert report.to_dict()["boundary_lost_kg"] == ledger.boundary_lost_kg
+
+
+def test_tcp_run_fails_fast_when_the_child_exits_before_connecting():
+    path = scenario_path("scenario2_smoke")
+    # the child loads the file without the overrides, so its config hash
+    # differs and it exits with code 3 before it connects
+    config = load_config(path, overrides={"transport": "tcp",
+                                          "max_sim_time": 5.0})
+    start = time.perf_counter()
+    report = run(config, config_path=path)
+    assert time.perf_counter() - start < 10.0
+    assert report.error == ("BridgeError: planner child exited with code 3 "
+                            "before connecting")
+    assert not report.complete
 
 
 def test_cli_plots_missing_dir_is_error(tmp_path):

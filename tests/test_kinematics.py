@@ -94,12 +94,6 @@ def test_geometry_validation():
                                   "stick": (-1, 0), "bucket": (-1, 1)})
 
 
-def test_geometry_dict_round_trip():
-    geom = ArmGeometry(boom_length=2.5, pivot_up=0.9)
-    back = ArmGeometry.from_dict(geom.to_dict())
-    assert back == geom
-
-
 # -- inverse kinematics ------------------------------------------------------
 
 def _sample_reachable(rng, geom):

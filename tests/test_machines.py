@@ -57,11 +57,6 @@ def test_spec_rejects_unknown_role_and_bad_dims():
         MachineSpec("m1", "excavator", length=-1.0)
 
 
-def test_spec_dict_round_trip():
-    spec = default_spec("t1", "dumptruck")
-    assert MachineSpec.from_dict(spec.to_dict()) == spec
-
-
 # -- locomotion --------------------------------------------------------------
 
 def test_flat_straight_steady_empty_speed():

@@ -6,6 +6,10 @@ re-exports of a package `__init__`: a caller, an attribute access, a
 string looked up by name, or a node name in a `.bt` tree file.  A name
 that only tests use is dead code.  The allowlist below keeps the few that
 stay for a stated reason.
+
+Uses are matched by bare name, not by owner: a method nothing calls passes
+when another definition shares its name and is used (a caller-less
+`to_dict` on one class hides behind `RunReport.to_dict`).
 """
 
 import ast
@@ -29,8 +33,6 @@ ALLOWLIST = {
     "_step_beddump": "SkillRunner dispatches f'_step_{action}' by getattr",
     "_step_level": "SkillRunner dispatches f'_step_{action}' by getattr",
     "set_available": "fault-injection hook that run(observer=...) drives",
-    "subscribe": "per-topic subscription, the bus API for a consumer "
-                 "that reads only some topics of a category",
     "max_region_slope": "the repose-invariant oracle of the acceptance "
                         "criteria",
     "integrate_work": "work integral of any sample list; tests hold the "

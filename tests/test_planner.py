@@ -346,7 +346,7 @@ def test_status_report_counts_planner_bus_drops_and_errors():
 
 def test_skill_binding_activation_and_success():
     runtime, bus = make_runtime()
-    sub = bus.subscribe(topic_for("excavator1", "target", "dig"))
+    sub = bus.subscribe_category("target")
     binding = SkillBinding(runtime, "dig", lambda rt, node, ctx: {"p": 1})
     node = Task("DigLeaf", binding=binding, context="excavator1")
     ctx = TickContext(blackboard=Blackboard(), sim_time=0.0)
@@ -397,7 +397,7 @@ def test_skill_binding_times_out_without_status():
 
 def test_skill_binding_halt_sends_cancel():
     runtime, bus = make_runtime()
-    sub = bus.subscribe(topic_for("excavator1", "target", "drive"))
+    sub = bus.subscribe_category("target")
     binding = SkillBinding(runtime, "drive", lambda rt, node, ctx: {})
     node = Task("DriveLeaf", binding=binding, context="excavator1")
     ctx = TickContext(blackboard=Blackboard(), sim_time=0.0)

@@ -4,7 +4,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from regolith.bus import Bus, topic_for
+from regolith.bus import Bus, split_topic, topic_for
+from regolith.config import load_config
+from regolith.machines import ACTUATORS
+from regolith.planner import SITE_ID
+from regolith.scenarios import scenario_path
+from regolith.simulator import TELEMETRY_EVERY, Simulator
 from regolith.telemetry import (
     CYCLE_CSV_HEADER,
     SAMPLE_CSV_CHUNK,
@@ -204,20 +209,36 @@ def test_csv_text_deterministic():
 def test_collector_builds_samples_and_events_from_bus():
     bus = Bus(machine_ids=["m1"])
     collector = TelemetryCollector(bus)
-    bus.publish(topic_for("m1", "telemetry", "work"),
-                {"kind": "telemetry", "payload_kg": 12.0,
-                 "skill_state": "Running",
-                 "rows": [["boom", 3.0, 0.4], ["stick", -1.0, 0.2]]},
-                sim_time=0.5, publisher="sim")
+    bus.publish(topic_for("m1", "telemetry", "state"),
+                {"kind": "telemetry", "x": 1.0}, sim_time=0.5,
+                publisher="sim")
     bus.publish(topic_for("m1", "skill", "dig"),
                 {"kind": "status", "id": 4, "state": "Running"},
                 sim_time=0.5, publisher="sim")
     collector.drain()
-    assert len(collector.samples) == 2
-    assert collector.samples[0].joint == "boom"
-    assert collector.samples[0].payload_kg == 12.0
-    assert len(collector.events) == 1
-    assert collector.events[0].action == "dig"
+    assert len(collector.samples) == 0      # samples never cross the bus
+    payload = {"kind": "status", "id": 4, "state": "Running"}
+    assert collector.events == [SkillEvent(0.5, "m1", "dig", "Running", 4,
+                                           payload)]
+
+
+def test_simulator_logs_samples_off_the_bus():
+    config = load_config(scenario_path("scenario1_flat"))
+    bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])
+    telemetry = bus.subscribe_category("telemetry")
+    log = SampleLog()
+    sim = Simulator(config, bus, log)
+    for _ in range(2 * TELEMETRY_EVERY):
+        sim.step()
+    envelopes = telemetry.poll(1000)
+    assert envelopes
+    assert {split_topic(e.topic)[2] for e in envelopes} <= {"state", "terrain"}
+    steps = sorted({e.sim_time for e in envelopes})
+    assert len(steps) == 2
+    # one row per actuator per machine per telemetry step, in step order
+    assert [(s.sim_time, s.machine, s.joint) for s in log] == \
+        [(t, m, joint) for t in steps for m in sim.machine_order
+         for joint in ACTUATORS]
 
 
 # -- columnar sample log -----------------------------------------------------
@@ -300,23 +321,16 @@ def test_write_samples_csv_equals_text(tmp_path, case):
 def test_collector_retains_few_bytes_per_sample_row():
     # a TelemetrySample object per row retained about 200 bytes
     joints = ("swing", "boom", "stick", "bucket", "track_left", "track_right")
-    bus = Bus(machine_ids=["m1"])
-    collector = TelemetryCollector(bus)
-    topic = topic_for("m1", "telemetry", "work")
+    collector = TelemetryCollector(Bus(machine_ids=["m1"]))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         k = 0
         for n in range(20_000 // len(joints)):
-            rows = [[joint, 0.5 * (k + i), -0.25 * (k + i)]
+            rows = [(joint, 0.5 * (k + i), -0.25 * (k + i))
                     for i, joint in enumerate(joints)]
             k += len(joints)
-            bus.publish(topic, {"kind": "telemetry", "payload_kg": 0.1 * n,
-                                "skill_state": "Running", "rows": rows},
-                        sim_time=0.1 * n, publisher="sim")
-            if n % 100 == 99:
-                collector.drain()
-        collector.drain()
+            collector.samples.extend(0.1 * n, "m1", rows, 0.1 * n, "Running")
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
