@@ -9,13 +9,15 @@ plus a sync mark, and waits for the planner's envelopes plus an ack.
 
 from __future__ import annotations
 
-import select
 import socket
 from collections import deque
 from typing import Optional
 
 from . import wire
 from .core import Bus, Envelope
+
+#: Seconds a lockstep `sync` waits for the planner's ack before failing.
+SYNC_TIMEOUT = 30.0
 
 SIM_TO_PLANNER = ("telemetry", "skill")
 PLANNER_TO_SIM = ("target",)
@@ -131,13 +133,13 @@ class TcpBridgeServer:
         self._subs = [bus.subscribe_category(c) for c in SIM_TO_PLANNER]
         self._endpoint: Optional[_Endpoint] = None
 
-    def peer_waiting(self, timeout: float) -> bool:
-        """Whether a planner connection is ready to accept, after waiting up
-        to timeout s for one."""
-        return bool(select.select([self._listener], [], [], timeout)[0])
-
-    def accept(self, timeout: float = 30.0) -> None:
-        self._listener.settimeout(timeout)
+    def accept(self, timeout: float = SYNC_TIMEOUT,
+               wait: Optional[float] = None) -> None:
+        """Accepts the planner's connection, waiting up to wait s for it
+        (default: timeout); raises TimeoutError when none arrives.  Every
+        later `sync` on the connection fails after timeout s without an
+        ack, so a short wait does not shorten the lockstep deadline."""
+        self._listener.settimeout(timeout if wait is None else wait)
         conn, _ = self._listener.accept()
         conn.settimeout(timeout)        # a hung planner fails sync()
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -59,8 +59,13 @@ class ArmGeometry:
                 raise ValueError(f"empty joint range for {name}")
 
     def clamp(self, name: str, value: float) -> float:
+        """``min(max(value, lo), hi)`` over the joint's range, written as
+        the two conditionals the builtins evaluate, so it returns the same
+        object for every input, NaN and signed zeros included.  The hot
+        step paths inline the same form."""
         lo, hi = self.joint_ranges[name]
-        return min(max(value, lo), hi)
+        value = lo if lo > value else value
+        return hi if hi < value else value
 
     def in_range(self, name: str, value: float) -> bool:
         lo, hi = self.joint_ranges[name]

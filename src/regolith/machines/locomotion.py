@@ -60,20 +60,25 @@ def sub_crawler_policy(state: MachineState, turning: bool,
     the targets."""
     target = SUBCRAWLER_STOW if turning else state.pitch
     step = SUBCRAWLER_RATE * dt
-    for attr in ("sub_crawler_front", "sub_crawler_rear"):
-        current = getattr(state, attr)
-        delta = min(max(target - current, -step), step)
-        setattr(state, attr, current + delta)
+    # min(max(target - current, -step), step), written out: exactly what
+    # the builtins return, NaN and signed zeros included
+    current = state.sub_crawler_front
+    delta = target - current
+    delta = -step if -step > delta else delta
+    state.sub_crawler_front = current + (step if step < delta else delta)
+    current = state.sub_crawler_rear
+    delta = target - current
+    delta = -step if -step > delta else delta
+    state.sub_crawler_rear = current + (step if step < delta else delta)
     return target, target
 
 
 def settle_on_terrain(state: MachineState, h: Heightfield) -> None:
     """Kinematic ground contact: z and chassis pitch follow the terrain
     under the track centroid."""
-    state.z = h.height_at(state.x, state.y)
-    gx, gy = h.gradient_at(state.x, state.y)
-    ch, sh = math.cos(state.heading), math.sin(state.heading)
-    state.pitch = math.atan(gx * ch + gy * sh)
+    state.z, gx, gy = h.surface_at(state.x, state.y)
+    heading = state.heading
+    state.pitch = math.atan(gx * math.cos(heading) + gy * math.sin(heading))
 
 
 def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
@@ -95,70 +100,79 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     if dt <= 0.0:
         return RUNNING, index
 
-    while index < len(waypoints):
+    x, y, heading = state.x, state.y, state.heading
+    last = len(waypoints) - 1
+    while index <= last:
         wp = waypoints[index]
-        dx, dy = wp[0] - state.x, wp[1] - state.y
+        dx, dy = wp[0] - x, wp[1] - y
         if math.hypot(dx, dy) > goal_tol:
             break
-        if index == len(waypoints) - 1:
+        if index == last:
             final_heading = wp[2] if len(wp) > 2 and wp[2] is not None else None
             if final_heading is None or \
-                    abs(wrap_angle(final_heading - state.heading)) <= HEADING_TOL:
+                    abs(wrap_angle(final_heading - heading)) <= HEADING_TOL:
                 state.track_speed_left = state.track_speed_right = 0.0
                 state.turn_rate = 0.0
                 _record_track_samples(state, spec, 0.0, 0.0, 0.0, 0.0)
                 return ARRIVED, index
             dx = dy = None  # rotate in place toward final_heading
-            err = wrap_angle(final_heading - state.heading)
+            err = wrap_angle(final_heading - heading)
             break
         index += 1
     else:  # pragma: no cover - loop always breaks or returns
         return ARRIVED, index
 
+    # The clamps below are min/max written out as conditionals: `b if b > a
+    # else a` is exactly max(a, b), `b if b < a else a` exactly min(a, b).
     if dx is None:
         speed_cmd = 0.0
     else:
-        err = wrap_angle(math.atan2(dy, dx) - state.heading)
+        err = wrap_angle(math.atan2(dy, dx) - heading)
         loaded = state.payload_kg > 1.0 or state.blade_load_kg > 1.0
         target = spec.target_speed(loaded)
-        slope_factor = max(MIN_SPEED_FACTOR,
-                           1.0 - abs(state.pitch) / SPEED_SLOPE_SCALE)
+        slope_factor = 1.0 - abs(state.pitch) / SPEED_SLOPE_SCALE
+        if not slope_factor > MIN_SPEED_FACTOR:
+            slope_factor = MIN_SPEED_FACTOR
         if abs(err) > TURN_IN_PLACE_ERR:
             speed_cmd = 0.0
         else:
             speed_cmd = target * slope_factor * math.cos(err)
 
-    turn_rate = min(max(HEADING_GAIN * err, -spec.max_turn_rate),
-                    spec.max_turn_rate)
+    max_rate = spec.max_turn_rate
+    turn_rate = HEADING_GAIN * err
+    turn_rate = -max_rate if -max_rate > turn_rate else turn_rate
+    turn_rate = max_rate if max_rate < turn_rate else turn_rate
 
     total_mass = spec.mass + state.payload_kg + state.blade_load_kg
-    crawlers_down = max(state.sub_crawler_front, state.sub_crawler_rear) \
-        < SUBCRAWLER_STOW / 2.0
+    front, rear = state.sub_crawler_front, state.sub_crawler_rear
+    crawlers_down = (rear if rear > front else front) < SUBCRAWLER_STOW / 2.0
     tau_l, tau_r = track_torques(spec, total_mass, state.pitch, turn_rate,
                                  soil.gravity, crawlers_down)
     # respect torque limits by slowing down rather than stalling
-    limit = min(spec.torque_limits["left_track"],
-                spec.torque_limits["right_track"])
-    worst = max(abs(tau_l), abs(tau_r))
+    limits = spec.torque_limits
+    limit_l, limit_r = limits["left_track"], limits["right_track"]
+    limit = limit_r if limit_r < limit_l else limit_l
+    worst_l, worst_r = abs(tau_l), abs(tau_r)
+    worst = worst_r if worst_r > worst_l else worst_l
     if worst > limit:
         speed_cmd *= limit / worst
 
-    new_x = state.x + speed_cmd * math.cos(state.heading) * dt
-    new_y = state.y + speed_cmd * math.sin(state.heading) * dt
+    new_x = x + speed_cmd * math.cos(heading) * dt
+    new_y = y + speed_cmd * math.sin(heading) * dt
     if h.in_bounds(new_x, new_y):
         state.x, state.y = new_x, new_y
     else:
         speed_cmd = 0.0
-    state.heading = wrap_angle(state.heading + turn_rate * dt)
+    state.heading = wrap_angle(heading + turn_rate * dt)
     state.turn_rate = turn_rate
     half_w = spec.track_width / 2.0
-    state.track_speed_left = speed_cmd - turn_rate * half_w
-    state.track_speed_right = speed_cmd + turn_rate * half_w
+    left = state.track_speed_left = speed_cmd - turn_rate * half_w
+    right = state.track_speed_right = speed_cmd + turn_rate * half_w
     settle_on_terrain(state, h)
     sub_crawler_policy(state, abs(turn_rate) > TURNING_RATE, dt)
+    radius = spec.wheel_radius
     _record_track_samples(state, spec, tau_l, tau_r,
-                          state.track_speed_left / spec.wheel_radius,
-                          state.track_speed_right / spec.wheel_radius)
+                          left / radius, right / radius)
     return RUNNING, index
 
 

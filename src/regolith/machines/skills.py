@@ -51,73 +51,128 @@ def move_arm_toward(state: MachineState, spec: MachineSpec, targets: dict,
     Returns the largest remaining joint error (rad); joint omega samples
     are refreshed on the state.
     """
+    # The clamps are min/max written out: `b if b > a else a` is exactly
+    # max(a, b) and `b if b < a else a` exactly min(a, b).
+    joints = state.joints
     omegas = {}
     max_err = 0.0
+    limit = spec.arm_joint_speed * dt
     for name in ("boom", "stick", "bucket"):
-        err = targets[name] - state.joints[name]
-        step = min(max(err, -spec.arm_joint_speed * dt),
-                   spec.arm_joint_speed * dt)
-        state.joints[name] += step
+        err = targets[name] - joints[name]
+        step = -limit if -limit > err else err
+        step = limit if limit < step else step
+        joints[name] += step
         omegas[name] = step / dt if dt > 0 else 0.0
-        max_err = max(max_err, abs(targets[name] - state.joints[name]))
+        left = abs(targets[name] - joints[name])
+        max_err = left if left > max_err else max_err
 
-    err = targets["swing"] - state.joints["swing"]
+    err = targets["swing"] - joints["swing"]
     # velocity that can still brake to zero at the target
+    brake = math.sqrt(2.0 * spec.swing_accel * abs(err))
     v_des = math.copysign(
-        min(spec.arm_joint_speed, math.sqrt(2.0 * spec.swing_accel * abs(err))),
-        err)
-    dv = min(max(v_des - state.swing_rate, -spec.swing_accel * dt),
-             spec.swing_accel * dt)
-    state.swing_rate += dv
+        brake if brake < spec.arm_joint_speed else spec.arm_joint_speed, err)
+    accel = spec.swing_accel * dt
+    dv = v_des - state.swing_rate
+    dv = -accel if -accel > dv else dv
+    state.swing_rate += accel if accel < dv else dv
     step = state.swing_rate * dt
     if abs(err) <= abs(step) or abs(err) < 1e-6:
-        state.joints["swing"] = targets["swing"]
+        joints["swing"] = targets["swing"]
         state.swing_rate = 0.0
         omegas["swing"] = err / dt if dt > 0 else 0.0
     else:
-        state.joints["swing"] += step
+        joints["swing"] += step
         omegas["swing"] = state.swing_rate
-    max_err = max(max_err, abs(targets["swing"] - state.joints["swing"]))
+    left = abs(targets["swing"] - joints["swing"])
+    max_err = left if left > max_err else max_err
     state._arm_omegas = omegas  # consumed by record_arm_samples
     return max_err
 
 
 def _tip_jacobian(geom, joints, base_pose):
-    """Numeric Jacobian d(tip)/d(joint) for the four arm joints."""
+    """The tip, as `forward_kinematics` gives it, and the numeric Jacobian
+    d(tip)/d(joint) of the four arm joints as {joint: (dx, dy, dz)}.
+
+    Each column is the forward difference of `forward_kinematics` with
+    that joint bumped by 1e-6.  A bump leaves the chain terms before the
+    bumped joint unchanged, so each bumped tip reuses them: one full pass
+    and three partial ones, with every value bit-identical to five full
+    passes for a finite tip.
+    """
     eps = 1e-6
-    base_tip, _ = forward_kinematics(geom, joints, base_pose, validate=False)
-    cols = {}
-    for name in _ARM_JOINTS:
-        bumped = dict(joints)
-        bumped[name] += eps
-        tip, _ = forward_kinematics(geom, bumped, base_pose, validate=False)
-        cols[name] = tuple((tip[k] - base_tip[k]) / eps for k in range(3))
-    return cols
+    cos, sin = math.cos, math.sin
+    bx, by, bz, heading = base_pose
+    swing, boom = joints["swing"], joints["boom"]
+    stick, bucket = joints["stick"], joints["bucket"]
+    l1, l2, l3 = geom.boom_length, geom.stick_length, geom.bucket_length
+    # partial sums in forward_kinematics' order of addition
+    t12 = boom + stick
+    t123 = t12 + bucket
+    radial1 = geom.pivot_forward + l1 * cos(boom)
+    height1 = geom.pivot_up + l1 * sin(boom)
+    radial2 = radial1 + l2 * cos(t12)
+    height2 = height1 + l2 * sin(t12)
+    radial = radial2 + l3 * cos(t123)
+    height = height2 + l3 * sin(t123)
+    azimuth = heading + swing
+    ca, sa = cos(azimuth), sin(azimuth)
+    x, y, z = bx + radial * ca, by + radial * sa, bz + height
+
+    # swing: the planar chain, and so z, is unchanged
+    az = heading + (swing + eps)
+    col_swing = ((bx + radial * cos(az) - x) / eps,
+                 (by + radial * sin(az) - y) / eps, 0.0)
+    # boom: the whole planar chain moves
+    t1 = boom + eps
+    t12b = t1 + stick
+    t123b = t12b + bucket
+    r = (geom.pivot_forward + l1 * cos(t1) + l2 * cos(t12b)
+         + l3 * cos(t123b))
+    hb = geom.pivot_up + l1 * sin(t1) + l2 * sin(t12b) + l3 * sin(t123b)
+    col_boom = ((bx + r * ca - x) / eps, (by + r * sa - y) / eps,
+                (bz + hb - z) / eps)
+    # stick: the boom term stays
+    t12b = boom + (stick + eps)
+    t123b = t12b + bucket
+    r = radial1 + l2 * cos(t12b) + l3 * cos(t123b)
+    hb = height1 + l2 * sin(t12b) + l3 * sin(t123b)
+    col_stick = ((bx + r * ca - x) / eps, (by + r * sa - y) / eps,
+                 (bz + hb - z) / eps)
+    # bucket: the boom and stick terms stay
+    t123b = t12 + (bucket + eps)
+    r = radial2 + l3 * cos(t123b)
+    hb = height2 + l3 * sin(t123b)
+    col_bucket = ((bx + r * ca - x) / eps, (by + r * sa - y) / eps,
+                  (bz + hb - z) / eps)
+    return (x, y, z), {"swing": col_swing, "boom": col_boom,
+                       "stick": col_stick, "bucket": col_bucket}
 
 
 def record_arm_samples(state: MachineState, spec: MachineSpec,
                        soil: SoilParams, ext_force=(0.0, 0.0, 0.0),
-                       swing_alpha: float = 0.0) -> None:
+                       swing_alpha: float = 0.0, kinematics=None) -> None:
     """Joint torque samples from static equilibrium via the Jacobian
     transpose: the arm must exert ``ext_force`` on the environment and hold
-    the payload weight; the swing additionally carries an inertial term."""
-    geom = spec.arm
-    jac = _tip_jacobian(geom, state.joints, state.pose)
+    the payload weight; the swing additionally carries an inertial term.
+
+    ``kinematics`` is `_tip_jacobian`'s (tip, columns) for the state's
+    current joints and pose, when the caller has it already."""
+    tip, jac = kinematics or _tip_jacobian(spec.arm, state.joints,
+                                           state.pose)
     load = state.payload_kg
     fx = ext_force[0]
     fy = ext_force[1]
     fz = ext_force[2] + load * soil.gravity
     omegas = getattr(state, "_arm_omegas", None) or \
         dict.fromkeys(_ARM_JOINTS, 0.0)
-    tip, _ = forward_kinematics(geom, state.joints, state.pose, validate=False)
     r_tip = math.hypot(tip[0] - state.x, tip[1] - state.y)
+    limits = spec.torque_limits
     for name in _ARM_JOINTS:
         jx, jy, jz = jac[name]
         tau = jx * fx + jy * fy + jz * fz
         if name == "swing":
             tau += (SWING_INERTIA + load * r_tip ** 2) * swing_alpha
-        state.set_sample(name, tau, omegas.get(name, 0.0),
-                         spec.torque_limits[name])
+        state.set_sample(name, tau, omegas.get(name, 0.0), limits[name])
 
 
 # -- digging ----------------------------------------------------------------
@@ -156,7 +211,8 @@ class DigExecution:
 
     def _point_at(self, s: float):
         pts = self.path
-        s = min(max(s, 0.0), self.length)
+        s = 0.0 if 0.0 > s else s               # min(max(s, 0), length)
+        s = self.length if self.length < s else s
         for k in range(len(pts) - 1):
             if s <= self.arcs[k + 1] or k == len(pts) - 2:
                 seg = self.arcs[k + 1] - self.arcs[k]
@@ -180,16 +236,17 @@ class DigExecution:
         else:  # raise
             xe, ye, ze, attack = self.traj.points[-1]
             x, y, z = xe, ye, ze + CARRY_RAISE
-            tgt_angle = max(-attack - CARRY_CURL,
-                            spec.arm.joint_ranges["bucket"][0] + 0.1)
+            curl = -attack - CARRY_CURL
+            floor = spec.arm.joint_ranges["bucket"][0] + 0.1
+            tgt_angle = floor if floor > curl else curl     # max(curl, floor)
 
         ik = calculate_ik(spec.arm, state.pose, (x, y, z), tgt_angle)
         if ik.residual > TRACK_IK_TOL:
             record_arm_samples(state, spec, soil)
             return FAILED, 0.0, None
         err = move_arm_toward(state, spec, ik.joints, dt)
-        tip, _ = forward_kinematics(spec.arm, state.joints, state.pose,
-                                    validate=False)
+        kin = _tip_jacobian(spec.arm, state.joints, state.pose)
+        tip = kin[0]
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
         self.prev_swing_rate = state.swing_rate
@@ -197,7 +254,8 @@ class DigExecution:
         removed = 0.0
         force = None
         if self.phase == "approach":
-            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha)
+            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
+                               kinematics=kin)
             if err < JOINT_SETTLED_TOL:
                 self.phase = "cut"
                 self.prev_tip = tip
@@ -206,8 +264,12 @@ class DigExecution:
         if self.phase == "cut":
             prev = self.prev_tip or tip
             advance = math.hypot(tip[0] - prev[0], tip[1] - prev[1])
-            depth = max(0.0, h.height_at(tip[0], tip[1]) - tip[2])
-            attack_c = min(max(attack, 0.06), math.pi / 2 - 0.06)
+            depth = h.height_at(tip[0], tip[1]) - tip[2]
+            depth = depth if depth > 0.0 else 0.0       # max(0.0, depth)
+            # min(max(attack, 0.06), steepest), as the builtins evaluate it
+            steepest = math.pi / 2 - 0.06
+            attack_c = 0.06 if 0.06 > attack else attack
+            attack_c = steepest if steepest < attack_c else attack_c
             force = dig_resistance(depth, self.traj.width, attack_c, soil)
             if advance > 1e-9:
                 step_cut = SweptCut(
@@ -226,12 +288,13 @@ class DigExecution:
             ext = (force.resistance * ux, force.resistance * uy,
                    -force.normal)
             record_arm_samples(state, spec, soil, ext_force=ext,
-                               swing_alpha=swing_alpha)
+                               swing_alpha=swing_alpha, kinematics=kin)
             if self.s >= self.length and err < JOINT_SETTLED_TOL:
                 self.phase = "raise"
             return RUNNING, removed, force
 
-        record_arm_samples(state, spec, soil, swing_alpha=swing_alpha)
+        record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
+                           kinematics=kin)
         if err < JOINT_SETTLED_TOL:
             return SUCCEEDED, 0.0, None
         return RUNNING, 0.0, None
@@ -425,10 +488,12 @@ class ArmDumpExecution:
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
         self.prev_swing_rate = state.swing_rate
-        tip = bucket_tip(spec, state)
+        kin = _tip_jacobian(spec.arm, state.joints, state.pose)
+        tip = kin[0]
         spilled, spill_lost = spill_model(state, spec, swing_alpha, h, soil,
                                           dt, at=(tip[0], tip[1]))
-        record_arm_samples(state, spec, soil, swing_alpha=swing_alpha)
+        record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
+                           kinematics=kin)
         if err >= JOINT_SETTLED_TOL:
             return RUNNING, 0.0, False, spill_lost, spilled
         released, into_truck, lost = transfer_bucket(
@@ -504,8 +569,11 @@ class Pid:
         deriv = 0.0 if self.prev_error is None or dt <= 0 \
             else (error - self.prev_error) / dt
         self.prev_error = error
-        proposed = min(max(self.integral + error * dt,
-                           -self.integral_limit), self.integral_limit)
+        # min(max(v, -limit), limit) as the builtins evaluate it
+        limit = self.integral_limit
+        proposed = self.integral + error * dt
+        proposed = -limit if -limit > proposed else proposed
+        proposed = limit if limit < proposed else proposed
         unsat = self.kp * error + self.ki * proposed + self.kd * deriv
         # conditional integration: freeze the integral while the output is
         # saturated in the error's direction (anti-windup)
@@ -513,7 +581,9 @@ class Pid:
                 or (unsat < -self.out_limit and error < 0)):
             self.integral = proposed
         out = self.kp * error + self.ki * self.integral + self.kd * deriv
-        return min(max(out, -self.out_limit), self.out_limit)
+        limit = self.out_limit
+        out = -limit if -limit > out else out
+        return limit if limit < out else out
 
 
 BLADE_ATTACK = 0.5        # rad, fixed blade rake for the resistance sample

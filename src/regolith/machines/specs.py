@@ -123,16 +123,27 @@ class MachineState:
     def speed(self) -> float:
         return 0.5 * (self.track_speed_left + self.track_speed_right)
 
+    #: Whether any sample was set since the last `clear_samples`.
+    _sampled = False
+
     def set_sample(self, actuator: str, torque: float, omega: float,
                    limit: float) -> None:
         s = self.samples[actuator]
-        s.torque = min(max(torque, -limit), limit)
+        # exactly min(max(torque, -limit), limit), without the builtin calls
+        torque = -limit if -limit > torque else torque
+        s.torque = limit if limit < torque else torque
         s.omega = omega
+        self._sampled = True
 
     def clear_samples(self) -> None:
+        """Zero every actuator sample.  A no-op when no sample was set
+        since the last clear: the samples are all zero already."""
+        if not self._sampled:
+            return
         for s in self.samples.values():
             s.torque = 0.0
             s.omega = 0.0
+        self._sampled = False
 
     def state_payload(self) -> dict:
         """Published on the machine state telemetry topic: the fields the

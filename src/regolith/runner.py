@@ -144,13 +144,32 @@ def load_snapshot(path) -> dict:
 # -- progress / deadlock -----------------------------------------------------
 
 def _progress_signature(sim: Simulator, cell_index: int) -> tuple:
-    parts = [round(sim.ledger.excavated_kg, 6), round(sim.ledger.dumped_kg, 6),
-             cell_index]
+    """The raw values whose rounding tells progress; see `_progressed`."""
+    parts = [sim.ledger.excavated_kg, sim.ledger.dumped_kg, cell_index]
     for machine_id in sim.machine_order:
         ms = sim.machines[machine_id][1]
-        parts.extend((round(ms.x, 3), round(ms.y, 3),
-                      round(ms.payload_kg, 3)))
+        parts += (ms.x, ms.y, ms.payload_kg)
     return tuple(parts)
+
+
+def _signature_digits(sim: Simulator) -> tuple:
+    """Decimal places `_progressed` rounds each signature entry to: mass
+    totals to the milligram, positions to the millimetre, payloads to the
+    gram; the cell index is an int, which rounding leaves as it is."""
+    return (6, 6, 0) + (3, 3, 3) * len(sim.machine_order)
+
+
+def _progressed(last: Optional[tuple], now: tuple, digits: tuple) -> bool:
+    """Whether the signature now differs from the last one after rounding
+    each entry to its digits.  Only entries whose raw values differ are
+    rounded, and the scan stops at the first that rounds differently: the
+    same answer as comparing the two fully rounded tuples."""
+    if last is None:
+        return True
+    for a, b, nd in zip(last, now, digits):
+        if a != b and round(a, nd) != round(b, nd):
+            return True
+    return False
 
 
 # -- planner links -----------------------------------------------------------
@@ -205,14 +224,18 @@ class _ChildLink:
         """Waits up to 30 s for the child to connect, in short slices, so a
         child that exits first fails the run at once."""
         deadline = time.monotonic() + 30.0
-        while not self.server.peer_waiting(0.1):
+        while True:
+            try:
+                self.server.accept(wait=0.1)
+                return
+            except TimeoutError:
+                pass
             code = self.child.poll()
             if code is not None:
                 raise BridgeError(
                     f"planner child exited with code {code} before connecting")
             if time.monotonic() > deadline:
                 raise TimeoutError("planner child did not connect in 30 s")
-        self.server.accept(timeout=30.0)
 
     def close(self) -> None:
         self.server.shutdown()
@@ -265,6 +288,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     end_time = sim.sim_time + config.max_sim_time
     last_sig = None
     last_change = sim.sim_time
+    digits = _signature_digits(sim)
     try:
         while sim.sim_time < end_time - 1e-9:
             for _ in range(steps_per_tick):
@@ -279,7 +303,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
                 complete = True
                 break
             sig = _progress_signature(sim, planner_state["cell_index"])
-            if sig != last_sig:
+            if _progressed(last_sig, sig, digits):
                 last_sig = sig
                 last_change = sim.sim_time
             elif sim.sim_time - last_change > config.deadlock_window:

@@ -79,6 +79,10 @@ class SkillRunner:
         #: When False the machine rejects commands and fails its active
         #: skill (breakdown / taken out of service).
         self.available = True
+        self._handlers = {"drive": self._step_drive, "dig": self._step_dig,
+                          "dump": self._step_dump,
+                          "beddump": self._step_beddump,
+                          "level": self._step_level}
 
     # -- command intake ------------------------------------------------------
 
@@ -162,8 +166,7 @@ class SkillRunner:
             self._finish("Failed", {"error": "machine unavailable"})
             self.prev_turn_rate = self.state.turn_rate
             return
-        handler = getattr(self, f"_step_{self.action}")
-        handler(dt)
+        self._handlers[self.action](dt)
         if self.action is not None and \
                 self.sim.sim_time - self.last_status_time >= HEARTBEAT_PERIOD:
             self._publish_status("Running")
@@ -277,6 +280,9 @@ class Simulator:
             self.runners[mc.machine_id] = SkillRunner(
                 self, mc.machine_id, spec, state)
         self.machine_order = sorted(self.machines)
+        #: (state, runner) per machine in machine_order, for the step loop.
+        self._stepping = [(self.machines[m][1], self.runners[m])
+                          for m in self.machine_order]
         self.sub_commands = bus.subscribe_category("target")
         self.terrain.drain_dirty()      # initial placement is shared context
 
@@ -299,10 +305,11 @@ class Simulator:
     def step(self) -> None:
         """Advance the world by one timestep and publish due telemetry."""
         self._drain_commands()
-        for machine_id in self.machine_order:
-            self.machines[machine_id][1].clear_samples()
-            self.runners[machine_id].step(self.dt)
-        self.sim_time += self.dt
+        dt = self.dt
+        for state, runner in self._stepping:
+            state.clear_samples()
+            runner.step(dt)
+        self.sim_time += dt
         self.step_count += 1
         if self.step_count % TELEMETRY_EVERY == 0:
             self._publish_machine_telemetry()

@@ -111,16 +111,17 @@ class SampleLog:
                payload_kg: float, skill_state: str) -> None:
         """Appends one (joint, torque, omega) row per entry of rows, all
         read at sim_time on machine."""
-        joints, code = self.joint, self._code
-        for joint, torque, omega in rows:
-            joints.append(code(joint))
-            self.torque.append(torque)
-            self.omega.append(omega)
-        n = len(joints) - len(self.sim_time)
-        self.sim_time.extend([sim_time] * n)
-        self.payload_kg.extend([payload_kg] * n)
-        self.machine.extend([code(machine)] * n)
-        self.skill_state.extend([code(skill_state)] * n)
+        joints, torques, omegas = tuple(zip(*rows)) or ((), (), ())
+        n = len(joints)
+        code = self._code
+        # one fromlist per column: the cheapest way to grow an array
+        self.joint.fromlist(list(map(code, joints)))
+        self.torque.fromlist(list(torques))
+        self.omega.fromlist(list(omegas))
+        self.sim_time.fromlist([sim_time] * n)
+        self.payload_kg.fromlist([payload_kg] * n)
+        self.machine.fromlist([code(machine)] * n)
+        self.skill_state.fromlist([code(skill_state)] * n)
 
     def __len__(self) -> int:
         return len(self.sim_time)

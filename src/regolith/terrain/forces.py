@@ -171,18 +171,31 @@ def dig_resistance(depth: float, width: float, attack_angle: float,
         return weight * n_gamma + cohesion * n_c
 
     # Coarse scan, then a bounded refinement around the best trial angle.
+    # The scan is `wedge` inlined: an inadmissible trial gives inf there,
+    # which never beats `best`, so here it is skipped.
     best_beta = BETA_MIN
     best = math.inf
+    tan = math.tan
     for beta, cot_beta in zip(_SCAN_BETAS, _SCAN_COTS):
-        f = wedge(cot_beta, math.tan(beta + phi))
+        tan_beta_phi = tan(beta + phi)
+        denom = cos_a + sin_a / tan_beta_phi
+        if denom <= 1e-9:
+            continue
+        n_gamma = (cot_beta + cot_rho) / (2.0 * denom)
+        n_c = (1.0 + cot_beta / tan_beta_phi) / denom
+        if n_gamma < 0.0 or n_c < 0.0:
+            continue
+        f = weight * n_gamma + cohesion * n_c
         if f < best:
             best, best_beta = f, beta
     span = (BETA_MAX - BETA_MIN) / _N_SCAN
-    lo = max(BETA_MIN, best_beta - span)
-    hi = min(BETA_MAX, best_beta + span)
+    lo = best_beta - span
+    lo = lo if lo > BETA_MIN else BETA_MIN          # max(BETA_MIN, lo)
+    hi = best_beta + span
+    hi = hi if hi < BETA_MAX else BETA_MAX          # min(BETA_MAX, hi)
     refined = _bounded_min(
         lambda b: wedge(1.0 / math.tan(b), math.tan(b + phi)), lo, hi, 1e-8)
-    force_per_width = min(best, refined)
+    force_per_width = refined if refined < best else best   # min(best, refined)
 
     total = force_per_width * width
     resistance = total * sin_a

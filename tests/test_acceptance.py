@@ -78,21 +78,8 @@ def announce(request):
 
 # -- cached scenario runs ----------------------------------------------------
 
-@pytest.fixture(scope="session")
-def flat_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("flat")
-    config = load_config(scenario_path("scenario1_flat"))
-    report = run(config, out_dir=out)
-    return report, out
-
-
-@pytest.fixture(scope="session")
-def sloped_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sloped")
-    config = load_config(scenario_path("scenario1_sloped"))
-    report = run(config, out_dir=out)
-    return report, out
-
+# flat_run and sloped_run live in conftest.py: test_artifacts pins their
+# bytes from the same session runs.
 
 @pytest.fixture(scope="session")
 def smoke_run(tmp_path_factory):

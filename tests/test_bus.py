@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -289,3 +290,36 @@ def test_tcp_bridge_sync_times_out_on_silent_planner():
     server.shutdown()
     assert finished
     assert raised
+
+
+def test_tcp_bridge_short_accept_wait_keeps_the_sync_deadline():
+    """Waiting briefly for the connection must not make every later sync
+    fail after that brief wait: an ack slower than the wait still syncs."""
+    server = TcpBridgeServer(Bus())
+    acked = []
+
+    def planner_side():
+        client = TcpBridgeClient(Bus(), "127.0.0.1", server.port)
+        if client.wait_sync() is not None:
+            time.sleep(0.5)                 # slower than the accept wait
+            client.ack({"tick": 1})
+            acked.append(True)
+        client.wait_sync()                  # until shutdown
+        client.close()
+
+    thread = threading.Thread(target=planner_side, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            server.accept(wait=0.1)
+            break
+        except TimeoutError:
+            assert time.monotonic() < deadline, "planner never connected"
+    try:
+        ack = server.sync(0.0)
+    finally:
+        server.shutdown()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert acked and ack["tick"] == 1

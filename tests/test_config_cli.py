@@ -1,7 +1,9 @@
 """Config validation and command-line interface behaviour."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
 from regolith.bus import Bus, topic_for
 from regolith.planner import SITE_ID
-from regolith.runner import _finalize, run
+from regolith.runner import _finalize, _progressed, run
 from regolith.simulator import Simulator
 from regolith.telemetry import TelemetryCollector
 from regolith.scenarios import REFERENCE_SCENARIOS, scenario_path
@@ -222,3 +224,36 @@ def test_entry_points_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_progress_check_matches_rounded_tuple_compare():
+    """`_progressed` against the full rounding of every signature entry,
+    on random walks that cross rounding boundaries, repeat values and
+    carry NaN, signed zeros and infinities."""
+    rng = random.Random(23)
+    digits = (6, 6, 0) + (3, 3, 3) * 2
+
+    def rounded(sig):
+        return tuple(round(v, nd) for v, nd in zip(sig, digits))
+
+    specials = (math.nan, 0.0, -0.0, math.inf, -math.inf)
+    for _ in range(200):
+        sig = [rng.uniform(0, 1e4), rng.uniform(0, 1e4), rng.randrange(5)]
+        sig += [rng.uniform(-50, 50) for _ in range(6)]
+        last_raw = last_rounded = None
+        for _ in range(100):
+            k = rng.randrange(len(sig))
+            step = rng.choice((0.0, 4e-7, 6e-7, 4e-4, 6e-4, 1e-3, -5e-4))
+            if k == 2:
+                sig[k] += rng.choice((0, 0, 1))
+            elif rng.random() < 0.03:
+                sig[k] = rng.choice(specials)
+            elif math.isfinite(sig[k]):
+                sig[k] += step
+            else:
+                sig[k] = rng.uniform(-1, 1)
+            now = tuple(sig)
+            expected = rounded(now) != last_rounded
+            assert _progressed(last_raw, now, digits) == expected, now
+            if expected:
+                last_raw, last_rounded = now, rounded(now)

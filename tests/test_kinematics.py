@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regolith.machines.kinematics import (
     ArmGeometry,
@@ -171,3 +173,25 @@ def test_wrap_angle():
     assert wrap_angle(math.pi + 0.1) == pytest.approx(-math.pi + 0.1)
     assert wrap_angle(-math.pi - 0.1) == pytest.approx(math.pi - 0.1)
     assert wrap_angle(0.3) == pytest.approx(0.3)
+
+
+# -- exact clamp --------------------------------------------------------------
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+@example(math.nan, 0.0, 1.0)
+@example(0.5, math.nan, 1.0)
+@example(0.5, 0.0, math.nan)
+@example(-0.0, 0.0, 1.0)
+@example(0.0, -0.0, 1.0)
+@example(0.0, -1.0, -0.0)
+@example(-0.0, -1.0, 0.0)
+@example(math.inf, -math.inf, math.inf)
+@example(-math.inf, 2.0, 1.0)
+@settings(max_examples=500, deadline=None)
+def test_clamp_is_exactly_min_of_max(value, lo, hi):
+    geom = ArmGeometry()
+    geom.joint_ranges["swing"] = (lo, hi)
+    assert repr(geom.clamp("swing", value)) == repr(min(max(value, lo), hi))

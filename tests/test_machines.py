@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regolith.machines import (
     ARRIVED,
@@ -23,7 +25,13 @@ from regolith.machines import (
     track_torques,
     transfer_bucket,
 )
+from regolith.machines.kinematics import (
+    JOINT_NAMES,
+    ArmGeometry,
+    forward_kinematics,
+)
 from regolith.machines.locomotion import SUBCRAWLER_RATE, SUBCRAWLER_STOW
+from regolith.machines.skills import _tip_jacobian
 from regolith.terrain import Heightfield, SoilParams, SweptCut
 
 SOIL = SoilParams()
@@ -417,3 +425,67 @@ def test_blade_run_levels_cells_to_target():
     assert terrain_after - terrain_before == pytest.approx(expected_delta,
                                                            abs=1e-6)
     assert state.blade_load_kg <= spec.blade_capacity_kg + 1e-9
+
+
+# -- plain-float step kernel against its reference forms ----------------------
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(_ANY_FLOAT, _ANY_FLOAT)
+@example(math.nan, 10.0)
+@example(1.0, math.nan)
+@example(-0.0, 0.0)
+@example(0.0, -0.0)
+@example(-0.0, math.inf)
+@example(math.inf, 10.0)
+@settings(max_examples=500, deadline=None)
+def test_set_sample_clamps_exactly_like_min_of_max(torque, limit):
+    state = MachineState()
+    state.set_sample("boom", torque, 0.5, limit)
+    assert repr(state.samples["boom"].torque) \
+        == repr(min(max(torque, -limit), limit))
+
+
+def test_clear_samples_zeroes_what_was_set_since_the_last_clear():
+    state = MachineState()
+    state.clear_samples()                       # nothing set: no change
+    assert all(s.torque == 0.0 and s.omega == 0.0
+               for s in state.samples.values())
+    state.set_sample("swing", 12.0, -0.5, 100.0)
+    state.set_sample("bed", -3.0, 0.25, 100.0)
+    state.clear_samples()
+    assert [(s.torque, s.omega) for s in state.samples.values()] \
+        == [(0.0, 0.0)] * len(state.samples)
+    state.set_sample("blade", 7.0, 1.0, 100.0)
+    state.clear_samples()
+    assert state.samples["blade"].torque == 0.0
+    assert state.samples["blade"].omega == 0.0
+
+
+def _reference_tip_jacobian(geom, joints, base_pose):
+    """The tip and its Jacobian from five full forward-kinematics passes."""
+    eps = 1e-6
+    base_tip, _ = forward_kinematics(geom, joints, base_pose, validate=False)
+    cols = {}
+    for name in JOINT_NAMES:
+        bumped = dict(joints)
+        bumped[name] += eps
+        tip, _ = forward_kinematics(geom, bumped, base_pose, validate=False)
+        cols[name] = tuple((tip[k] - base_tip[k]) / eps for k in range(3))
+    return base_tip, cols
+
+
+def test_fused_tip_jacobian_matches_five_forward_passes():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        geom = ArmGeometry(boom_length=rng.uniform(0.5, 3.0),
+                           stick_length=rng.uniform(0.5, 2.5),
+                           bucket_length=rng.uniform(0.2, 1.0),
+                           pivot_forward=rng.uniform(-1.0, 1.0),
+                           pivot_up=rng.uniform(-1.0, 1.0))
+        joints = {name: rng.uniform(-3.0, 3.0) for name in JOINT_NAMES}
+        pose = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+                rng.uniform(-5.0, 5.0), rng.uniform(-math.pi, math.pi))
+        assert repr(_tip_jacobian(geom, joints, pose)) \
+            == repr(_reference_tip_jacobian(geom, joints, pose))

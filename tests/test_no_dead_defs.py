@@ -27,11 +27,6 @@ _LOOKUP = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 #: Name -> why it stays although nothing in the package names it.
 ALLOWLIST = {
-    "_step_drive": "SkillRunner dispatches f'_step_{action}' by getattr",
-    "_step_dig": "SkillRunner dispatches f'_step_{action}' by getattr",
-    "_step_dump": "SkillRunner dispatches f'_step_{action}' by getattr",
-    "_step_beddump": "SkillRunner dispatches f'_step_{action}' by getattr",
-    "_step_level": "SkillRunner dispatches f'_step_{action}' by getattr",
     "set_available": "fault-injection hook that run(observer=...) drives",
     "max_region_slope": "the repose-invariant oracle of the acceptance "
                         "criteria",

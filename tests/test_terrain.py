@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,7 @@ def test_height_at_within_neighbor_bounds(x, y):
 
 
 def test_slope_flat_field_is_zero():
-    assert flat().gradient_at(5.0, 5.0) == (0.0, 0.0)
+    assert flat().surface_at(5.0, 5.0)[1:] == (0.0, 0.0)
 
 
 def test_slope_of_plane():
@@ -67,7 +69,7 @@ def test_slope_of_plane():
     elev = np.tile(0.5 * xs[:, None], (1, ny))
     h = Heightfield(nx, ny, 1.0, elevation=elev)
     for x, y in [(3.2, 4.5), (6.0, 6.0), (8.7, 2.2)]:
-        assert h.gradient_at(x, y) == pytest.approx((0.5, 0.0), abs=1e-9)
+        assert h.surface_at(x, y)[1:] == pytest.approx((0.5, 0.0), abs=1e-9)
 
 
 def test_slope_invariant_under_constant_offset():
@@ -75,7 +77,106 @@ def test_slope_invariant_under_constant_offset():
     elev = rng.uniform(0, 1, (8, 8))
     a = Heightfield(8, 8, 1.0, elevation=elev)
     b = Heightfield(8, 8, 1.0, elevation=elev + 7.0)
-    assert a.gradient_at(4.0, 4.0) == pytest.approx(b.gradient_at(4.0, 4.0))
+    assert a.surface_at(4.0, 4.0)[1:] == \
+        pytest.approx(b.surface_at(4.0, 4.0)[1:])
+
+
+# -- plain-float queries against their numpy-scalar reference ----------------
+
+def _reference_height(h, x, y):
+    """height_at as it read numpy scalars through builtin min/max."""
+    if not h.in_bounds(x, y):
+        raise OutOfBounds("outside grid")
+    u = (x - h.origin[0]) / h.cell_size - 0.5
+    v = (y - h.origin[1]) / h.cell_size - 0.5
+    i0 = min(max(int(math.floor(u)), 0), h.nx - 2)
+    j0 = min(max(int(math.floor(v)), 0), h.ny - 2)
+    fu = min(max(u - i0, 0.0), 1.0)
+    fv = min(max(v - j0, 0.0), 1.0)
+    e = h.elevation
+    return ((1 - fu) * (1 - fv) * e[i0, j0]
+            + fu * (1 - fv) * e[i0 + 1, j0]
+            + (1 - fu) * fv * e[i0, j0 + 1]
+            + fu * fv * e[i0 + 1, j0 + 1])
+
+
+def _reference_surface(h, x, y):
+    """height_at, then the central-difference gradient at the containing
+    cell (one-sided on the boundary), as the two separate queries did."""
+    z = h.height_at(x, y)
+    i, j = h.cell_of(x, y)
+    e = h.elevation
+    cs = h.cell_size
+    i_lo, i_hi = max(i - 1, 0), min(i + 1, h.nx - 1)
+    j_lo, j_hi = max(j - 1, 0), min(j + 1, h.ny - 1)
+    gx = (e[i_hi, j] - e[i_lo, j]) / ((i_hi - i_lo) * cs)
+    gy = (e[i, j_hi] - e[i, j_lo]) / ((j_hi - j_lo) * cs)
+    return z, gx, gy
+
+
+def _outcome(query, *args):
+    """repr of each returned float, or "OutOfBounds"."""
+    try:
+        result = query(*args)
+    except OutOfBounds:
+        return "OutOfBounds"
+    if isinstance(result, tuple):
+        return tuple(repr(float(v)) for v in result)
+    return repr(float(result))
+
+
+_GRID = Heightfield(7, 5, 0.37, origin=(-1.3, 2.1),
+                    elevation=np.random.default_rng(11).uniform(-1, 2, (7, 5)))
+
+
+def _edge_points(h):
+    """Every grid line and the two upper bounds, on and just beside them."""
+    xs = [h.origin[0] + k * h.cell_size for k in range(h.nx + 1)]
+    ys = [h.origin[1] + k * h.cell_size for k in range(h.ny + 1)]
+    xs.append(h.origin[0] + h.nx * h.cell_size)
+    ys.append(h.origin[1] + h.ny * h.cell_size)
+    xs = [x + d for x in xs for d in (-1e-12, 0.0, 1e-12)]
+    ys = [y + d for y in ys for d in (-1e-12, 0.0, 1e-12)]
+    mid_x = h.origin[0] + 0.5 * h.nx * h.cell_size
+    mid_y = h.origin[1] + 0.5 * h.ny * h.cell_size
+    return ([(x, y) for x in xs for y in ys]
+            + [(x, mid_y) for x in xs] + [(mid_x, y) for y in ys]
+            + [(math.nan, mid_y), (mid_x, math.inf)])
+
+
+def test_surface_and_height_match_reference_on_grid_edges():
+    seen = set()
+    for x, y in _edge_points(_GRID):
+        surface = _outcome(_GRID.surface_at, x, y)
+        assert surface == _outcome(_reference_surface, _GRID, x, y), (x, y)
+        assert _outcome(_GRID.height_at, x, y) \
+            == _outcome(_reference_height, _GRID, x, y), (x, y)
+        seen.add(surface == "OutOfBounds")
+    assert seen == {True, False}
+
+
+def test_surface_at_raises_on_the_upper_bound_where_height_at_does_not():
+    h = _GRID
+    top_x = h.origin[0] + h.nx * h.cell_size
+    mid_y = h.origin[1] + 0.5 * h.ny * h.cell_size
+    assert isinstance(h.height_at(top_x, mid_y), float)
+    with pytest.raises(OutOfBounds):
+        h.surface_at(top_x, mid_y)
+
+
+@given(st.floats(-1.4, 1.35), st.floats(2.0, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_surface_and_height_match_reference_at_random_points(x, y):
+    assert _outcome(_GRID.surface_at, x, y) \
+        == _outcome(_reference_surface, _GRID, x, y)
+    assert _outcome(_GRID.height_at, x, y) \
+        == _outcome(_reference_height, _GRID, x, y)
+
+
+def test_point_queries_return_plain_floats():
+    z, gx, gy = _GRID.surface_at(0.0, 3.0)
+    assert {type(z), type(gx), type(gy)} == {float}
+    assert type(_GRID.height_at(0.0, 3.0)) is float
 
 
 # -- excavation -------------------------------------------------------------
