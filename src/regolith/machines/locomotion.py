@@ -90,12 +90,14 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     waypoint is aligned to before arrival is reported.  Returns
     (status, next waypoint index); status is IDLE for an empty route,
     ARRIVED at the end, RUNNING otherwise.  Track torque/velocity samples
-    are refreshed on the state.
+    are refreshed on the state when it is sampling.  A move that would
+    leave the grid's cells stops the machine where it is.
     """
     if not waypoints:
         state.track_speed_left = state.track_speed_right = 0.0
         state.turn_rate = 0.0
-        _record_track_samples(state, spec, 0.0, 0.0, 0.0, 0.0)
+        if state.sampling:
+            _record_track_samples(state, spec, 0.0, 0.0, 0.0, 0.0)
         return IDLE, index
     if dt <= 0.0:
         return RUNNING, index
@@ -113,7 +115,8 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
                     abs(wrap_angle(final_heading - heading)) <= HEADING_TOL:
                 state.track_speed_left = state.track_speed_right = 0.0
                 state.turn_rate = 0.0
-                _record_track_samples(state, spec, 0.0, 0.0, 0.0, 0.0)
+                if state.sampling:
+                    _record_track_samples(state, spec, 0.0, 0.0, 0.0, 0.0)
                 return ARRIVED, index
             dx = dy = None  # rotate in place toward final_heading
             err = wrap_angle(final_heading - heading)
@@ -159,7 +162,7 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
 
     new_x = x + speed_cmd * math.cos(heading) * dt
     new_y = y + speed_cmd * math.sin(heading) * dt
-    if h.in_bounds(new_x, new_y):
+    if h.in_cells(new_x, new_y):
         state.x, state.y = new_x, new_y
     else:
         speed_cmd = 0.0
@@ -170,9 +173,10 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     right = state.track_speed_right = speed_cmd + turn_rate * half_w
     settle_on_terrain(state, h)
     sub_crawler_policy(state, abs(turn_rate) > TURNING_RATE, dt)
-    radius = spec.wheel_radius
-    _record_track_samples(state, spec, tau_l, tau_r,
-                          left / radius, right / radius)
+    if state.sampling:
+        radius = spec.wheel_radius
+        _record_track_samples(state, spec, tau_l, tau_r,
+                              left / radius, right / radius)
     return RUNNING, index
 
 

@@ -224,7 +224,11 @@ class DigExecution:
 
     def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
              dt: float):
-        """One timestep; returns (status, removed_kg, DigForce|None)."""
+        """One timestep; returns (status, removed_kg).
+
+        The arm torque samples, the Jacobian and the dig force, which
+        feeds only those samples, are computed on a sampling step alone.
+        """
         spec = self.spec
         if self.phase == "approach":
             x, y, z, attack = self.approach
@@ -241,36 +245,43 @@ class DigExecution:
             tgt_angle = floor if floor > curl else curl     # max(curl, floor)
 
         ik = calculate_ik(spec.arm, state.pose, (x, y, z), tgt_angle)
+        sampling = state.sampling
         if ik.residual > TRACK_IK_TOL:
-            record_arm_samples(state, spec, soil)
-            return FAILED, 0.0, None
+            if sampling:
+                record_arm_samples(state, spec, soil)
+            return FAILED, 0.0
         err = move_arm_toward(state, spec, ik.joints, dt)
-        kin = _tip_jacobian(spec.arm, state.joints, state.pose)
-        tip = kin[0]
+        if sampling:
+            kin = _tip_jacobian(spec.arm, state.joints, state.pose)
+            tip = kin[0]
+        else:
+            tip = bucket_tip(spec, state)
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
         self.prev_swing_rate = state.swing_rate
 
         removed = 0.0
-        force = None
         if self.phase == "approach":
-            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
-                               kinematics=kin)
+            if sampling:
+                record_arm_samples(state, spec, soil,
+                                   swing_alpha=swing_alpha, kinematics=kin)
             if err < JOINT_SETTLED_TOL:
                 self.phase = "cut"
                 self.prev_tip = tip
-            return RUNNING, 0.0, None
+            return RUNNING, 0.0
 
         if self.phase == "cut":
             prev = self.prev_tip or tip
             advance = math.hypot(tip[0] - prev[0], tip[1] - prev[1])
-            depth = h.height_at(tip[0], tip[1]) - tip[2]
-            depth = depth if depth > 0.0 else 0.0       # max(0.0, depth)
             # min(max(attack, 0.06), steepest), as the builtins evaluate it
             steepest = math.pi / 2 - 0.06
             attack_c = 0.06 if 0.06 > attack else attack
             attack_c = steepest if steepest < attack_c else attack_c
-            force = dig_resistance(depth, self.traj.width, attack_c, soil)
+            if sampling:
+                # the depth under the tip before this step's cut
+                depth = h.height_at(tip[0], tip[1]) - tip[2]
+                depth = depth if depth > 0.0 else 0.0   # max(0.0, depth)
+                force = dig_resistance(depth, self.traj.width, attack_c, soil)
             if advance > 1e-9:
                 step_cut = SweptCut(
                     points=[(prev[0], prev[1], prev[2], attack_c),
@@ -280,24 +291,27 @@ class DigExecution:
                 state.payload_kg += removed
                 self.removed_total += removed
                 self.prev_tip = tip
-            # resistance opposes the horizontal tip motion
-            if advance > 1e-9:
-                ux, uy = (tip[0] - prev[0]) / advance, (tip[1] - prev[1]) / advance
-            else:
-                ux = uy = 0.0
-            ext = (force.resistance * ux, force.resistance * uy,
-                   -force.normal)
-            record_arm_samples(state, spec, soil, ext_force=ext,
-                               swing_alpha=swing_alpha, kinematics=kin)
+            if sampling:
+                # resistance opposes the horizontal tip motion
+                if advance > 1e-9:
+                    ux = (tip[0] - prev[0]) / advance
+                    uy = (tip[1] - prev[1]) / advance
+                else:
+                    ux = uy = 0.0
+                ext = (force.resistance * ux, force.resistance * uy,
+                       -force.normal)
+                record_arm_samples(state, spec, soil, ext_force=ext,
+                                   swing_alpha=swing_alpha, kinematics=kin)
             if self.s >= self.length and err < JOINT_SETTLED_TOL:
                 self.phase = "raise"
-            return RUNNING, removed, force
+            return RUNNING, removed
 
-        record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
-                           kinematics=kin)
+        if sampling:
+            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
+                               kinematics=kin)
         if err < JOINT_SETTLED_TOL:
-            return SUCCEEDED, 0.0, None
-        return RUNNING, 0.0, None
+            return SUCCEEDED, 0.0
+        return RUNNING, 0.0
 
 
 # -- spilling ---------------------------------------------------------------
@@ -414,19 +428,21 @@ class BedDumpExecution:
         dumped = lost = 0.0
         if self.phase == "raise":
             state.bed_angle = min(state.bed_angle + rate * dt, self.BED_RAISED)
-            state.set_sample("bed",
-                             state.payload_kg * soil.gravity * 0.8
-                             * math.cos(state.bed_angle),
-                             rate, spec.torque_limits["bed"])
+            if state.sampling:
+                state.set_sample("bed",
+                                 state.payload_kg * soil.gravity * 0.8
+                                 * math.cos(state.bed_angle),
+                                 rate, spec.torque_limits["bed"])
             if state.bed_angle >= self.BED_RAISED:
                 self.phase = "hold"
                 self.timer = 0.0
         elif self.phase == "hold":
             self.timer += dt
             dumped, lost = self._flow(state, h, soil, dt)
-            state.set_sample("bed", state.payload_kg * soil.gravity * 0.8
-                             * math.cos(state.bed_angle), 0.0,
-                             spec.torque_limits["bed"])
+            if state.sampling:
+                state.set_sample("bed", state.payload_kg * soil.gravity * 0.8
+                                 * math.cos(state.bed_angle), 0.0,
+                                 spec.torque_limits["bed"])
             if self.timer >= spec.bed_hold_time:
                 self.phase = "advance"
         elif self.phase == "advance":
@@ -434,7 +450,7 @@ class BedDumpExecution:
             step = min(v * dt, self.ADVANCE_DIST - self.advanced)
             nx = state.x + step * math.cos(state.heading)
             ny = state.y + step * math.sin(state.heading)
-            if h.in_bounds(nx, ny):
+            if h.in_cells(nx, ny):
                 state.x, state.y = nx, ny
                 settle_on_terrain(state, h)
             self.advanced += step
@@ -443,9 +459,10 @@ class BedDumpExecution:
                 self.phase = "lower"
         else:  # lower
             state.bed_angle = max(state.bed_angle - rate * dt, 0.0)
-            state.set_sample("bed", state.payload_kg * soil.gravity * 0.8
-                             * math.cos(state.bed_angle), -rate,
-                             spec.torque_limits["bed"])
+            if state.sampling:
+                state.set_sample("bed", state.payload_kg * soil.gravity * 0.8
+                                 * math.cos(state.bed_angle), -rate,
+                                 spec.torque_limits["bed"])
             if state.bed_angle <= 0.0:
                 return SUCCEEDED, dumped, lost
         return RUNNING, dumped, lost
@@ -481,19 +498,25 @@ class ArmDumpExecution:
         spec = self.spec
         target = self._target(state, h, truck_state, truck_spec, point)
         ik = calculate_ik(spec.arm, state.pose, target, self.DUMP_TOOL_ANGLE)
+        sampling = state.sampling
         if ik.residual > 0.5:
-            record_arm_samples(state, spec, soil)
+            if sampling:
+                record_arm_samples(state, spec, soil)
             return FAILED, 0.0, False, 0.0, 0.0
         err = move_arm_toward(state, spec, ik.joints, dt)
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
         self.prev_swing_rate = state.swing_rate
-        kin = _tip_jacobian(spec.arm, state.joints, state.pose)
-        tip = kin[0]
+        if sampling:
+            kin = _tip_jacobian(spec.arm, state.joints, state.pose)
+            tip = kin[0]
+        else:
+            tip = bucket_tip(spec, state)
         spilled, spill_lost = spill_model(state, spec, swing_alpha, h, soil,
                                           dt, at=(tip[0], tip[1]))
-        record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
-                           kinematics=kin)
+        if sampling:
+            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
+                               kinematics=kin)
         if err >= JOINT_SETTLED_TOL:
             return RUNNING, 0.0, False, spill_lost, spilled
         released, into_truck, lost = transfer_bucket(
@@ -528,8 +551,9 @@ class LevelRunExecution:
                 state, self.spec,
                 [(self.start[0], self.start[1], heading)],
                 self.index, h, soil, dt)
-            state.set_sample("blade", 0.0, 0.0,
-                             self.spec.torque_limits["blade"])
+            if state.sampling:
+                state.set_sample("blade", 0.0, 0.0,
+                                 self.spec.torque_limits["blade"])
             if status == ARRIVED:
                 self.phase = "run"
                 self.index = 0
@@ -596,7 +620,8 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
     the blade edge.  Cut material accrues to the blade load; overflow past
     capacity is shed just ahead of the blade.
 
-    Returns (graded_kg, shed_kg, boundary_lost_kg).
+    Returns (graded_kg, shed_kg, boundary_lost_kg).  The blade torque
+    sample, and the dig force behind it, are set on a sampling step alone.
     """
     v_blade = pid.update(target_height - state.blade_height, dt)
     state.blade_height += v_blade * dt
@@ -645,14 +670,16 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
         else:
             state.blade_load_kg += excess  # keep it on the blade instead
 
-    if max_depth > 0.0:
-        force = dig_resistance(min(max_depth, 0.4), spec.blade_width,
-                               BLADE_ATTACK, soil)
-        tau = force.resistance * 0.4 + state.blade_load_kg * soil.gravity * 0.3
-    else:
-        tau = state.blade_load_kg * soil.gravity * 0.3
-    state.set_sample("blade", tau, abs(state.speed) / 0.4,
-                     spec.torque_limits["blade"])
+    if state.sampling:
+        if max_depth > 0.0:
+            force = dig_resistance(min(max_depth, 0.4), spec.blade_width,
+                                   BLADE_ATTACK, soil)
+            tau = force.resistance * 0.4 \
+                + state.blade_load_kg * soil.gravity * 0.3
+        else:
+            tau = state.blade_load_kg * soil.gravity * 0.3
+        state.set_sample("blade", tau, abs(state.speed) / 0.4,
+                         spec.torque_limits["blade"])
     return graded, shed, lost
 
 

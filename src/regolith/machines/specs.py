@@ -112,6 +112,7 @@ class MachineState:
     blade_load_kg: float = 0.0           # material carried by the blade
     blade_height: float = 0.0            # m, blade edge height above z=0 datum
     bed_angle: float = 0.0               # rad, 0 = level
+    #: One sample per name of ACTUATORS, in that order.
     samples: dict = field(default_factory=lambda: {
         name: ActuatorSample() for name in ACTUATORS})
 
@@ -123,8 +124,12 @@ class MachineState:
     def speed(self) -> float:
         return 0.5 * (self.track_speed_left + self.track_speed_right)
 
-    #: Whether any sample was set since the last `clear_samples`.
-    _sampled = False
+    #: Whether this step's actuator samples will be read.  A `Simulator`
+    #: sets it before each step: True only on the steps whose samples it
+    #: logs (one in `TELEMETRY_EVERY`), so the skills can skip the work
+    #: that only feeds the samples on the other steps.  Outside a
+    #: simulator it stays True and every step samples.
+    sampling = True
 
     def set_sample(self, actuator: str, torque: float, omega: float,
                    limit: float) -> None:
@@ -133,24 +138,18 @@ class MachineState:
         torque = -limit if -limit > torque else torque
         s.torque = limit if limit < torque else torque
         s.omega = omega
-        self._sampled = True
 
     def clear_samples(self) -> None:
-        """Zero every actuator sample.  A no-op when no sample was set
-        since the last clear: the samples are all zero already."""
-        if not self._sampled:
-            return
+        """Zero every actuator sample.  A simulator clears them at the
+        start of each step it logs, so a logged row holds only what that
+        step set; between logged steps the samples keep values nothing
+        reads."""
         for s in self.samples.values():
             s.torque = 0.0
             s.omega = 0.0
-        self._sampled = False
 
     def state_payload(self) -> dict:
         """Published on the machine state telemetry topic: the fields the
         planner's world model reads."""
         return {"x": self.x, "y": self.y, "heading": self.heading,
                 "payload_kg": self.payload_kg}
-
-    def sample_rows(self):
-        """(actuator, torque, omega) triples for telemetry export."""
-        return [(name, s.torque, s.omega) for name, s in self.samples.items()]

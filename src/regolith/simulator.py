@@ -15,6 +15,7 @@ from typing import Optional
 from .bus import Bus, split_topic, topic_for
 from .config import ScenarioConfig
 from .machines import (
+    ACTUATORS,
     ArmDumpExecution,
     BedDumpExecution,
     DigExecution,
@@ -192,7 +193,7 @@ class SkillRunner:
                          {"spilled_kg": self.totals["spilled"]})
 
     def _step_dig(self, dt: float) -> None:
-        status, removed, _ = self.execution.step(
+        status, removed = self.execution.step(
             self.state, self.sim.terrain, self.sim.soil, dt)
         self.sim.ledger.excavated_kg += removed
         self.totals["removed"] += removed
@@ -283,6 +284,11 @@ class Simulator:
         #: (state, runner) per machine in machine_order, for the step loop.
         self._stepping = [(self.machines[m][1], self.runners[m])
                           for m in self.machine_order]
+        #: (machine, state topic, state, runner) per machine in
+        #: machine_order, for the telemetry steps.
+        self._telemetry = [(m, topic_for(m, "telemetry", "state"),
+                            self.machines[m][1], self.runners[m])
+                           for m in self.machine_order]
         self.sub_commands = bus.subscribe_category("target")
         self.terrain.drain_dirty()      # initial placement is shared context
 
@@ -303,15 +309,21 @@ class Simulator:
                 runner.handle_command(env.payload)
 
     def step(self) -> None:
-        """Advance the world by one timestep and publish due telemetry."""
+        """Advance the world by one timestep and publish due telemetry.
+
+        Only a telemetry step's actuator samples are logged, so only on
+        that step do the machines sample (`MachineState.sampling`)."""
         self._drain_commands()
         dt = self.dt
+        logged = (self.step_count + 1) % TELEMETRY_EVERY == 0
         for state, runner in self._stepping:
-            state.clear_samples()
+            state.sampling = logged
+            if logged:
+                state.clear_samples()
             runner.step(dt)
         self.sim_time += dt
         self.step_count += 1
-        if self.step_count % TELEMETRY_EVERY == 0:
+        if logged:
             self._publish_machine_telemetry()
         if self.step_count % TERRAIN_EVERY == 0:
             self._publish_terrain_patches()
@@ -319,14 +331,15 @@ class Simulator:
     # -- telemetry -----------------------------------------------------------
 
     def _publish_machine_telemetry(self) -> None:
-        for machine_id in self.machine_order:
-            spec, state = self.machines[machine_id]
-            runner = self.runners[machine_id]
+        for machine_id, topic, state, runner in self._telemetry:
             skill_state = runner.action if runner.action else "Idle"
-            self.bus.publish(topic_for(machine_id, "telemetry", "state"),
+            self.bus.publish(topic,
                              {"kind": "telemetry", **state.state_payload()},
                              sim_time=self.sim_time, publisher=machine_id)
-            self.samples.extend(self.sim_time, machine_id, state.sample_rows(),
+            readings = state.samples.values()
+            self.samples.extend(self.sim_time, machine_id, ACTUATORS,
+                                [s.torque for s in readings],
+                                [s.omega for s in readings],
                                 state.payload_kg, skill_state)
 
     def _publish_terrain_patches(self) -> None:

@@ -20,8 +20,10 @@ CYCLE_CSV_HEADER = ("cycle,machine,loaded_kg,spilled_kg,duration_s,work_J,"
 SAMPLE_CSV_HEADER = ("sim_time,machine,joint,torque_Nm,omega_rad_s,"
                      "payload_kg,skill_state")
 
-#: Rows formatted per write when exporting the sample log.
-SAMPLE_CSV_CHUNK = 4096
+#: Rows formatted per write when exporting the sample log.  A chunk's text
+#: and its memo of formatted floats are held until the write, so the chunk
+#: size bounds the writer's transient memory.
+SAMPLE_CSV_CHUNK = 1024
 
 #: Skill action → task-time bucket of the cycle breakdown.
 TASK_BUCKETS = {"dig": "dig", "drive": "drive", "dump": "dump",
@@ -88,6 +90,7 @@ class SampleLog:
         self.skill_state = array("H")
         self.names: list[str] = []
         self._codes: dict[str, int] = {}
+        self._joint_codes: dict[tuple, list[int]] = {}
 
     @classmethod
     def of(cls, samples: Iterable[TelemetrySample]) -> "SampleLog":
@@ -96,8 +99,8 @@ class SampleLog:
             return samples
         log = cls()
         for s in samples:
-            log.extend(s.sim_time, s.machine, ((s.joint, s.torque, s.omega),),
-                       s.payload_kg, s.skill_state)
+            log.extend(s.sim_time, s.machine, (s.joint,), [s.torque],
+                       [s.omega], s.payload_kg, s.skill_state)
         return log
 
     def _code(self, name: str) -> int:
@@ -107,17 +110,21 @@ class SampleLog:
             self.names.append(name)
         return code
 
-    def extend(self, sim_time: float, machine: str, rows,
-               payload_kg: float, skill_state: str) -> None:
-        """Appends one (joint, torque, omega) row per entry of rows, all
-        read at sim_time on machine."""
-        joints, torques, omegas = tuple(zip(*rows)) or ((), (), ())
-        n = len(joints)
+    def extend(self, sim_time: float, machine: str, joints: tuple,
+               torques: list, omegas: list, payload_kg: float,
+               skill_state: str) -> None:
+        """Appends one row per name of joints, all read at sim_time on
+        machine; torques and omegas are the rows' columns, in joint order.
+        The joints' codes are looked up once per distinct tuple."""
+        codes = self._joint_codes.get(joints)
+        if codes is None:
+            codes = self._joint_codes[joints] = list(map(self._code, joints))
+        n = len(codes)
         code = self._code
         # one fromlist per column: the cheapest way to grow an array
-        self.joint.fromlist(list(map(code, joints)))
-        self.torque.fromlist(list(torques))
-        self.omega.fromlist(list(omegas))
+        self.joint.fromlist(codes)
+        self.torque.fromlist(torques)
+        self.omega.fromlist(omegas)
         self.sim_time.fromlist([sim_time] * n)
         self.payload_kg.fromlist([payload_kg] * n)
         self.machine.fromlist([code(machine)] * n)
@@ -294,16 +301,29 @@ def cycles_csv_text(records: list[WorkCycleRecord]) -> str:
 
 
 def _write_sample_rows(fh, log: SampleLog) -> None:
+    """Each row as `repr` gives its floats.  Within a chunk each distinct
+    float is formatted once: the memo is keyed by the float's 8-byte
+    pattern, so values that compare equal but print differently (0.0 and
+    -0.0) keep their own text."""
     fh.write(SAMPLE_CSV_HEADER + "\n")
-    names = log.names
+    name = log.names.__getitem__
     for lo in range(0, len(log), SAMPLE_CSV_CHUNK):
         hi = lo + SAMPLE_CSV_CHUNK
+        floats = [col[lo:hi] for col in (log.sim_time, log.torque,
+                                          log.omega, log.payload_kg)]
+        keys = [array("Q", col.tobytes()) for col in floats]
+        distinct = {}
+        for key, col in zip(keys, floats):
+            distinct.update(zip(key, col))
+        text = {key: repr(value) for key, value in distinct.items()}
+        times, torques, omegas, payloads = (map(text.__getitem__, key)
+                                            for key in keys)
         fh.write("".join(
-            f"{t!r},{names[m]},{names[j]},{tq!r},{om!r},{kg!r},{names[s]}\n"
+            f"{t},{m},{j},{tq},{om},{kg},{s}\n"
             for t, m, j, tq, om, kg, s in zip(
-                log.sim_time[lo:hi], log.machine[lo:hi], log.joint[lo:hi],
-                log.torque[lo:hi], log.omega[lo:hi], log.payload_kg[lo:hi],
-                log.skill_state[lo:hi])))
+                times, map(name, log.machine[lo:hi]),
+                map(name, log.joint[lo:hi]), torques, omegas, payloads,
+                map(name, log.skill_state[lo:hi]))))
 
 
 def samples_csv_text(samples: Iterable[TelemetrySample]) -> str:

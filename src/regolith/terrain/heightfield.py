@@ -100,6 +100,16 @@ class Heightfield:
         return (self.origin[0] <= x <= self.origin[0] + self.nx * self.cell_size
                 and self.origin[1] <= y <= self.origin[1] + self.ny * self.cell_size)
 
+    def in_cells(self, x: float, y: float) -> bool:
+        """Whether (x, y) lies in a cell: where `surface_at` is defined,
+        the closed grid rectangle less its upper edges."""
+        # in bounds, the floors are nonnegative: only the upper cell index
+        # needs a check, as `cell_of` computes it
+        cs = self.cell_size
+        return (self.in_bounds(x, y)
+                and math.floor((x - self.origin[0]) / cs) < self.nx
+                and math.floor((y - self.origin[1]) / cs) < self.ny)
+
     def mark_dirty(self, i: int, j: int) -> None:
         self.dirty.add((i, j))
 

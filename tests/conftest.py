@@ -21,3 +21,11 @@ def sloped_run(tmp_path_factory):
     config = load_config(scenario_path("scenario1_sloped"))
     report = run(config, out_dir=out)
     return report, out
+
+
+@pytest.fixture(scope="session")
+def smoke_rerun(tmp_path_factory):
+    out = tmp_path_factory.mktemp("smoke_b")
+    config = load_config(scenario_path("scenario2_smoke"))
+    report = run(config, out_dir=out)
+    return report, out

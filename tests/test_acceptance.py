@@ -78,8 +78,8 @@ def announce(request):
 
 # -- cached scenario runs ----------------------------------------------------
 
-# flat_run and sloped_run live in conftest.py: test_artifacts pins their
-# bytes from the same session runs.
+# flat_run, sloped_run and smoke_rerun live in conftest.py: test_artifacts
+# pins their bytes from the same session runs.
 
 @pytest.fixture(scope="session")
 def smoke_run(tmp_path_factory):
@@ -97,14 +97,6 @@ def smoke_run(tmp_path_factory):
 
     report = run(config, out_dir=out, observer=observer)
     return report, out, data, config
-
-
-@pytest.fixture(scope="session")
-def smoke_rerun(tmp_path_factory):
-    out = tmp_path_factory.mktemp("smoke_b")
-    config = load_config(scenario_path("scenario2_smoke"))
-    report = run(config, out_dir=out)
-    return report, out
 
 
 @pytest.fixture(scope="session")

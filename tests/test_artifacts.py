@@ -6,7 +6,8 @@ behaviour: any change to their bytes must be deliberate.  A change that
 alters them updates the digests below and says why the new numbers are at
 least as correct.  Smoke has no truck; flat and sloped pin the haul,
 locomotion and bed-dump paths.  Their runs are the session fixtures of
-conftest.py, shared with the acceptance criteria.
+conftest.py (`smoke_rerun`, `flat_run`, `sloped_run`), shared with the
+acceptance criteria.
 """
 
 import csv
@@ -14,10 +15,6 @@ import hashlib
 from collections import Counter
 
 import pytest
-
-from regolith.config import load_config
-from regolith.runner import run
-from regolith.scenarios import scenario_path
 
 SMOKE_SHA256 = {
     "cycles.csv":
@@ -51,17 +48,10 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def smoke_out(tmp_path_factory):
-    out = tmp_path_factory.mktemp("smoke_ref")
-    report = run(load_config(scenario_path("scenario2_smoke")), out_dir=out)
-    assert report.complete and report.error is None
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(SMOKE_SHA256))
-def test_smoke_artifact_bytes(smoke_out, name):
-    assert _sha256(smoke_out / name) == SMOKE_SHA256[name]
+def test_smoke_artifact_bytes(smoke_rerun, name):
+    _, out = smoke_rerun
+    assert _sha256(out / name) == SMOKE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(FLAT_SHA256))
@@ -76,11 +66,12 @@ def test_sloped_artifact_bytes(sloped_run, name):
     assert _sha256(out / name) == SLOPED_SHA256[name]
 
 
-def test_trailing_dig_span_shows_in_events_only(smoke_out):
-    with open(smoke_out / "events.csv") as fh:
+def test_trailing_dig_span_shows_in_events_only(smoke_rerun):
+    _, out = smoke_rerun
+    with open(out / "events.csv") as fh:
         starts = Counter(row["event"].split(":", 1)[1]
                          for row in csv.DictReader(fh)
                          if row["event"].startswith("dig_start:"))
-    with open(smoke_out / "cycles.csv") as fh:
+    with open(out / "cycles.csv") as fh:
         rows = Counter(row["machine"] for row in csv.DictReader(fh))
     assert starts and all(starts[m] == rows[m] + 1 for m in starts)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from regolith.machines import (
     ARRIVED,
+    ArmDumpExecution,
     BedDumpExecution,
+    DRIVE_RUNNING,
     DigExecution,
     FAILED,
     IDLE,
+    LevelRunExecution,
     MachineSpec,
     MachineState,
     Pid,
@@ -32,7 +36,8 @@ from regolith.machines.kinematics import (
 )
 from regolith.machines.locomotion import SUBCRAWLER_RATE, SUBCRAWLER_STOW
 from regolith.machines.skills import _tip_jacobian
-from regolith.terrain import Heightfield, SoilParams, SweptCut
+from regolith.simulator import TELEMETRY_EVERY
+from regolith.terrain import Heightfield, OutOfBounds, SoilParams, SweptCut
 
 SOIL = SoilParams()
 DT = 0.01
@@ -134,6 +139,33 @@ def test_track_torque_samples_respect_limits():
         assert abs(state.samples["right_track"].torque) <= 50.0 + 1e-9
 
 
+def test_drive_onto_the_upper_grid_edge_stops_the_machine():
+    # 9.5 + 0.5 m/s * 1 s lands exactly on the east edge, which lies in
+    # the grid rectangle but in no cell: the machine must stop short
+    h = Heightfield(10, 10, 1.0)
+    spec = default_spec("truck1", "dumptruck", speed_empty=0.5)
+    state = MachineState(x=9.5, y=5.0)
+    settle_on_terrain(state, h)
+    status, _ = step_locomotion(state, spec, [(20.0, 5.0)], 0, h, SOIL, 1.0)
+    assert status == DRIVE_RUNNING
+    assert (state.x, state.y) == (9.5, 5.0)
+    assert state.speed == 0.0
+
+
+def test_bed_dump_advance_onto_the_upper_grid_edge_stops_the_truck():
+    h = Heightfield(10, 10, 1.0)
+    spec = default_spec("truck1", "dumptruck", speed_empty=0.5,
+                        speed_loaded=0.5)
+    state = MachineState(x=9.5, y=5.0)
+    settle_on_terrain(state, h)
+    state.payload_kg = 100.0
+    execution = BedDumpExecution(spec)
+    while execution.phase != "advance":
+        execution.step(state, h, SOIL, 1.0)
+    execution.step(state, h, SOIL, 1.0)       # a 0.5 m advance to x = 10
+    assert (state.x, state.y) == (9.5, 5.0)
+
+
 def test_z_follows_terrain_under_centroid():
     rng = np.random.default_rng(2)
     h = Heightfield(48, 48, 0.5,
@@ -181,7 +213,7 @@ def run_dig(spec, state, traj, h, max_steps=20000):
     status = None
     removed = 0.0
     for _ in range(max_steps):
-        status, got, _force = execution.step(state, h, SOIL, DT)
+        status, got = execution.step(state, h, SOIL, DT)
         removed += got
         if status != "Running":
             break
@@ -235,7 +267,7 @@ def test_dig_torque_samples_within_limits():
                     width=spec.bucket_width, max_depth=0.3)
     execution = DigExecution(spec, traj)
     for _ in range(20000):
-        status, _, _ = execution.step(state, h, SOIL, DT)
+        status, _ = execution.step(state, h, SOIL, DT)
         for name in ("swing", "boom", "stick", "bucket"):
             assert abs(state.samples[name].torque) \
                 <= spec.torque_limits[name] + 1e-9
@@ -489,3 +521,164 @@ def test_fused_tip_jacobian_matches_five_forward_passes():
                 rng.uniform(-5.0, 5.0), rng.uniform(-math.pi, math.pi))
         assert repr(_tip_jacobian(geom, joints, pose)) \
             == repr(_reference_tip_jacobian(geom, joints, pose))
+
+
+# -- sampling on the telemetry cadence against sampling every step -----------
+
+def _state_bits(state):
+    """Every field but the samples, and the arm omegas, as text: equal
+    only for bit-equal floats, NaN and signed zeros included."""
+    return repr([getattr(state, f.name) for f in dataclasses.fields(state)
+                 if f.name != "samples"]
+                + [getattr(state, "_arm_omegas", None)])
+
+
+def _sample_bits(state):
+    return repr([(name, s.torque, s.omega)
+                 for name, s in state.samples.items()])
+
+
+def _step_both(make, max_steps, perturb=None):
+    """Steps two copies from the same start.  The reference samples every
+    step, clearing the samples first, as each machine did before sampling
+    followed the telemetry cadence.  The other samples only on the steps a
+    simulator logs (`TELEMETRY_EVERY`), clearing them on those alone.
+    After every step both have the same result, state and terrain bytes;
+    after a logged step, the same samples.
+
+    make() -> (terrain, states, step(k) -> result); perturb(states, k)
+    runs on both copies before step k.  Returns the first Succeeded or
+    Failed result, else the last."""
+    ref_h, ref_states, ref_step = make()
+    h, states, step = make()
+    for k in range(max_steps):
+        logged = (k + 1) % TELEMETRY_EVERY == 0
+        if perturb is not None:
+            perturb(ref_states, k)
+            perturb(states, k)
+        for ref_state, state in zip(ref_states, states):
+            ref_state.clear_samples()
+            state.sampling = logged
+            if logged:
+                state.clear_samples()
+        expected, got = ref_step(k), step(k)
+        assert repr(got) == repr(expected), k
+        assert h.elevation.tobytes() == ref_h.elevation.tobytes(), k
+        for ref_state, state in zip(ref_states, states):
+            assert _state_bits(state) == _state_bits(ref_state), k
+            if logged:
+                assert _sample_bits(state) == _sample_bits(ref_state), k
+        if got[0] in (SUCCEEDED, FAILED):
+            return got
+    return got
+
+
+def _dig_world():
+    h = flat_field(height=2.0)
+    spec, state = machine(h=h)
+    # off the machine's axis, so that the swing moves
+    traj = SweptCut(points=[(12.0, 10.8, 1.85, 0.5), (12.9, 11.3, 1.85, 0.5)],
+                    width=spec.bucket_width, max_depth=0.3)
+    execution = DigExecution(spec, traj)
+    return h, [state], lambda k: execution.step(state, h, SOIL, DT)
+
+
+def test_dig_samples_on_the_cadence_like_every_step():
+    assert _step_both(_dig_world, 20000)[0] == SUCCEEDED
+
+
+@pytest.mark.parametrize("fail_at", [399, 404])
+def test_dig_ik_failure_mid_cut_samples_like_every_step(fail_at):
+    # the cut runs from step 290 to 822; moving the machine 6 m back puts
+    # the trajectory out of reach, on a logged step (399) or not (404)
+    def perturb(states, k):
+        if k == fail_at:
+            states[0].x -= 6.0
+
+    assert _step_both(_dig_world, 20000, perturb) == (FAILED, 0.0)
+
+
+def _arm_dump_world(to_truck, unreachable_from=None):
+    def make():
+        h = flat_field()
+        spec, state = machine(h=h)
+        state.payload_kg = 80.0
+        truck_spec, truck = machine("dumptruck", x=12.8, y=11.5,
+                                    heading=1.0, h=h)
+        execution = ArmDumpExecution(spec)
+
+        def step(k):
+            if to_truck:
+                return execution.step(state, h, SOIL, DT, truck_state=truck,
+                                      truck_spec=truck_spec)
+            far = unreachable_from is not None and k >= unreachable_from
+            return execution.step(state, h, SOIL, DT,
+                                  point=(40.0, 40.0) if far else (8.0, 12.5))
+        return h, [state, truck], step
+    return make
+
+
+def test_arm_dump_into_truck_samples_on_the_cadence_like_every_step():
+    status, released, into_truck, _, _ = _step_both(
+        _arm_dump_world(to_truck=True), 5000)
+    assert status == SUCCEEDED and into_truck and released > 0.0
+
+
+def test_arm_dump_at_point_samples_on_the_cadence_like_every_step():
+    status, released, into_truck, _, _ = _step_both(
+        _arm_dump_world(to_truck=False), 5000)
+    assert status == SUCCEEDED and not into_truck and released > 0.0
+
+
+@pytest.mark.parametrize("fail_at", [119, 123])
+def test_arm_dump_ik_failure_samples_like_every_step(fail_at):
+    result = _step_both(_arm_dump_world(False, unreachable_from=fail_at),
+                        5000)
+    assert result == (FAILED, 0.0, False, 0.0, 0.0)
+
+
+def test_bed_dump_samples_on_the_cadence_like_every_step():
+    def make():
+        h = flat_field()
+        spec, state = machine("dumptruck", h=h)
+        state.payload_kg = 200.0
+        execution = BedDumpExecution(spec)
+        return h, [state], lambda k: execution.step(state, h, SOIL, DT)
+
+    assert _step_both(make, 10000)[0] == SUCCEEDED
+
+
+def test_level_run_samples_on_the_cadence_like_every_step():
+    def make():
+        h = flat_field()
+        spec, state = machine(x=5.0, h=h)
+        execution = LevelRunExecution(spec, (6.0, 10.0), (9.0, 10.0), 1.92)
+        return h, [state], lambda k: execution.step(state, h, SOIL, DT)
+
+    assert _step_both(make, 10000)[0] == SUCCEEDED
+
+
+def test_locomotion_samples_on_the_cadence_like_every_step():
+    # a slope under a loaded truck, a turn in place, a final heading, then
+    # an empty route: every branch that sets track samples
+    statuses = set()
+
+    def make():
+        n, cs = 48, 0.5
+        h = Heightfield(n, n, cs, elevation=np.fromfunction(
+            lambda i, j: 2.0 + 0.12 * i * cs - 0.05 * j * cs, (n, n)))
+        spec, state = machine("dumptruck", x=6.0, y=6.0, h=h)
+        state.payload_kg = 300.0
+        route = [(11.0, 7.0), (10.0, 11.0, math.pi)]
+        index = [0]
+
+        def step(k):
+            status, index[0] = step_locomotion(
+                state, spec, route if k < 4000 else [], index[0], h, SOIL,
+                DT)
+            statuses.add(status)
+            return status, index[0]
+        return h, [state], step
+
+    assert _step_both(make, 4050) == (IDLE, 1)
+    assert statuses == {DRIVE_RUNNING, ARRIVED, IDLE}

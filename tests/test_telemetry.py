@@ -1,4 +1,6 @@
+import math
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -318,6 +320,86 @@ def test_write_samples_csv_equals_text(tmp_path, case):
                              "0.2,m1,boom,-3.5,1e+300,-0.0,Idle"]
 
 
+def _reference_csv_text(log):
+    """samples.csv as the per-row f-string wrote it, one `repr` per float."""
+    names = log.names
+    return SAMPLE_CSV_HEADER + "\n" + "".join(
+        f"{t!r},{names[m]},{names[j]},{tq!r},{om!r},{kg!r},{names[s]}\n"
+        for t, m, j, tq, om, kg, s in zip(
+            log.sim_time, log.machine, log.joint, log.torque, log.omega,
+            log.payload_kg, log.skill_state))
+
+
+_QUIET_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, _QUIET_NAN, math.inf, -math.inf,
+            5e-324, -5e-324, 1e-310, 2.5, -2.5, 0.1]
+
+
+def test_sample_csv_memo_writes_what_the_row_format_wrote(tmp_path):
+    # equal floats that print differently (0.0, -0.0) share chunks and
+    # rows in both orders; every value repeats across chunk boundaries
+    n = len(_SPECIAL)
+    rng = random.Random(5)
+    samples = [sample(_SPECIAL[k % n], joint=("boom", "stick")[k % 2],
+                      torque=_SPECIAL[(3 * k + 1) % n],
+                      omega=_SPECIAL[(5 * k + 2) % n],
+                      payload=rng.choice(_SPECIAL),
+                      machine=("m1", "m2")[k % 3 == 0])
+               for k in range(2 * SAMPLE_CSV_CHUNK + 7)]
+    expected = _reference_csv_text(SampleLog.of(samples))
+    assert samples_csv_text(samples) == expected
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, samples)
+    assert path.read_text() == expected
+
+
+def _extend_rows(log, sim_time, machine, rows, payload_kg, skill_state):
+    """SampleLog.extend as it took (joint, torque, omega) row triples."""
+    joints, torques, omegas = tuple(zip(*rows)) or ((), (), ())
+    n = len(joints)
+    code = log._code
+    log.joint.fromlist(list(map(code, joints)))
+    log.torque.fromlist(list(torques))
+    log.omega.fromlist(list(omegas))
+    log.sim_time.fromlist([sim_time] * n)
+    log.payload_kg.fromlist([payload_kg] * n)
+    log.machine.fromlist([code(machine)] * n)
+    log.skill_state.fromlist([code(skill_state)] * n)
+
+
+def _columns(log):
+    return (log.names, [col.tobytes() for col in (
+        log.sim_time, log.torque, log.omega, log.payload_kg, log.machine,
+        log.joint, log.skill_state)])
+
+
+def test_column_extend_builds_the_columns_the_rows_built():
+    rng = random.Random(9)
+    tuples = [ACTUATORS, ("stick", "boom"), ("boom", "stick"), ("boom",),
+              ("bed",), ()]
+    by_columns, by_rows = SampleLog(), SampleLog()
+    for k in range(300):
+        joints = rng.choice(tuples)
+        torques = [rng.choice(_SPECIAL + [rng.uniform(-1e4, 1e4)])
+                   for _ in joints]
+        omegas = [rng.choice(_SPECIAL) for _ in joints]
+        machine = rng.choice(["m2", "m1"])
+        state = rng.choice(["Idle", "dig", "drive"])
+        by_columns.extend(0.1 * k, machine, joints, torques, omegas,
+                          k * 0.5, state)
+        _extend_rows(by_rows, 0.1 * k, machine,
+                     list(zip(joints, torques, omegas)), k * 0.5, state)
+    assert _columns(by_columns) == _columns(by_rows)
+
+    samples = list(by_rows)
+    of_rows = SampleLog()
+    for s in samples:
+        _extend_rows(of_rows, s.sim_time, s.machine,
+                     [(s.joint, s.torque, s.omega)], s.payload_kg,
+                     s.skill_state)
+    assert _columns(SampleLog.of(samples)) == _columns(of_rows)
+
+
 def test_collector_retains_few_bytes_per_sample_row():
     # a TelemetrySample object per row retained about 200 bytes
     joints = ("swing", "boom", "stick", "bucket", "track_left", "track_right")
@@ -327,10 +409,11 @@ def test_collector_retains_few_bytes_per_sample_row():
         before = tracemalloc.get_traced_memory()[0]
         k = 0
         for n in range(20_000 // len(joints)):
-            rows = [(joint, 0.5 * (k + i), -0.25 * (k + i))
-                    for i, joint in enumerate(joints)]
+            torques = [0.5 * (k + i) for i in range(len(joints))]
+            omegas = [-0.25 * (k + i) for i in range(len(joints))]
             k += len(joints)
-            collector.samples.extend(0.1 * n, "m1", rows, 0.1 * n, "Running")
+            collector.samples.extend(0.1 * n, "m1", joints, torques, omegas,
+                                     0.1 * n, "Running")
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -164,6 +164,12 @@ def test_surface_at_raises_on_the_upper_bound_where_height_at_does_not():
         h.surface_at(top_x, mid_y)
 
 
+def test_in_cells_is_where_surface_at_is_defined():
+    for x, y in _edge_points(_GRID):
+        assert _GRID.in_cells(x, y) \
+            == (_outcome(_GRID.surface_at, x, y) != "OutOfBounds"), (x, y)
+
+
 @given(st.floats(-1.4, 1.35), st.floats(2.0, 4.0))
 @settings(max_examples=300, deadline=None)
 def test_surface_and_height_match_reference_at_random_points(x, y):
