@@ -251,6 +251,10 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     """Runs a scenario with its planner in this process (loopback) or in a
     child process in TCP lockstep (tcp, which needs config_path).
 
+    With out_dir, samples.csv is written there as the run goes and the
+    other artifacts when it ends; the report's wall time covers all of
+    them but report.json.
+
     observer(sim, loop, status), when given, is called after every planner
     tick; test harnesses use it for fault injection and tree
     introspection.  It needs the planner loop in this process, so it is
@@ -262,88 +266,101 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         if observer is not None:
             raise ValueError("an observer needs loopback mode")
     snap = load_snapshot(snapshot) if snapshot else None
+    out = Path(out_dir) if out_dir else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
     sim_bus = Bus(machine_ids=_bus_ids(config))
-    collector = TelemetryCollector(sim_bus)
-    sim = Simulator(config, sim_bus, collector.samples,
-                    terrain=snap["terrain"] if snap else None,
-                    machine_states=snap["machines"] if snap else None)
-    if snap:
-        sim.sim_time = snap["sim_time"]
-    cell_index = snap["cell_index"] if snap else 0
-    if mode == "tcp":
-        link = _ChildLink(config, config_path, sim_bus, overrides, snapshot)
-    else:
-        link = _InProcessLink(config, sim_bus,
-                              sim.terrain if snap else None, cell_index)
-    period = float(config.planner.get("period", PLANNER_PERIOD))
-    steps_per_tick = max(1, round(period / config.timestep))
-
-    start_wall = time.perf_counter()
-    complete = False
-    deadlocked = False
-    error = None
-    planner_state = {"mean_tick_seconds": 0.0, "cell_switch_times": [],
-                     "cell_index": cell_index, "bus_dropped": 0,
-                     "bus_errors": 0}
-    end_time = sim.sim_time + config.max_sim_time
-    last_sig = None
-    last_change = sim.sim_time
-    digits = _signature_digits(sim)
+    collector = TelemetryCollector(sim_bus, config.timestep * TELEMETRY_EVERY,
+                                   out / "samples.csv" if out else None)
     try:
-        while sim.sim_time < end_time - 1e-9:
-            for _ in range(steps_per_tick):
-                sim.step()
-            planner_state = link.tick(sim.sim_time)
-            # drain every tick so long runs do not overflow the bounded
-            # subscription queues
-            collector.drain()
-            if observer is not None:
-                observer(sim, link.loop, NodeStatus[planner_state["status"]])
-            if planner_state["status"] == SUCCESS.name:
-                complete = True
-                break
-            sig = _progress_signature(sim, planner_state["cell_index"])
-            if _progressed(last_sig, sig, digits):
-                last_sig = sig
-                last_change = sim.sim_time
-            elif sim.sim_time - last_change > config.deadlock_window:
-                deadlocked = True
-                break
-    except Exception as exc:               # report with partial artifacts
-        error = f"{type(exc).__name__}: {exc}"
-    finally:
-        link.close()
-    wall = time.perf_counter() - start_wall
-    sim.flush_terrain()
-    collector.drain()
+        sim = Simulator(config, sim_bus, collector.samples,
+                        terrain=snap["terrain"] if snap else None,
+                        machine_states=snap["machines"] if snap else None)
+        if snap:
+            sim.sim_time = snap["sim_time"]
+        cell_index = snap["cell_index"] if snap else 0
+        if mode == "tcp":
+            link = _ChildLink(config, config_path, sim_bus, overrides,
+                              snapshot)
+        else:
+            link = _InProcessLink(config, sim_bus,
+                                  sim.terrain if snap else None, cell_index)
+        period = float(config.planner.get("period", PLANNER_PERIOD))
+        steps_per_tick = max(1, round(period / config.timestep))
 
-    report = _finalize(config, sim, collector, wall,
-                       complete=complete, deadlocked=deadlocked, error=error,
-                       mean_tick=planner_state["mean_tick_seconds"],
-                       cell_switches=planner_state["cell_switch_times"],
-                       bus_errors=(len(sim_bus.error_events)
-                                   + planner_state["bus_errors"]),
-                       bus_dropped=(sim_bus.dropped
-                                    + planner_state["bus_dropped"]))
-    if out_dir:
-        _write_outputs(Path(out_dir), report, collector, config, sim,
-                       planner_state["cell_index"])
-    return report
+        start_wall = time.perf_counter()
+        complete = False
+        deadlocked = False
+        error = None
+        planner_state = {"mean_tick_seconds": 0.0, "cell_switch_times": [],
+                         "cell_index": cell_index, "bus_dropped": 0,
+                         "bus_errors": 0}
+        end_time = sim.sim_time + config.max_sim_time
+        last_sig = None
+        last_change = sim.sim_time
+        digits = _signature_digits(sim)
+        try:
+            while sim.sim_time < end_time - 1e-9:
+                for _ in range(steps_per_tick):
+                    sim.step()
+                planner_state = link.tick(sim.sim_time)
+                # drain every tick so long runs do not overflow the bounded
+                # subscription queues, and the cycles' work keeps up
+                collector.drain(sim.sim_time)
+                if observer is not None:
+                    observer(sim, link.loop,
+                             NodeStatus[planner_state["status"]])
+                if planner_state["status"] == SUCCESS.name:
+                    complete = True
+                    break
+                sig = _progress_signature(sim, planner_state["cell_index"])
+                if _progressed(last_sig, sig, digits):
+                    last_sig = sig
+                    last_change = sim.sim_time
+                elif sim.sim_time - last_change > config.deadlock_window:
+                    deadlocked = True
+                    break
+        except Exception as exc:           # report with partial artifacts
+            error = f"{type(exc).__name__}: {exc}"
+        finally:
+            link.close()
+        sim.flush_terrain()
+        collector.drain(sim.sim_time)
+
+        report = _finalize(config, sim, collector, complete=complete,
+                           deadlocked=deadlocked, error=error,
+                           mean_tick=planner_state["mean_tick_seconds"],
+                           cell_switches=planner_state["cell_switch_times"],
+                           bus_errors=(len(sim_bus.error_events)
+                                       + planner_state["bus_errors"]),
+                           bus_dropped=(sim_bus.dropped
+                                        + planner_state["bus_dropped"]))
+        if out:
+            _write_outputs(out, report, collector, config, sim,
+                           planner_state["cell_index"])
+        report.wall_time = time.perf_counter() - start_wall
+        report.realtime_factor = report.sim_time / report.wall_time
+        if out:
+            (out / "report.json").write_text(
+                json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        return report
+    finally:
+        collector.samples.close()
 
 
 # -- artifacts ---------------------------------------------------------------
 
 def _finalize(config: ScenarioConfig, sim: Simulator,
-              collector: TelemetryCollector, wall: float, *, complete: bool,
+              collector: TelemetryCollector, *, complete: bool,
               deadlocked: bool, error: Optional[str], mean_tick: float,
               cell_switches: list, bus_errors: int,
               bus_dropped: int) -> RunReport:
-    sample_dt = config.timestep * TELEMETRY_EVERY
+    """The run's report; `run()` sets its wall time."""
     cycles = {}
     summary = {}
     fleet = []
     for machine_id in sim.machine_order:
-        records = collector.cycles(machine_id, sample_dt)
+        records = collector.cycles(machine_id)
         if records:
             cycles[machine_id] = records
             summary[machine_id] = summarize(records)
@@ -352,15 +369,12 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
     diggers = [m for m in sim.machine_order
                if dig_start_times(collector.events, m)]
     if diggers:
-        fleet = segment_cycles(collector.samples, collector.events,
-                               diggers[0], sample_dt,
-                               work_machines=sim.machine_order)
+        fleet = segment_cycles(collector, diggers[0], fleet=True)
         if fleet:
             summary["fleet"] = summarize(fleet)
     return RunReport(
-        complete=complete, sim_time=sim.sim_time, wall_time=wall,
+        complete=complete, sim_time=sim.sim_time, wall_time=0.0,
         cycles=cycles, summary=summary, mean_tick_seconds=mean_tick,
-        realtime_factor=sim.sim_time / wall if wall > 0 else 0.0,
         cell_switch_times=cell_switches, fleet_cycles=fleet,
         deadlocked=deadlocked, error=error,
         bus_errors=bus_errors, bus_dropped=bus_dropped,
@@ -372,7 +386,6 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
 def _write_outputs(out_dir: Path, report: RunReport,
                    collector: TelemetryCollector, config: ScenarioConfig,
                    sim: Simulator, cell_index: int) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_cycles = [r for machine_id in sorted(report.cycles)
                   for r in report.cycles[machine_id]]
     write_cycles_csv(out_dir / "cycles.csv", all_cycles)
@@ -385,6 +398,4 @@ def _write_outputs(out_dir: Path, report: RunReport,
         fh.write("sim_time,event\n")
         for t, label in sorted(events):
             fh.write(f"{t!r},{label}\n")
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True))
     save_snapshot(out_dir / "snapshot.json", sim, cell_index)

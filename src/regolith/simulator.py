@@ -91,7 +91,7 @@ class SkillRunner:
         action = payload.get("action")
         if payload.get("cancel"):
             if action == self.action and payload.get("id") == self.command_id:
-                self._clear()
+                self._finish("Failed", {"error": "cancelled"})
             return
         if action not in SKILL_ACTIONS:
             self.sim.bus.report_error(
@@ -102,7 +102,7 @@ class SkillRunner:
             self._finish("Failed", {"error": "machine unavailable"})
             return
         if self.action is not None:
-            self._clear()                   # preempt
+            self._finish("Failed", {"error": "preempted"})
         try:
             self._start(action, payload.get("params") or {})
         except (KeyError, ValueError, TypeError) as exc:

@@ -1,15 +1,14 @@
-"""Work and cycle telemetry: per-step actuator samples, positive-work
-integration, dig-cycle segmentation, summary statistics, and CSV export."""
+"""Work and cycle telemetry: actuator samples streamed to samples.csv,
+positive work summed per dig cycle as the run goes, cycle segmentation,
+summary statistics, and CSV export."""
 
 from __future__ import annotations
 
-import io
 import statistics
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
-
-import numpy as np
+from operator import mul
+from typing import Iterable
 
 from ..bus import split_topic
 
@@ -20,26 +19,14 @@ CYCLE_CSV_HEADER = ("cycle,machine,loaded_kg,spilled_kg,duration_s,work_J,"
 SAMPLE_CSV_HEADER = ("sim_time,machine,joint,torque_Nm,omega_rad_s,"
                      "payload_kg,skill_state")
 
-#: Rows formatted per write when exporting the sample log.  A chunk's text
-#: and its memo of formatted floats are held until the write, so the chunk
-#: size bounds the writer's transient memory.
+#: Rows buffered per write of samples.csv.  A chunk's columns, text and
+#: memo of formatted floats are all the log holds of them, so the chunk
+#: size bounds the log's memory.
 SAMPLE_CSV_CHUNK = 1024
 
 #: Skill action → task-time bucket of the cycle breakdown.
 TASK_BUCKETS = {"dig": "dig", "drive": "drive", "dump": "dump",
                 "beddump": "dump", "level": "dig"}
-
-
-@dataclass
-class TelemetrySample:
-    """One actuator reading: a single joint of a machine at one instant."""
-    sim_time: float
-    machine: str
-    joint: str
-    torque: float            # N*m
-    omega: float             # rad/s
-    payload_kg: float
-    skill_state: str
 
 
 @dataclass
@@ -71,124 +58,102 @@ class WorkCycleRecord:
 
 
 class SampleLog:
-    """Actuator readings in arrival order, one column per field.
+    """Actuator readings as the simulator logs them, in time order.
 
-    The float columns are `array('d')`; machine, joint and skill state are
-    codes into one table of names, so a row costs 38 bytes and no Python
-    object.  Indexing returns a `TelemetrySample` view of one row.  While a
-    numpy view of a column is alive the column cannot grow, so views stay
-    local to the functions that read them.
+    Every row is counted.  Given a path, the log writes samples.csv there
+    as rows arrive: it buffers them one column per field, the floats as
+    `array('d')`, and writes each `SAMPLE_CSV_CHUNK` rows as they fill.
+    Without a path no row is kept.  Each `extend` is also held as one entry
+    until `take` hands it to the collector, which sums its work.
     """
 
-    def __init__(self):
+    def __init__(self, path=None):
+        self.rows = 0
+        #: (sim_time, machine, joints, torques, omegas) per extend call not
+        #: yet taken, in logging order
+        self.held: list[tuple] = []
         self.sim_time = array("d")
         self.torque = array("d")
         self.omega = array("d")
         self.payload_kg = array("d")
-        self.machine = array("H")
-        self.joint = array("H")
-        self.skill_state = array("H")
-        self.names: list[str] = []
-        self._codes: dict[str, int] = {}
-        self._joint_codes: dict[tuple, list[int]] = {}
-
-    @classmethod
-    def of(cls, samples: Iterable[TelemetrySample]) -> "SampleLog":
-        """The log itself, or a new log holding the samples in order."""
-        if isinstance(samples, SampleLog):
-            return samples
-        log = cls()
-        for s in samples:
-            log.extend(s.sim_time, s.machine, (s.joint,), [s.torque],
-                       [s.omega], s.payload_kg, s.skill_state)
-        return log
-
-    def _code(self, name: str) -> int:
-        code = self._codes.get(name)
-        if code is None:
-            code = self._codes[name] = len(self.names)
-            self.names.append(name)
-        return code
+        self.machine: list[str] = []
+        self.joint: list[str] = []
+        self.skill_state: list[str] = []
+        self._file = None
+        if path is not None:
+            self._file = open(path, "w")
+            self._file.write(SAMPLE_CSV_HEADER + "\n")
 
     def extend(self, sim_time: float, machine: str, joints: tuple,
                torques: list, omegas: list, payload_kg: float,
                skill_state: str) -> None:
-        """Appends one row per name of joints, all read at sim_time on
-        machine; torques and omegas are the rows' columns, in joint order.
-        The joints' codes are looked up once per distinct tuple."""
-        codes = self._joint_codes.get(joints)
-        if codes is None:
-            codes = self._joint_codes[joints] = list(map(self._code, joints))
-        n = len(codes)
-        code = self._code
+        """Logs one row per name of joints, all read at sim_time on
+        machine; torques and omegas are the rows' columns, in joint order."""
+        n = len(joints)
+        self.rows += n
+        self.held.append((sim_time, machine, joints, torques, omegas))
+        if self._file is None:
+            return
         # one fromlist per column: the cheapest way to grow an array
-        self.joint.fromlist(codes)
         self.torque.fromlist(torques)
         self.omega.fromlist(omegas)
         self.sim_time.fromlist([sim_time] * n)
         self.payload_kg.fromlist([payload_kg] * n)
-        self.machine.fromlist([code(machine)] * n)
-        self.skill_state.fromlist([code(skill_state)] * n)
+        self.joint += joints
+        self.machine += [machine] * n
+        self.skill_state += [skill_state] * n
+        if len(self.sim_time) >= SAMPLE_CSV_CHUNK:
+            self._write_rows()
 
     def __len__(self) -> int:
-        return len(self.sim_time)
+        return self.rows
 
-    def __getitem__(self, i: int) -> TelemetrySample:
-        names = self.names
-        return TelemetrySample(
-            self.sim_time[i], names[self.machine[i]], names[self.joint[i]],
-            self.torque[i], self.omega[i], self.payload_kg[i],
-            names[self.skill_state[i]])
+    def take(self, before: float) -> list[tuple]:
+        """Removes and returns the held entries read before `before`.  Rows
+        are logged in time order, so these lead the held list."""
+        held = self.held
+        k = 0
+        while k < len(held) and held[k][0] < before:
+            k += 1
+        self.held = held[k:]
+        return held[:k]
 
-    def span_work(self, machines, bounds: list[float],
-                  dt: float) -> list[dict]:
-        """Per-joint positive work of the machines' rows in each time span
-        [bounds[k], bounds[k + 1]), the rows taken in time order (ties in
-        arrival order)."""
-        codes = [self._codes[m] for m in machines if m in self._codes]
-        rows = np.flatnonzero(
-            np.isin(np.frombuffer(self.machine, np.uint16), codes))
-        times = np.frombuffer(self.sim_time)[rows]
-        order = np.argsort(times, kind="stable")
-        cuts = np.searchsorted(times, bounds, "left", sorter=order).tolist()
-        rows = rows[order]
-        return [self._work(rows[lo:hi], dt)
-                for lo, hi in zip(cuts[:-1], cuts[1:])]
+    def _write_rows(self) -> None:
+        """Writes the buffered rows, each float as `repr` gives it, and
+        empties the buffer.  Each distinct float is formatted once: the
+        memo is keyed by the float's 8-byte pattern, so values that compare
+        equal but print differently (0.0 and -0.0) keep their own text."""
+        floats = (self.sim_time, self.torque, self.omega, self.payload_kg)
+        keys = [array("Q", col.tobytes()) for col in floats]
+        distinct = {}
+        for key, col in zip(keys, floats):
+            distinct.update(zip(key, col))
+        text = {key: repr(value) for key, value in distinct.items()}
+        times, torques, omegas, payloads = (map(text.__getitem__, key)
+                                            for key in keys)
+        self._file.write("".join(
+            f"{t},{m},{j},{tq},{om},{kg},{s}\n"
+            for t, m, j, tq, om, kg, s in zip(
+                times, self.machine, self.joint, torques, omegas, payloads,
+                self.skill_state)))
+        for col in (*floats, self.machine, self.joint, self.skill_state):
+            del col[:]
 
-    def _work(self, rows: np.ndarray, dt: float) -> dict:
-        """W += max(tau*omega, 0)*dt per joint over the rows, in row order
-        from 0.0, keyed in order of each joint's first row."""
-        joints = np.frombuffer(self.joint, np.uint16)[rows]
-        with np.errstate(all="ignore"):     # overflow to inf, as floats do
-            power = np.frombuffer(self.torque)[rows] \
-                * np.frombuffer(self.omega)[rows]
-            energy = np.where(power > 0.0, power * dt, 0.0)
-        # bincount adds each joint's weights one by one in row order: the
-        # same sums as a loop over the rows
-        totals = np.bincount(joints, weights=energy,
-                             minlength=len(self.names))
-        codes, first = np.unique(joints, return_index=True)
-        return {self.names[c]: float(totals[c])
-                for c in codes[np.argsort(first)].tolist()}
-
-
-def integrate_work(samples: Iterable[TelemetrySample], dt: float) -> dict:
-    """Cumulative positive actuator work per joint: W += max(tau*omega,0)*dt.
-
-    Braking (negative power) and zero-velocity holds contribute nothing.
-    """
-    log = SampleLog.of(samples)
-    return log._work(np.arange(len(log)), dt)
+    def close(self) -> None:
+        """Writes the buffered rows and closes samples.csv, if open."""
+        if self._file is not None:
+            self._write_rows()
+            self._file.close()
+            self._file = None
 
 
-def _skill_intervals(events: list[SkillEvent]) -> list[tuple]:
-    """(start, end, action) spans from Running→terminal event pairs; a still
-    open activation is closed at the last event time."""
+def _skill_intervals(events: list[SkillEvent], last_time: float) -> list:
+    """(start, end, action) spans from Running→terminal event pairs, the
+    events in (sim_time, activation_id) order; a still open activation is
+    closed at last_time, the machine's last event time."""
     intervals = []
     open_at: dict[tuple, float] = {}
-    last_time = 0.0
-    for ev in sorted(events, key=lambda e: (e.sim_time, e.activation_id)):
-        last_time = max(last_time, ev.sim_time)
+    for ev in events:
         key = (ev.machine, ev.action, ev.activation_id)
         if ev.state == "Running":
             open_at.setdefault(key, ev.sim_time)
@@ -216,37 +181,34 @@ def dig_start_times(events: Iterable[SkillEvent], machine: str) -> list[float]:
     return starts
 
 
-def segment_cycles(samples: Iterable[TelemetrySample],
-                   events: Iterable[SkillEvent], machine: str, dt: float,
-                   work_machines: Optional[list] = None
-                   ) -> list[WorkCycleRecord]:
+def segment_cycles(collector: "TelemetryCollector", machine: str,
+                   fleet: bool = False) -> list[WorkCycleRecord]:
     """One record per dig-start → next dig-start span for one machine.
 
     Loaded mass comes from dig completion reports, spilled mass from any
-    completion report inside the span, work from positive-power
-    integration over the span's samples, and the task breakdown from the
+    completion report inside the span, work from the positive work the
+    collector summed over the span's rows, and the task breakdown from the
     skill activity intervals; time in no skill counts as waiting.  The
     trailing span with no terminating dig start is dropped: events.csv
     still lists its dig start.
 
-    work_machines widens the work integration (only) to other machines'
-    actuators, e.g. to charge a hauler's transit work to the digging
-    machine's cycles.
+    fleet charges every machine's actuator work to the spans, e.g. a
+    hauler's transit work to the digging machine's cycles.
     """
-    dig_starts = dig_start_times(events, machine)
+    dig_starts = dig_start_times(collector.events, machine)
     if len(dig_starts) < 2:
         return []
-    works = set(work_machines) if work_machines else {machine}
-    events = sorted((e for e in events if e.machine == machine),
-                    key=lambda e: (e.sim_time, e.activation_id))
-    span_work = SampleLog.of(samples).span_work(works, dig_starts, dt)
-    intervals = _skill_intervals(events)
+    events = [e for e in collector.events if e.machine == machine]
+    span_work = collector.span_work[(machine, fleet)]
+    intervals = _skill_intervals(events, collector.last_event_time[machine])
 
     records = []
     for k in range(len(dig_starts) - 1):
         lo, hi = dig_starts[k], dig_starts[k + 1]
         duration = hi - lo
-        actuator_work = span_work[k]
+        # a numpy-scalar torque leaves its joint's sum a numpy scalar
+        actuator_work = {joint: float(work)
+                         for joint, work in span_work[k].items()}
         loaded = spilled = 0.0
         for ev in events:
             if not (lo <= ev.sim_time < hi) or ev.state != "Succeeded":
@@ -300,85 +262,108 @@ def cycles_csv_text(records: list[WorkCycleRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_sample_rows(fh, log: SampleLog) -> None:
-    """Each row as `repr` gives its floats.  Within a chunk each distinct
-    float is formatted once: the memo is keyed by the float's 8-byte
-    pattern, so values that compare equal but print differently (0.0 and
-    -0.0) keep their own text."""
-    fh.write(SAMPLE_CSV_HEADER + "\n")
-    name = log.names.__getitem__
-    for lo in range(0, len(log), SAMPLE_CSV_CHUNK):
-        hi = lo + SAMPLE_CSV_CHUNK
-        floats = [col[lo:hi] for col in (log.sim_time, log.torque,
-                                          log.omega, log.payload_kg)]
-        keys = [array("Q", col.tobytes()) for col in floats]
-        distinct = {}
-        for key, col in zip(keys, floats):
-            distinct.update(zip(key, col))
-        text = {key: repr(value) for key, value in distinct.items()}
-        times, torques, omegas, payloads = (map(text.__getitem__, key)
-                                            for key in keys)
-        fh.write("".join(
-            f"{t},{m},{j},{tq},{om},{kg},{s}\n"
-            for t, m, j, tq, om, kg, s in zip(
-                times, map(name, log.machine[lo:hi]),
-                map(name, log.joint[lo:hi]), torques, omegas, payloads,
-                map(name, log.skill_state[lo:hi]))))
-
-
-def samples_csv_text(samples: Iterable[TelemetrySample]) -> str:
-    buf = io.StringIO()
-    _write_sample_rows(buf, SampleLog.of(samples))
-    return buf.getvalue()
-
-
 def write_cycles_csv(path, records: list[WorkCycleRecord]) -> None:
     with open(path, "w") as fh:
         fh.write(cycles_csv_text(records))
 
 
-def write_samples_csv(path, samples: Iterable[TelemetrySample]) -> None:
-    """Writes samples.csv a chunk of rows at a time."""
-    with open(path, "w") as fh:
-        _write_sample_rows(fh, SampleLog.of(samples))
+def write_samples_csv(path, samples: SampleLog) -> None:
+    """Completes samples.csv at path, which the log has written since the
+    run began: writes the rows still buffered and closes the file."""
+    samples.close()
 
 
 class TelemetryCollector:
-    """The run's sample log and its skill event log.
+    """The run's sample log, its skill events and its dig cycles' work.
 
     The simulator appends actuator readings to `samples` directly.  Skill
     status transitions arrive on `/{machine}/skill/{action}`; the collector
     subscribes on the simulator-side bus, so the events are independent of
     the planner transport.
+
+    Each drain sorts what arrived by (sim_time, activation_id).  An event
+    stamped T is published during the step that starts at T, so the drains
+    come in the global order, and a drain at `now` has every event stamped
+    before now.  A row read at t belongs to the machine's dig cycle that
+    starts at or before t and ends after it; a dig start stamped now may
+    still come, so a drain assigns only the held rows read before now.
+    Per digging machine the collector sums each joint's positive work,
+    W += max(tau*omega, 0)*dt row by row from 0.0, over the open cycle,
+    once for the machine's own actuators and once for the fleet's; the
+    next dig start closes the cycle.  Of the events it keeps
+    the first Running of each activation and the terminal ones, and each
+    machine's last event time, which is where open activations end.
     """
 
-    def __init__(self, bus):
+    def __init__(self, bus, sample_dt: float, samples_path=None):
         self.sub_skill = bus.subscribe_category("skill")
-        self.samples = SampleLog()
+        self.samples = SampleLog(samples_path)
+        self.sample_dt = sample_dt
         self.events: list[SkillEvent] = []
+        self.last_event_time: dict[str, float] = {}
+        #: (machine, fleet) -> per-joint work of each of the machine's dig
+        #: cycles, the last one still open
+        self.span_work: dict[tuple, list[dict]] = {}
+        self._running: set[tuple] = set()
+        self._dig_ids: set[tuple] = set()
 
-    def drain(self) -> None:
+    def drain(self, now: float) -> None:
+        """Takes the skill events that arrived, then the rows read before
+        now, the simulator's current time."""
+        arrived = []
         while True:
             batch = self.sub_skill.poll(256)
             if not batch:
                 break
             for env in batch:
                 machine, _, action = split_topic(env.topic)
-                self.events.append(SkillEvent(
+                arrived.append(SkillEvent(
                     sim_time=env.sim_time, machine=machine, action=action,
                     state=env.payload.get("state", ""),
                     activation_id=int(env.payload.get("id", 0)),
                     payload=dict(env.payload)))
+        arrived.sort(key=lambda e: (e.sim_time, e.activation_id))
+        for ev in arrived:
+            self.last_event_time[ev.machine] = ev.sim_time
+            key = (ev.machine, ev.action, ev.activation_id)
+            if ev.state != "Running":
+                self._running.discard(key)
+            elif key in self._running:
+                continue                    # a heartbeat
+            else:
+                self._running.add(key)
+                dig = (ev.machine, ev.activation_id)
+                if ev.action == "dig" and dig not in self._dig_ids:
+                    self._dig_ids.add(dig)        # closes the open cycle
+                    self._assign(ev.sim_time)
+                    for fleet in (False, True):
+                        self.span_work.setdefault((ev.machine, fleet),
+                                                  []).append({})
+            self.events.append(ev)
+        self._assign(now)
 
-    def cycles(self, machine: str, dt: float) -> list[WorkCycleRecord]:
-        return segment_cycles(self.samples, self.events, machine, dt)
+    def _assign(self, before: float) -> None:
+        """Adds the work of the held rows read before `before` to the open
+        cycles: a machine's own cycle takes its rows, a fleet cycle every
+        row."""
+        dt = self.sample_dt
+        for _, machine, joints, torques, omegas in self.samples.take(before):
+            energy = [p * dt if p > 0.0 else 0.0
+                      for p in map(mul, torques, omegas)]
+            for (digger, fleet), spans in self.span_work.items():
+                if fleet or digger == machine:
+                    work = spans[-1]
+                    for joint, e in zip(joints, energy):
+                        work[joint] = work.get(joint, 0.0) + e
+
+    def cycles(self, machine: str) -> list[WorkCycleRecord]:
+        return segment_cycles(self, machine)
 
 
 __all__ = [
     "CYCLE_CSV_HEADER", "SAMPLE_CSV_CHUNK", "SAMPLE_CSV_HEADER",
     "SUMMARY_COLUMNS", "SampleLog", "SkillEvent", "TASK_BUCKETS",
-    "TelemetryCollector", "TelemetrySample", "WorkCycleRecord",
-    "cycles_csv_text", "dig_start_times", "integrate_work",
-    "samples_csv_text", "segment_cycles", "summarize", "write_cycles_csv",
+    "TelemetryCollector", "WorkCycleRecord", "cycles_csv_text",
+    "dig_start_times", "segment_cycles", "summarize", "write_cycles_csv",
     "write_samples_csv",
 ]

@@ -16,8 +16,9 @@ from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
 from regolith.bus import Bus, topic_for
 from regolith.planner import SITE_ID
+import regolith.runner
 from regolith.runner import _finalize, _progressed, run
-from regolith.simulator import Simulator
+from regolith.simulator import TELEMETRY_EVERY, Simulator
 from regolith.telemetry import TelemetryCollector
 from regolith.scenarios import REFERENCE_SCENARIOS, scenario_path
 
@@ -160,7 +161,7 @@ def test_run_reports_drops_on_both_buses():
 def test_report_counts_mass_dumped_off_the_grid():
     config = load_config(scenario_path("scenario1_flat"))
     bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])
-    collector = TelemetryCollector(bus)
+    collector = TelemetryCollector(bus, config.timestep * TELEMETRY_EVERY)
     # backed up to the grid's west edge: the bed empties beyond it
     sim = Simulator(config, bus, collector.samples, machine_states={
         "truck1": {"x": 0.3, "y": 20.0, "heading": 0.0, "payload_kg": 500.0}})
@@ -170,16 +171,33 @@ def test_report_counts_mass_dumped_off_the_grid():
     while sim.runners["truck1"].action is not None:
         assert sim.sim_time < 30.0
         sim.step()
-    collector.drain()
+    collector.drain(sim.sim_time)
     assert collector.events[-1].state == "Succeeded"
     ledger = sim.ledger
     assert sim.machines["truck1"][1].payload_kg == 0.0
     assert ledger.boundary_lost_kg == pytest.approx(500.0, rel=1e-12)
     assert ledger.boundary_lost_kg == ledger.dumped_kg
-    report = _finalize(config, sim, collector, 1.0, complete=False,
+    report = _finalize(config, sim, collector, complete=False,
                        deadlocked=False, error=None, mean_tick=0.0,
                        cell_switches=[], bus_errors=0, bus_dropped=0)
     assert report.to_dict()["boundary_lost_kg"] == ledger.boundary_lost_kg
+
+
+def test_wall_time_covers_the_artifacts(tmp_path, monkeypatch):
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"max_sim_time": 5.0})
+    write_cycles_csv = regolith.runner.write_cycles_csv
+
+    def slow_write(path, records):
+        time.sleep(0.2)
+        write_cycles_csv(path, records)
+
+    monkeypatch.setattr(regolith.runner, "write_cycles_csv", slow_write)
+    report = run(config, out_dir=tmp_path)
+    assert report.wall_time >= 0.2
+    assert report.realtime_factor == report.sim_time / report.wall_time
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["wall_time"] == report.wall_time
 
 
 def test_tcp_run_fails_fast_when_the_child_exits_before_connecting():

@@ -30,10 +30,6 @@ ALLOWLIST = {
     "set_available": "fault-injection hook that run(observer=...) drives",
     "max_region_slope": "the repose-invariant oracle of the acceptance "
                         "criteria",
-    "integrate_work": "work integral of any sample list; tests hold the "
-                      "SampleLog sums to a per-row loop through it",
-    "samples_csv_text": "samples.csv as a string; tests hold the streamed "
-                        "writer to it",
 }
 
 
