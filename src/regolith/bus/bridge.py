@@ -3,8 +3,8 @@
 Direction is fixed by topic category: ``target`` flows planner -> simulator,
 ``telemetry`` and ``skill`` flow simulator -> planner, so no echo-loop
 suppression is needed.  The TCP bridge runs in lockstep with the simulator
-loop: after each planner period the simulator sends its pending envelopes
-plus a sync mark, and waits for the planner's envelopes plus an ack.
+loop: after one hello frame, each planner period the simulator sends its
+pending envelopes plus a sync mark, and waits for the planner's plus an ack.
 """
 
 from __future__ import annotations
@@ -145,6 +145,10 @@ class TcpBridgeServer:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._endpoint = _Endpoint(self.bus, conn)
 
+    def hello(self, payload: dict) -> None:
+        """Sends the planner its start-up payload, before the first sync."""
+        self._endpoint.send([{"_ctl": "hello", **payload}])
+
     def sync(self, sim_time: float) -> dict:
         """One lockstep exchange; returns the planner's ack payload."""
         if self._endpoint is None:
@@ -172,6 +176,10 @@ class TcpBridgeClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._endpoint = _Endpoint(bus, sock)
         self._subs = [bus.subscribe_category(c) for c in PLANNER_TO_SIM]
+
+    def wait_hello(self) -> dict:
+        """Blocks for the simulator's hello frame and returns it."""
+        return self._endpoint.recv_until(("hello",))
 
     def wait_sync(self) -> Optional[float]:
         """Blocks for the next sync mark; None means shutdown."""

@@ -177,6 +177,11 @@ class Bus:
             self._subscribers[category].append(sub)
             return sub
 
+    def set_machine_ids(self, machine_ids: list[str]) -> None:
+        """Restricts topics to these machines from now on."""
+        with self._lock:
+            self._machine_ids = set(machine_ids)
+
     def report_error(self, message: str) -> None:
         with self._lock:
             self.error_events.append(message)

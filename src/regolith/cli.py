@@ -33,22 +33,16 @@ def _resolve_config_path(value: str) -> Path:
 
 def _cmd_run(args) -> int:
     path = _resolve_config_path(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_sim_time is not None:
-        overrides["max_sim_time"] = args.max_sim_time
-    if args.mode is not None:
-        overrides["transport"] = args.mode
+    # load_config skips the None values of flags left unset
+    overrides = {"seed": args.seed, "max_sim_time": args.max_sim_time,
+                 "transport": args.mode}
     try:
         config = load_config(path, overrides=overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     from .runner import run
-    report = run(config, config_path=path, out_dir=args.out,
-                 mode=args.mode, overrides=overrides,
-                 snapshot=args.snapshot)
+    report = run(config, out_dir=args.out, snapshot=args.snapshot)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if report.error:
         return EXIT_ERROR

@@ -239,8 +239,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
     """Parse and validate a scenario JSON file.
 
     `overrides` replaces top-level keys (seed, transport, max_sim_time ...)
-    before validation, so command-line flags participate in the config
-    hash both processes compare.
+    before validation, so command-line flags are part of `raw`, the config
+    a TCP run sends its planner child.
     """
     path = Path(path)
     if not path.exists():

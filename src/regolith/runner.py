@@ -199,17 +199,15 @@ class _InProcessLink:
 class _ChildLink:
     """Planner in a `regolith.planner_proc` child, in TCP lockstep."""
 
-    def __init__(self, config: ScenarioConfig, config_path, sim_bus: Bus,
-                 overrides: Optional[dict], snapshot: Optional[str]):
+    def __init__(self, config: ScenarioConfig, sim_bus: Bus,
+                 snapshot: Optional[str]):
         self.server = TcpBridgeServer(sim_bus)
-        args = [sys.executable, "-m", "regolith.planner_proc",
-                "--config", str(config_path), "--port", str(self.server.port),
-                "--hash", config.config_hash]
-        if overrides:
-            args += ["--overrides", json.dumps(overrides)]
-        if snapshot:
-            args += ["--snapshot", str(snapshot)]
-        self.child = subprocess.Popen(args)
+        self.hello = {"config": config.raw, "base_dir": str(config.base_dir),
+                      "name": config.name,
+                      "snapshot": str(snapshot) if snapshot else None}
+        self.child = subprocess.Popen(
+            [sys.executable, "-m", "regolith.planner_proc",
+             "--port", str(self.server.port)])
         self.connected = False
 
     def tick(self, sim_time: float) -> dict:
@@ -217,6 +215,7 @@ class _ChildLink:
         # driver's error handling and the run keeps its partial artifacts
         if not self.connected:
             self._accept()
+            self.server.hello(self.hello)
             self.connected = True
         return self.server.sync(sim_time)
 
@@ -249,7 +248,10 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         mode: Optional[str] = None, overrides: Optional[dict] = None,
         snapshot: Optional[str] = None, observer=None) -> RunReport:
     """Runs a scenario with its planner in this process (loopback) or in a
-    child process in TCP lockstep (tcp, which needs config_path).
+    child process in TCP lockstep (tcp), which gets config.raw and the
+    snapshot path in a hello frame.  config_path and overrides are ignored
+    (config holds the overrides); they stay because perfbench/child.py
+    passes them, and a change to the benchmark can drop them.
 
     With out_dir, samples.csv is written there as the run goes and the
     other artifacts when it ends; the report's wall time covers all of
@@ -260,11 +262,8 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     introspection.  It needs the planner loop in this process, so it is
     loopback only."""
     mode = mode or config.transport
-    if mode == "tcp":
-        if config_path is None:
-            raise ValueError("tcp mode needs the config file path")
-        if observer is not None:
-            raise ValueError("an observer needs loopback mode")
+    if mode == "tcp" and observer is not None:
+        raise ValueError("an observer needs loopback mode")
     snap = load_snapshot(snapshot) if snapshot else None
     out = Path(out_dir) if out_dir else None
     if out:
@@ -280,8 +279,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
             sim.sim_time = snap["sim_time"]
         cell_index = snap["cell_index"] if snap else 0
         if mode == "tcp":
-            link = _ChildLink(config, config_path, sim_bus, overrides,
-                              snapshot)
+            link = _ChildLink(config, sim_bus, snapshot)
         else:
             link = _InProcessLink(config, sim_bus,
                                   sim.terrain if snap else None, cell_index)

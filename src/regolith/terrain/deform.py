@@ -118,10 +118,10 @@ def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams,
     removed_volume = 0.0
     area = h.cell_size ** 2
     for (i, j), cz in _cut_depth_map(h, cut).items():
-        old = h.elevation[i, j]
+        old = h.elevation.item(i, j)
         floor = old - cut.max_depth
         if target is not None:
-            floor = max(floor, target.elevation[i, j])
+            floor = max(floor, target.elevation.item(i, j))
         new = max(cz, floor)
         if new < old:
             removed_volume += (old - new) * area

@@ -54,6 +54,15 @@ def test_machine_id_checked_when_configured():
         bus.publish("/ghost/target/drive", cmd(), 0.0)
 
 
+def test_machine_ids_set_after_construction_are_checked():
+    # the planner child makes its bus before the hello names the machines
+    bus = Bus()
+    bus.set_machine_ids(["excavator1"])
+    bus.publish("/excavator1/target/drive", cmd(), 0.0)
+    with pytest.raises(TopicError):
+        bus.publish("/ghost/target/drive", cmd(), 0.0)
+
+
 # -- publish / subscribe / poll --------------------------------------------
 
 def test_publish_then_poll():

@@ -14,7 +14,8 @@ import pytest
 import regolith
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
-from regolith.bus import Bus, topic_for
+from regolith import planner_proc
+from regolith.bus import Bus, topic_for, wire
 from regolith.planner import SITE_ID
 import regolith.runner
 from regolith.runner import _finalize, _progressed, run
@@ -200,18 +201,76 @@ def test_wall_time_covers_the_artifacts(tmp_path, monkeypatch):
     assert saved["wall_time"] == report.wall_time
 
 
-def test_tcp_run_fails_fast_when_the_child_exits_before_connecting():
-    path = scenario_path("scenario2_smoke")
-    # the child loads the file without the overrides, so its config hash
-    # differs and it exits with code 3 before it connects
-    config = load_config(path, overrides={"transport": "tcp",
-                                          "max_sim_time": 5.0})
+def test_tcp_run_fails_fast_when_the_child_exits_before_connecting(
+        tmp_path, monkeypatch):
+    # the planner child is started with sys.executable: a script that
+    # exits with code 3 stands in for a child that fails before connecting
+    script = tmp_path / "exit3"
+    script.write_text("#!/bin/sh\nexit 3\n")
+    script.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(script))
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"transport": "tcp", "max_sim_time": 5.0})
     start = time.perf_counter()
-    report = run(config, config_path=path)
+    report = run(config)
     assert time.perf_counter() - start < 10.0
     assert report.error == ("BridgeError: planner child exited with code 3 "
                             "before connecting")
     assert not report.complete
+
+
+ARTIFACTS = ("cycles.csv", "samples.csv", "events.csv")
+
+
+def _artifact_bytes(out) -> dict:
+    return {name: (Path(out) / name).read_bytes() for name in ARTIFACTS}
+
+
+def test_tcp_run_takes_its_overrides_from_the_config_alone(tmp_path):
+    """The planner child gets the resolved config in the hello, so a TCP
+    run needs neither the config file path nor the overrides again."""
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"transport": "tcp", "max_sim_time": 20.0})
+    tcp = run(config, out_dir=tmp_path / "tcp")
+    loopback = run(config, out_dir=tmp_path / "loopback", mode="loopback")
+    assert tcp.error is None and loopback.error is None
+    assert tcp.sim_time == loopback.sim_time
+    assert _artifact_bytes(tmp_path / "tcp") \
+        == _artifact_bytes(tmp_path / "loopback")
+
+
+def test_snapshot_resume_is_the_same_in_both_transports(tmp_path, capsys):
+    first = tmp_path / "A"
+    assert main(["run", "--config", "scenario2_smoke", "--max-sim-time", "20",
+                 "--out", str(first)]) == EXIT_INCOMPLETE
+    resumed = {}
+    for mode in ("loopback", "tcp"):
+        out = tmp_path / f"resumed_{mode}"
+        assert main(["run", "--config", "scenario2_smoke",
+                     "--max-sim-time", "20", "--mode", mode,
+                     "--snapshot", str(first / "snapshot.json"),
+                     "--out", str(out)]) == EXIT_INCOMPLETE
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] is None
+        assert report["sim_time"] == pytest.approx(40.0)
+        resumed[mode] = _artifact_bytes(out)
+    capsys.readouterr()
+    assert resumed["tcp"] == resumed["loopback"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
+def test_hello_carries_the_config_unchanged(name):
+    config = load_config(scenario_path(name))
+    raw = wire.decode(wire.encode(config.raw))
+    assert raw == config.raw
+    again = validate_config(raw, config.base_dir, name=config.name)
+    assert again.config_hash == config.config_hash
+
+
+def test_planner_child_takes_no_config_option():
+    with pytest.raises(SystemExit) as exc:
+        planner_proc.main(["--config", "x", "--port", "1"])
+    assert exc.value.code == 2
 
 
 def test_cli_plots_missing_dir_is_error(tmp_path):

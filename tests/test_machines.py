@@ -236,6 +236,22 @@ def test_dig_conserves_mass_into_bucket():
     assert before - after == pytest.approx(removed, rel=1e-9)
 
 
+def test_dig_keeps_payload_a_plain_float():
+    h = flat_field(height=2.0)
+    spec, state = machine(h=h)
+    traj = SweptCut(points=[(12.0, 10.0, 1.85, 0.5), (13.0, 10.0, 1.85, 0.5)],
+                    width=spec.bucket_width, max_depth=0.3)
+    execution = DigExecution(spec, traj)
+    for _ in range(20000):
+        status, removed = execution.step(state, h, SOIL, DT)
+        assert type(removed) is float
+        assert type(state.payload_kg) is float
+        if status != "Running":
+            break
+    assert status == SUCCEEDED
+    assert state.payload_kg > 10.0
+
+
 def test_dig_fully_above_surface_succeeds_with_zero():
     h = flat_field(height=2.0)
     spec, state = machine(h=h)

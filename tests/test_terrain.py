@@ -231,6 +231,14 @@ def test_excavate_clips_at_target():
     assert removed == pytest.approx(expected * SOIL.bank_density, rel=1e-9)
 
 
+def test_excavate_returns_a_plain_float():
+    h = flat(10, 10, cs=1.0, height=2.0)
+    assert type(excavate_swept(h, prism_cut(z=1.9), SOIL)) is float
+    target = flat(10, 10, cs=1.0, height=1.8)
+    removed = excavate_swept(h, prism_cut(z=0.5), SOIL, target=target)
+    assert type(removed) is float and removed > 0.0
+
+
 def test_excavate_respects_max_depth():
     h = flat(10, 10, height=2.0)
     cut = SweptCut(points=[(4.0, 5.0, 0.0, 0.5), (5.0, 5.0, 0.0, 0.5)],
