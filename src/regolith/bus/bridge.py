@@ -171,7 +171,6 @@ class TcpBridgeClient:
     """Planner-side endpoint."""
 
     def __init__(self, bus: Bus, host: str, port: int, timeout: float = 30.0):
-        self.bus = bus
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._endpoint = _Endpoint(bus, sock)

@@ -65,6 +65,7 @@ class PlannerLoop:
         self.sub_skill = runtime.bus.subscribe_category("skill")
         self.tick_count = 0
         self.tick_seconds_total = 0.0
+        self._switches_reported = 0
         leveling = self.runtime.params.get("leveling")
         if leveling:
             self.blackboard.write("leveling/start_position",
@@ -102,11 +103,17 @@ class PlannerLoop:
 
     def status_report(self, status: NodeStatus) -> dict:
         """The run driver's view of a tick, as JSON-ready data, with the
-        planner bus's drop and error counts so far."""
+        planner bus's drop and error counts so far.  `cell_switch_times`
+        is there only when a cell switch was recorded since the last
+        report; the driver merges each report into the one before."""
         bus = self.runtime.bus
-        return {"status": status.name,
-                "mean_tick_seconds": self.mean_tick_seconds(),
-                "cell_switch_times": list(self.runtime.wm.cell_switch_times),
-                "cell_index": self.runtime.wm.cell_index,
-                "bus_dropped": bus.dropped,
-                "bus_errors": len(bus.error_events)}
+        report = {"status": status.name,
+                  "mean_tick_seconds": self.mean_tick_seconds(),
+                  "cell_index": self.runtime.wm.cell_index,
+                  "bus_dropped": bus.dropped,
+                  "bus_errors": len(bus.error_events)}
+        switches = self.runtime.wm.cell_switch_times
+        if len(switches) != self._switches_reported:
+            self._switches_reported = len(switches)
+            report["cell_switch_times"] = list(switches)
+        return report

@@ -1,8 +1,11 @@
 """Planner child process for two-process runs.
 
-Connects to the simulator's TCP bridge, takes the resolved config and the
-snapshot path from its hello frame, runs the planner loop in lockstep with
-its sync marks, and reports tree status plus planning counters in every ack.
+`serve` connects to the simulator's TCP bridge, takes the resolved config
+and the snapshot path from its hello frame, runs the planner loop in
+lockstep with its sync marks, and reports tree status plus planning
+counters in every ack.  A TCP run forks its planner child from the
+simulator process with `serve` as the target; `main` starts the same
+planner by hand (``python -m regolith.planner_proc --port P``).
 """
 
 from __future__ import annotations
@@ -16,16 +19,13 @@ from .config import validate_config
 from .planner import SITE_ID
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="regolith-planner")
-    ap.add_argument("--port", type=int, required=True)
-    ap.add_argument("--host", default="127.0.0.1")
-    args = ap.parse_args(argv)
-
+def serve(host: str, port: int) -> None:
+    """Plans for the simulator whose bridge listens on host:port, until it
+    sends shutdown or the connection ends."""
     from .runner import build_planner, load_snapshot
 
     bus = Bus()
-    client = TcpBridgeClient(bus, args.host, args.port)
+    client = TcpBridgeClient(bus, host, port)
     try:
         hello = client.wait_hello()
         config = validate_config(hello["config"], Path(hello["base_dir"]),
@@ -42,6 +42,14 @@ def main(argv=None) -> int:
             client.ack(loop.status_report(loop.step(sim_time)))
     finally:
         client.close()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="regolith-planner")
+    ap.add_argument("--port", type=int, required=True)
+    ap.add_argument("--host", default="127.0.0.1")
+    args = ap.parse_args(argv)
+    serve(args.host, args.port)
     return 0
 
 

@@ -5,8 +5,7 @@ stalls, and writes the run artifacts (CSVs, events, report, snapshot)."""
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import planner_proc
 from .bt import NodeStatus, SUCCESS, parse_document, resolve
 from .bus import BridgeError, Bus, LoopbackBridge, TcpBridgeServer
 from .config import ScenarioConfig
@@ -174,7 +174,8 @@ def _progressed(last: Optional[tuple], now: tuple, digits: tuple) -> bool:
 
 # -- planner links -----------------------------------------------------------
 # Once per planner period the run driver calls link.tick(sim_time), which
-# returns PlannerLoop.status_report's dict, and link.close() when it stops.
+# returns PlannerLoop.status_report's dict, merged into the driver's view of
+# the planner, and link.close() when it stops.
 
 class _InProcessLink:
     """Planner loop in this process, on its own bus joined by a bridge."""
@@ -197,7 +198,15 @@ class _InProcessLink:
 
 
 class _ChildLink:
-    """Planner in a `regolith.planner_proc` child, in TCP lockstep."""
+    """Planner in a child process, in TCP lockstep.
+
+    The child is forked from this process with `planner_proc.serve` as its
+    target, so it starts with the interpreter, numpy and regolith already
+    imported (POSIX only).  It still takes its config from the hello frame
+    alone, as a planner started by hand does.  multiprocessing flushes the
+    standard streams before the fork and ends the child with `os._exit`, so
+    the child never flushes buffers it inherited, such as the open
+    samples.csv."""
 
     def __init__(self, config: ScenarioConfig, sim_bus: Bus,
                  snapshot: Optional[str]):
@@ -205,9 +214,9 @@ class _ChildLink:
         self.hello = {"config": config.raw, "base_dir": str(config.base_dir),
                       "name": config.name,
                       "snapshot": str(snapshot) if snapshot else None}
-        self.child = subprocess.Popen(
-            [sys.executable, "-m", "regolith.planner_proc",
-             "--port", str(self.server.port)])
+        self.child = multiprocessing.get_context("fork").Process(
+            target=planner_proc.serve, args=("127.0.0.1", self.server.port))
+        self.child.start()
         self.connected = False
 
     def tick(self, sim_time: float) -> dict:
@@ -229,7 +238,7 @@ class _ChildLink:
                 return
             except TimeoutError:
                 pass
-            code = self.child.poll()
+            code = self.child.exitcode
             if code is not None:
                 raise BridgeError(
                     f"planner child exited with code {code} before connecting")
@@ -238,10 +247,11 @@ class _ChildLink:
 
     def close(self) -> None:
         self.server.shutdown()
-        try:
-            self.child.wait(timeout=30.0)
-        except subprocess.TimeoutExpired:
+        self.child.join(timeout=30.0)
+        if self.child.exitcode is None:
             self.child.kill()
+            self.child.join()
+        self.child.close()
 
 
 def run(config: ScenarioConfig, config_path=None, out_dir=None,
@@ -301,7 +311,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
             while sim.sim_time < end_time - 1e-9:
                 for _ in range(steps_per_tick):
                     sim.step()
-                planner_state = link.tick(sim.sim_time)
+                planner_state.update(link.tick(sim.sim_time))
                 # drain every tick so long runs do not overflow the bounded
                 # subscription queues, and the cycles' work keeps up
                 collector.drain(sim.sim_time)

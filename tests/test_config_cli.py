@@ -15,7 +15,7 @@ import regolith
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
 from regolith import planner_proc
-from regolith.bus import Bus, topic_for, wire
+from regolith.bus import Bus, TcpBridgeClient, topic_for, wire
 from regolith.planner import SITE_ID
 import regolith.runner
 from regolith.runner import _finalize, _progressed, run
@@ -202,13 +202,14 @@ def test_wall_time_covers_the_artifacts(tmp_path, monkeypatch):
 
 
 def test_tcp_run_fails_fast_when_the_child_exits_before_connecting(
-        tmp_path, monkeypatch):
-    # the planner child is started with sys.executable: a script that
-    # exits with code 3 stands in for a child that fails before connecting
-    script = tmp_path / "exit3"
-    script.write_text("#!/bin/sh\nexit 3\n")
-    script.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(script))
+        monkeypatch):
+    # the planner child is forked with planner_proc.serve as its target: a
+    # target that exits with code 3 stands in for a child that fails before
+    # connecting
+    def exit_3(host, port):
+        sys.exit(3)
+
+    monkeypatch.setattr(planner_proc, "serve", exit_3)
     config = load_config(scenario_path("scenario2_smoke"),
                          overrides={"transport": "tcp", "max_sim_time": 5.0})
     start = time.perf_counter()
@@ -217,6 +218,33 @@ def test_tcp_run_fails_fast_when_the_child_exits_before_connecting(
     assert report.error == ("BridgeError: planner child exited with code 3 "
                             "before connecting")
     assert not report.complete
+
+
+def test_tcp_run_fails_fast_when_the_child_exits_after_some_syncs(
+        tmp_path, monkeypatch):
+    """A planner child that dies mid-run ends the run at once with a
+    bridge error and the partial artifacts, not after the sync deadline."""
+    def ack_three_syncs_then_exit(host, port):
+        client = TcpBridgeClient(Bus(), host, port)
+        client.wait_hello()
+        for _ in range(3):
+            client.wait_sync()
+            client.ack({"status": "RUNNING", "cell_index": 0})
+        sys.exit(3)
+
+    monkeypatch.setattr(planner_proc, "serve", ack_three_syncs_then_exit)
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"transport": "tcp", "max_sim_time": 5.0})
+    start = time.perf_counter()
+    report = run(config, out_dir=tmp_path)
+    assert time.perf_counter() - start < 10.0
+    assert report.error.startswith("BridgeError: ")
+    assert not report.complete
+    assert report.sim_time == pytest.approx(0.4)    # the fourth tick failed
+    samples = (tmp_path / "samples.csv").read_text().splitlines()
+    assert samples[0].startswith("sim_time,")
+    assert len(samples) > 1
+    assert not any(line.startswith("sim_time,") for line in samples[1:])
 
 
 ARTIFACTS = ("cycles.csv", "samples.csv", "events.csv")

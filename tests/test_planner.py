@@ -344,6 +344,19 @@ def test_status_report_counts_planner_bus_drops_and_errors():
     assert json.loads(json.dumps(report)) == report
 
 
+def test_status_report_sends_cell_switch_times_only_when_they_change():
+    runtime, bus = make_runtime()
+    loop = PlannerLoop(runtime, Condition("Done", lambda ctx: False))
+    assert "cell_switch_times" not in loop.status_report(loop.step(0.1))
+    runtime.wm.advance_cell(0.2)
+    assert loop.status_report(loop.step(0.2))["cell_switch_times"] == [0.2]
+    assert "cell_switch_times" not in loop.status_report(loop.step(0.3))
+    runtime.wm.advance_cell(0.4)
+    assert loop.status_report(loop.step(0.4))["cell_switch_times"] \
+        == [0.2, 0.4]
+    assert "cell_switch_times" not in loop.status_report(loop.step(0.5))
+
+
 def test_skill_binding_activation_and_success():
     runtime, bus = make_runtime()
     sub = bus.subscribe_category("target")
