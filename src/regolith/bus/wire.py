@@ -112,7 +112,11 @@ def _encode_other(obj, out: bytearray) -> None:
 
 
 def decode(data: bytes):
-    obj, pos = _decode_at(data, 0)
+    try:
+        obj, pos = _decode_at(data, 0)
+    except RecursionError:
+        # one recursion a nesting level: a frame of deeply nested lists
+        raise WireError("frame nested too deeply") from None
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after value")
     return obj

@@ -5,7 +5,6 @@ from .kinematics import (
     JointKind,
     calculate_ik,
     forward_kinematics,
-    wrap_angle,
 )
 from .locomotion import (
     ARRIVED,
@@ -13,8 +12,6 @@ from .locomotion import (
     RUNNING as DRIVE_RUNNING,
     settle_on_terrain,
     step_locomotion,
-    sub_crawler_policy,
-    track_torques,
 )
 from .skills import (
     ArmDumpExecution,
@@ -52,5 +49,5 @@ __all__ = [
     "bucket_tip", "calculate_ik", "default_spec", "forward_kinematics",
     "in_bed_footprint", "move_arm_toward", "record_arm_samples",
     "settle_on_terrain", "spill_model", "step_locomotion",
-    "sub_crawler_policy", "track_torques", "transfer_bucket", "wrap_angle",
+    "transfer_bucket",
 ]

@@ -58,15 +58,6 @@ class ArmGeometry:
             if not lo < hi:
                 raise ValueError(f"empty joint range for {name}")
 
-    def clamp(self, name: str, value: float) -> float:
-        """``min(max(value, lo), hi)`` over the joint's range, written as
-        the two conditionals the builtins evaluate, so it returns the same
-        object for every input, NaN and signed zeros included.  The hot
-        step paths inline the same form."""
-        lo, hi = self.joint_ranges[name]
-        value = lo if lo > value else value
-        return hi if hi < value else value
-
     def in_range(self, name: str, value: float) -> bool:
         lo, hi = self.joint_ranges[name]
         return lo - 1e-12 <= value <= hi + 1e-12
@@ -79,8 +70,9 @@ class IkResult:
     residual: float       # end-effector position error (m)
 
 
-def wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2 * math.pi) - math.pi
+#: One full turn.  An angle a wraps into [-pi, pi) as
+#: ``(a + math.pi) % TWO_PI - math.pi``, which the step kernels write out.
+TWO_PI = 2 * math.pi
 
 
 def forward_kinematics(geom: ArmGeometry, joints: dict, base_pose,
@@ -122,34 +114,60 @@ def calculate_ik(geom: ArmGeometry, base_pose, target, ground_angle: float
     problem for the wrist; the bucket joint realizes the requested tool
     angle.  When the exact solution violates reach or joint ranges the
     returned joints are clamped and reached=False.
+
+    Each joint is clamped to its range as ``min(max(v, lo), hi)``, written
+    as the two conditionals the builtins evaluate (``lo if lo > v else v``,
+    then ``hi if hi < v else v``), and the residual is measured at the tip
+    `forward_kinematics` gives for the clamped joints, computed inline.
     """
+    pi = math.pi
+    cos, sin = math.cos, math.sin
+    ranges = geom.joint_ranges
     bx, by, bz, heading = base_pose
     dx, dy = target[0] - bx, target[1] - by
     azimuth = math.atan2(dy, dx) if (dx or dy) else heading
-    swing = geom.clamp("swing", wrap_angle(azimuth - heading))
+    lo, hi = ranges["swing"]
+    swing = (azimuth - heading + pi) % TWO_PI - pi
+    swing = lo if lo > swing else swing
+    swing = hi if hi < swing else swing
 
     radial = math.hypot(dx, dy) - geom.pivot_forward
     height = target[2] - bz - geom.pivot_up
+    l1, l2, l3 = geom.boom_length, geom.stick_length, geom.bucket_length
     # wrist position in the swing plane
-    wr = radial - geom.bucket_length * math.cos(ground_angle)
-    wz = height - geom.bucket_length * math.sin(ground_angle)
-    l1, l2 = geom.boom_length, geom.stick_length
+    wr = radial - l3 * cos(ground_angle)
+    wz = height - l3 * sin(ground_angle)
     dist_sq = wr * wr + wz * wz
     cos_elbow = (dist_sq - l1 * l1 - l2 * l2) / (2 * l1 * l2)
     if cos_elbow >= 1.0:
         stick = 0.0
     elif cos_elbow <= -1.0:
-        stick = -math.pi
+        stick = -pi
     else:
         stick = -math.acos(cos_elbow)  # elbow-down branch
-    stick = geom.clamp("stick", stick)
+    lo, hi = ranges["stick"]
+    stick = lo if lo > stick else stick
+    stick = hi if hi < stick else stick
     psi = math.atan2(wz, wr)
-    gamma = math.atan2(l2 * math.sin(stick), l1 + l2 * math.cos(stick))
-    boom = geom.clamp("boom", psi - gamma)
-    bucket = geom.clamp("bucket", ground_angle - boom - stick)
+    gamma = math.atan2(l2 * sin(stick), l1 + l2 * cos(stick))
+    lo, hi = ranges["boom"]
+    boom = psi - gamma
+    boom = lo if lo > boom else boom
+    boom = hi if hi < boom else boom
+    lo, hi = ranges["bucket"]
+    bucket = ground_angle - boom - stick
+    bucket = lo if lo > bucket else bucket
+    bucket = hi if hi < bucket else bucket
 
-    joints = {"swing": swing, "boom": boom, "stick": stick, "bucket": bucket}
-    tip, _tool = forward_kinematics(geom, joints, base_pose, validate=False)
+    # the tip, in forward_kinematics' order of operations
+    azimuth = heading + swing
+    t12 = boom + stick
+    t123 = t12 + bucket
+    reach = (geom.pivot_forward + l1 * cos(boom) + l2 * cos(t12)
+             + l3 * cos(t123))
+    rise = geom.pivot_up + l1 * sin(boom) + l2 * sin(t12) + l3 * sin(t123)
+    tip = (bx + reach * cos(azimuth), by + reach * sin(azimuth), bz + rise)
     residual = math.dist(tip, tuple(target))
-    return IkResult(joints=joints, reached=residual <= IK_REACHED_TOL,
-                    residual=residual)
+    return IkResult(joints={"swing": swing, "boom": boom, "stick": stick,
+                            "bucket": bucket},
+                    reached=residual <= IK_REACHED_TOL, residual=residual)

@@ -1,12 +1,15 @@
 """Crawler locomotion: kinematic differential drive on the heightfield with
-quasi-static track torque bookkeeping, plus the sub-crawler stance policy."""
+quasi-static track torque bookkeeping, plus the sub-crawler stance policy.
+
+`step_locomotion` is the per-step kernel: the heading wrap, the track
+torques and the stance policy are written out in it, in plain floats."""
 
 from __future__ import annotations
 
 import math
 
 from ..terrain import Heightfield, SoilParams
-from .kinematics import wrap_angle
+from .kinematics import TWO_PI
 from .specs import MachineSpec, MachineState
 
 #: Waypoint considered reached inside this radius (m).
@@ -32,47 +35,6 @@ RUNNING = "running"
 ARRIVED = "arrived"
 
 
-def track_torques(spec: MachineSpec, total_mass: float, pitch: float,
-                  turn_rate: float, gravity: float,
-                  crawlers_down: bool) -> tuple[float, float]:
-    """Quasi-static sprocket torques (left, right) to sustain motion.
-
-    Longitudinal force = rolling resistance + grade resistance m*g*sin(pitch)
-    (signed: assists downhill); yaw drag adds a differential component so
-    that total track power equals drive power + turning dissipation.
-    """
-    g = gravity
-    f_long = total_mass * g * (spec.rolling_resistance * math.cos(pitch)
-                               + math.sin(pitch))
-    yaw_drag = (spec.turning_resistance_subcrawler if crawlers_down
-                else spec.turning_resistance)
-    t_turn = yaw_drag * turn_rate
-    r = spec.wheel_radius
-    base = f_long * r / 2.0
-    diff = t_turn * r / spec.track_width
-    return base - diff, base + diff
-
-
-def sub_crawler_policy(state: MachineState, turning: bool,
-                       dt: float) -> tuple[float, float]:
-    """Target stance angles: stowed while turning, terrain-following pitch
-    on straights.  Updates the state's angles with a rate limit and returns
-    the targets."""
-    target = SUBCRAWLER_STOW if turning else state.pitch
-    step = SUBCRAWLER_RATE * dt
-    # min(max(target - current, -step), step), written out: exactly what
-    # the builtins return, NaN and signed zeros included
-    current = state.sub_crawler_front
-    delta = target - current
-    delta = -step if -step > delta else delta
-    state.sub_crawler_front = current + (step if step < delta else delta)
-    current = state.sub_crawler_rear
-    delta = target - current
-    delta = -step if -step > delta else delta
-    state.sub_crawler_rear = current + (step if step < delta else delta)
-    return target, target
-
-
 def settle_on_terrain(state: MachineState, h: Heightfield) -> None:
     """Kinematic ground contact: z and chassis pitch follow the terrain
     under the track centroid."""
@@ -89,9 +51,19 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     Waypoints are (x, y) or (x, y, heading); a heading on the final
     waypoint is aligned to before arrival is reported.  Returns
     (status, next waypoint index); status is IDLE for an empty route,
-    ARRIVED at the end, RUNNING otherwise.  Track torque/velocity samples
-    are refreshed on the state when it is sampling.  A move that would
-    leave the grid's cells stops the machine where it is.
+    ARRIVED at the end, RUNNING otherwise.  A move that would leave the
+    grid's cells stops the machine where it is.
+
+    Track torques are quasi-static: the longitudinal force is rolling
+    resistance plus grade resistance m*g*sin(pitch) (signed: it assists
+    downhill), and the yaw drag, larger with the sub-crawlers down, adds a
+    differential part, so total track power is drive power plus turning
+    dissipation.  Commanded speed is scaled down to keep them within the
+    track torque limits.  They and the track speeds are set as samples when
+    the state is sampling.
+
+    The sub-crawlers are stowed while turning and follow the chassis pitch
+    on straights, at a limited rate.
     """
     if not waypoints:
         state.track_speed_left = state.track_speed_right = 0.0
@@ -102,6 +74,10 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     if dt <= 0.0:
         return RUNNING, index
 
+    # Angles wrap as `(a + pi) % TWO_PI - pi`.  The clamps below are min/max
+    # written out as conditionals: `b if b > a else a` is exactly max(a, b),
+    # `b if b < a else a` exactly min(a, b), NaN and signed zeros included.
+    pi = math.pi
     x, y, heading = state.x, state.y, state.heading
     last = len(waypoints) - 1
     while index <= last:
@@ -112,28 +88,30 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
         if index == last:
             final_heading = wp[2] if len(wp) > 2 and wp[2] is not None else None
             if final_heading is None or \
-                    abs(wrap_angle(final_heading - heading)) <= HEADING_TOL:
+                    abs((final_heading - heading + pi) % TWO_PI - pi) \
+                    <= HEADING_TOL:
                 state.track_speed_left = state.track_speed_right = 0.0
                 state.turn_rate = 0.0
                 if state.sampling:
                     _record_track_samples(state, spec, 0.0, 0.0, 0.0, 0.0)
                 return ARRIVED, index
             dx = dy = None  # rotate in place toward final_heading
-            err = wrap_angle(final_heading - heading)
+            err = (final_heading - heading + pi) % TWO_PI - pi
             break
         index += 1
     else:  # pragma: no cover - loop always breaks or returns
         return ARRIVED, index
 
-    # The clamps below are min/max written out as conditionals: `b if b > a
-    # else a` is exactly max(a, b), `b if b < a else a` exactly min(a, b).
+    pitch = state.pitch
+    payload = state.payload_kg
+    blade_load = state.blade_load_kg
     if dx is None:
         speed_cmd = 0.0
     else:
-        err = wrap_angle(math.atan2(dy, dx) - heading)
-        loaded = state.payload_kg > 1.0 or state.blade_load_kg > 1.0
-        target = spec.target_speed(loaded)
-        slope_factor = 1.0 - abs(state.pitch) / SPEED_SLOPE_SCALE
+        err = (math.atan2(dy, dx) - heading + pi) % TWO_PI - pi
+        target = spec.speed_loaded if payload > 1.0 or blade_load > 1.0 \
+            else spec.speed_empty
+        slope_factor = 1.0 - abs(pitch) / SPEED_SLOPE_SCALE
         if not slope_factor > MIN_SPEED_FACTOR:
             slope_factor = MIN_SPEED_FACTOR
         if abs(err) > TURN_IN_PLACE_ERR:
@@ -146,11 +124,19 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     turn_rate = -max_rate if -max_rate > turn_rate else turn_rate
     turn_rate = max_rate if max_rate < turn_rate else turn_rate
 
-    total_mass = spec.mass + state.payload_kg + state.blade_load_kg
+    total_mass = spec.mass + payload + blade_load
     front, rear = state.sub_crawler_front, state.sub_crawler_rear
     crawlers_down = (rear if rear > front else front) < SUBCRAWLER_STOW / 2.0
-    tau_l, tau_r = track_torques(spec, total_mass, state.pitch, turn_rate,
-                                 soil.gravity, crawlers_down)
+    f_long = total_mass * soil.gravity * (
+        spec.rolling_resistance * math.cos(pitch) + math.sin(pitch))
+    yaw_drag = (spec.turning_resistance_subcrawler if crawlers_down
+                else spec.turning_resistance)
+    t_turn = yaw_drag * turn_rate
+    radius = spec.wheel_radius
+    base = f_long * radius / 2.0
+    diff = t_turn * radius / spec.track_width
+    tau_l = base - diff
+    tau_r = base + diff
     # respect torque limits by slowing down rather than stalling
     limits = spec.torque_limits
     limit_l, limit_r = limits["left_track"], limits["right_track"]
@@ -166,15 +152,25 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
         state.x, state.y = new_x, new_y
     else:
         speed_cmd = 0.0
-    state.heading = wrap_angle(heading + turn_rate * dt)
+    state.heading = (heading + turn_rate * dt + pi) % TWO_PI - pi
     state.turn_rate = turn_rate
     half_w = spec.track_width / 2.0
     left = state.track_speed_left = speed_cmd - turn_rate * half_w
     right = state.track_speed_right = speed_cmd + turn_rate * half_w
     settle_on_terrain(state, h)
-    sub_crawler_policy(state, abs(turn_rate) > TURNING_RATE, dt)
+    # stance targets: stowed while turning, the new pitch on straights
+    stance = SUBCRAWLER_STOW if abs(turn_rate) > TURNING_RATE \
+        else state.pitch
+    step = SUBCRAWLER_RATE * dt
+    current = state.sub_crawler_front
+    delta = stance - current
+    delta = -step if -step > delta else delta
+    state.sub_crawler_front = current + (step if step < delta else delta)
+    current = state.sub_crawler_rear
+    delta = stance - current
+    delta = -step if -step > delta else delta
+    state.sub_crawler_rear = current + (step if step < delta else delta)
     if state.sampling:
-        radius = spec.wheel_radius
         _record_track_samples(state, spec, tau_l, tau_r,
                               left / radius, right / radius)
     return RUNNING, index

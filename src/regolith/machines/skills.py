@@ -18,6 +18,7 @@ from ..terrain import (
     dig_resistance,
     excavate_swept,
 )
+from . import locomotion
 from .kinematics import forward_kinematics, calculate_ik
 from .locomotion import settle_on_terrain
 from .specs import MachineSpec, MachineState
@@ -36,6 +37,8 @@ APPROACH_UP = 0.25
 #: Bucket raise above the cut end while carrying (m).
 CARRY_RAISE = 0.50
 CARRY_CURL = 0.80      # extra downward tool curl holding material (rad)
+#: Steepest attack angle of a dig step's cut (rad).
+_STEEPEST_CUT = math.pi / 2 - 0.06
 #: Equivalent swing inertia of the house + arm without payload (kg*m^2).
 SWING_INERTIA = 400.0
 
@@ -203,6 +206,16 @@ class DigExecution:
             self.arcs.append(self.arcs[-1]
                              + math.hypot(b[0] - a[0], b[1] - a[1]))
         self.length = self.arcs[-1]
+        self.dig_speed = spec.dig_speed
+        self.width = trajectory.width
+        self.max_depth = trajectory.max_depth
+        # the raise target: above the cut end, the bucket curled to hold
+        # the load but no further than 0.1 rad inside its range
+        xe, ye, ze, attack = trajectory.points[-1]
+        curl = -attack - CARRY_CURL
+        floor = spec.arm.joint_ranges["bucket"][0] + 0.1
+        self.carry = (xe, ye, ze + CARRY_RAISE,
+                      floor if floor > curl else curl)  # max(curl, floor)
         self.phase = "approach"
         self.s = 0.0
         self.prev_tip: Optional[tuple] = None
@@ -230,19 +243,16 @@ class DigExecution:
         feeds only those samples, are computed on a sampling step alone.
         """
         spec = self.spec
-        if self.phase == "approach":
+        phase = self.phase
+        if phase == "approach":
             x, y, z, attack = self.approach
             tgt_angle = -attack
-        elif self.phase == "cut":
-            self.s += spec.dig_speed * dt
+        elif phase == "cut":
+            self.s += self.dig_speed * dt
             x, y, z, attack = self._point_at(self.s)
             tgt_angle = -attack
         else:  # raise
-            xe, ye, ze, attack = self.traj.points[-1]
-            x, y, z = xe, ye, ze + CARRY_RAISE
-            curl = -attack - CARRY_CURL
-            floor = spec.arm.joint_ranges["bucket"][0] + 0.1
-            tgt_angle = floor if floor > curl else curl     # max(curl, floor)
+            x, y, z, tgt_angle = self.carry
 
         ik = calculate_ik(spec.arm, state.pose, (x, y, z), tgt_angle)
         sampling = state.sampling
@@ -261,7 +271,7 @@ class DigExecution:
         self.prev_swing_rate = state.swing_rate
 
         removed = 0.0
-        if self.phase == "approach":
+        if phase == "approach":
             if sampling:
                 record_arm_samples(state, spec, soil,
                                    swing_alpha=swing_alpha, kinematics=kin)
@@ -270,23 +280,22 @@ class DigExecution:
                 self.prev_tip = tip
             return RUNNING, 0.0
 
-        if self.phase == "cut":
+        if phase == "cut":
             prev = self.prev_tip or tip
             advance = math.hypot(tip[0] - prev[0], tip[1] - prev[1])
             # min(max(attack, 0.06), steepest), as the builtins evaluate it
-            steepest = math.pi / 2 - 0.06
             attack_c = 0.06 if 0.06 > attack else attack
-            attack_c = steepest if steepest < attack_c else attack_c
+            attack_c = _STEEPEST_CUT if _STEEPEST_CUT < attack_c else attack_c
             if sampling:
                 # the depth under the tip before this step's cut
                 depth = h.height_at(tip[0], tip[1]) - tip[2]
                 depth = depth if depth > 0.0 else 0.0   # max(0.0, depth)
-                force = dig_resistance(depth, self.traj.width, attack_c, soil)
+                force = dig_resistance(depth, self.width, attack_c, soil)
             if advance > 1e-9:
                 step_cut = SweptCut(
                     points=[(prev[0], prev[1], prev[2], attack_c),
                             (tip[0], tip[1], tip[2], attack_c)],
-                    width=self.traj.width, max_depth=self.traj.max_depth)
+                    width=self.width, max_depth=self.max_depth)
                 removed = excavate_swept(h, step_cut, soil)
                 state.payload_kg += removed
                 self.removed_total += removed
@@ -540,33 +549,34 @@ class LevelRunExecution:
         self.pid = pid or Pid(3.0, 0.8, 0.0, out_limit=0.25)
         self.phase = "to_start"
         self.index = 0
+        heading = math.atan2(self.end[1] - self.start[1],
+                             self.end[0] - self.start[0])
+        #: one-waypoint routes to the run start and along the run
+        self.start_route = [(self.start[0], self.start[1], heading)]
+        self.run_route = [(self.end[0], self.end[1], heading)]
 
     def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
              dt: float):
-        from .locomotion import ARRIVED, step_locomotion
-        heading = math.atan2(self.end[1] - self.start[1],
-                             self.end[0] - self.start[0])
+        # step_locomotion is looked up on its module at each call, so a
+        # wrapper installed there (the benchmark's tracer) sees these steps
         if self.phase == "to_start":
-            status, self.index = step_locomotion(
-                state, self.spec,
-                [(self.start[0], self.start[1], heading)],
-                self.index, h, soil, dt)
+            status, self.index = locomotion.step_locomotion(
+                state, self.spec, self.start_route, self.index, h, soil, dt)
             if state.sampling:
                 state.set_sample("blade", 0.0, 0.0,
                                  self.spec.torque_limits["blade"])
-            if status == ARRIVED:
+            if status == locomotion.ARRIVED:
                 self.phase = "run"
                 self.index = 0
                 state.blade_height = h.height_at(state.x, state.y)
                 self.pid.reset()
             return RUNNING, 0.0, 0.0, 0.0
         if self.phase == "run":
-            status, self.index = step_locomotion(
-                state, self.spec, [(self.end[0], self.end[1], heading)],
-                self.index, h, soil, dt)
+            status, self.index = locomotion.step_locomotion(
+                state, self.spec, self.run_route, self.index, h, soil, dt)
             graded, shed, lost = blade_level_step(
                 state, self.spec, self.target_height, h, soil, self.pid, dt)
-            if status == ARRIVED:
+            if status == locomotion.ARRIVED:
                 released, rel_lost = blade_release(state, h, soil)
                 return SUCCEEDED, graded, shed + released, lost + rel_lost
             return RUNNING, graded, shed, lost
@@ -624,38 +634,73 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
     sample, and the dig force behind it, are set on a sampling step alone.
     """
     v_blade = pid.update(target_height - state.blade_height, dt)
-    state.blade_height += v_blade * dt
+    blade_height = state.blade_height = state.blade_height + v_blade * dt
 
     ch, sh = math.cos(state.heading), math.sin(state.heading)
     front = spec.length / 2.0 + 0.3
     bx, by = state.x + front * ch, state.y + front * sh
     half_w = spec.blade_width / 2.0
-    half_l = max(abs(state.speed) * dt, h.cell_size)
     cs = h.cell_size
+    speed_step = abs(state.speed) * dt
+    half_l = cs if cs > speed_step else speed_step   # max(|v|*dt, cs)
     area = cs * cs
+    ox, oy = h.origin
+    elevation = h.elevation
+    e = elevation.item
+    dirty = h.dirty
     graded_volume = 0.0
     max_depth = 0.0
     # axis-aligned extent of the blade rectangle, padded by one cell
     ext_x = half_l * abs(ch) + half_w * abs(sh)
     ext_y = half_l * abs(sh) + half_w * abs(ch)
-    i_lo = max(int((bx - ext_x - h.origin[0]) / cs) - 1, 0)
-    i_hi = min(int((bx + ext_x - h.origin[0]) / cs) + 1, h.nx - 1)
-    j_lo = max(int((by - ext_y - h.origin[1]) / cs) - 1, 0)
-    j_hi = min(int((by + ext_y - h.origin[1]) / cs) + 1, h.ny - 1)
-    for i in range(i_lo, i_hi + 1):
-        for j in range(j_lo, j_hi + 1):
-            cx, cy = h.cell_center(i, j)
-            dx, dy = cx - bx, cy - by
+    i_lo = max(int((bx - ext_x - ox) / cs) - 1, 0)
+    i_hi = min(int((bx + ext_x - ox) / cs) + 1, h.nx - 1)
+    j_lo = max(int((by - ext_y - oy) / cs) - 1, 0)
+    j_hi = min(int((by + ext_y - oy) / cs) + 1, h.ny - 1)
+    # The cell centers that pass the rectangle test lie within ext_x of bx,
+    # and in each row within one y interval: the intersection of
+    # |longi| <= half_l and |lat| <= half_w over dy = cy - by.  These
+    # bound the rows and columns visited, widened by a millionth of a cell
+    # against rounding; the test itself is unchanged.  A constraint whose
+    # dy coefficient is below 1e-3 is left out.
+    pad = 1e-6
+    row_lo = math.ceil((bx - ext_x - ox) / cs - 0.5 - pad)
+    row_hi = math.floor((bx + ext_x - ox) / cs - 0.5 + pad)
+    use_l = abs(sh) > 1e-3
+    use_w = abs(ch) > 1e-3
+    band_l = half_l / abs(sh) if use_l else 0.0
+    band_w = half_w / abs(ch) if use_w else 0.0
+    y0 = by - oy - 0.5 * cs             # dy = j * cs - y0
+    for i in range(row_lo if row_lo > i_lo else i_lo,
+                   (row_hi if row_hi < i_hi else i_hi) + 1):
+        dx = ox + (i + 0.5) * cs - bx
+        lo, hi = float(j_lo), float(j_hi)
+        if use_l:
+            mid = -dx * ch / sh
+            lo_l = (mid - band_l + y0) / cs - pad
+            hi_l = (mid + band_l + y0) / cs + pad
+            lo = lo_l if lo_l > lo else lo
+            hi = hi_l if hi_l < hi else hi
+        if use_w:
+            mid = dx * sh / ch
+            lo_w = (mid - band_w + y0) / cs - pad
+            hi_w = (mid + band_w + y0) / cs + pad
+            lo = lo_w if lo_w > lo else lo
+            hi = hi_w if hi_w < hi else hi
+        if lo > hi:
+            continue
+        for j in range(math.ceil(lo), math.floor(hi) + 1):
+            dy = oy + (j + 0.5) * cs - by
             longi = dx * ch + dy * sh
             lat = -dx * sh + dy * ch
             if abs(longi) > half_l or abs(lat) > half_w:
                 continue
-            cut = h.elevation[i, j] - state.blade_height
+            cut = e(i, j) - blade_height
             if cut > 0.0:
-                h.elevation[i, j] = state.blade_height
-                h.mark_dirty(i, j)
+                elevation[i, j] = blade_height
+                dirty.add((i, j))
                 graded_volume += cut * area
-                max_depth = max(max_depth, cut)
+                max_depth = cut if cut > max_depth else max_depth
     graded = graded_volume * soil.bank_density
     state.blade_load_kg += graded
 

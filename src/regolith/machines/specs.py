@@ -73,9 +73,6 @@ class MachineSpec:
         if self.role == "excavator" and self.arm is None:
             self.arm = ArmGeometry()
 
-    def target_speed(self, loaded: bool) -> float:
-        return self.speed_loaded if loaded else self.speed_empty
-
 
 def default_spec(machine_id: str, role: str, **overrides) -> MachineSpec:
     """Spec with per-role defaults: lighter, slightly faster dump truck."""

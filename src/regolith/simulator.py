@@ -187,7 +187,9 @@ class SkillRunner:
         status, self.waypoint_index = step_locomotion(
             self.state, self.spec, self.waypoints, self.waypoint_index,
             self.sim.terrain, self.sim.soil, dt)
-        self._chassis_spill(dt)
+        # spill_model returns zeros for a machine that carries nothing
+        if not self.state.payload_kg <= 0.0:
+            self._chassis_spill(dt)
         if status in (ARRIVED, IDLE):
             self._finish("Succeeded",
                          {"spilled_kg": self.totals["spilled"]})
@@ -343,13 +345,12 @@ class Simulator:
                                 state.payload_kg, skill_state)
 
     def _publish_terrain_patches(self) -> None:
-        dirty = self.terrain.drain_dirty()
-        if not dirty:
+        cells = self.terrain.drain_dirty()      # sorted
+        if not cells:
             return
-        cells = sorted(dirty)
+        e = self.terrain.elevation.item
         for k in range(0, len(cells), PATCH_CHUNK):
-            chunk = [[i, j, float(self.terrain.elevation[i, j])]
-                     for i, j in cells[k:k + PATCH_CHUNK]]
+            chunk = [[i, j, e(i, j)] for i, j in cells[k:k + PATCH_CHUNK]]
             self.bus.publish(topic_for(SITE_ID, "telemetry", "terrain"),
                              {"kind": "telemetry", "cells": chunk},
                              sim_time=self.sim_time, publisher=SITE_ID)

@@ -7,6 +7,7 @@ assert global conservation across arbitrary operation sequences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,49 +58,82 @@ class RelaxResult:
     sweeps: int
 
 
-def _cut_depth_map(h: Heightfield, cut: SweptCut) -> dict:
-    """Map of affected cells -> cut surface elevation."""
-    cs = h.cell_size
+def _cut_cells(h: Heightfield, cut: SweptCut) -> list:
+    """(i, j, cut surface elevation) of each affected cell, in the order
+    the cells are first reached: box rows i, then columns j, segment by
+    segment.  A cell under several segments takes the lowest surface."""
     half_w = cut.width / 2.0
-    cut_z: dict[tuple[int, int], float] = {}
     pts = cut.points
     reach = half_w + 1e-9
+    inf = math.inf
     if len(pts) == 1:
         x0, y0, z0, _a = pts[0]
-        for i, j in _cells_in_box(h, x0 - reach, x0 + reach,
-                                  y0 - reach, y0 + reach):
-            cx, cy = h.cell_center(i, j)
-            if math.hypot(cx - x0, cy - y0) <= reach:
-                cut_z[(i, j)] = min(cut_z.get((i, j), math.inf), z0)
-        return cut_z
-    for (x0, y0, z0, _a0), (x1, y1, z1, _a1) in zip(pts, pts[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        length = math.hypot(dx, dy)
-        ux, uy = dx / length, dy / length
-        lo_x, hi_x = min(x0, x1) - reach, max(x0, x1) + reach
-        lo_y, hi_y = min(y0, y1) - reach, max(y0, y1) + reach
-        for i, j in _cells_in_box(h, lo_x, hi_x, lo_y, hi_y):
-            cx, cy = h.cell_center(i, j)
-            t = (cx - x0) * ux + (cy - y0) * uy
-            if t < -1e-9 or t > length + 1e-9:
-                continue
-            lateral = abs(-(cx - x0) * uy + (cy - y0) * ux)
-            if lateral > reach:
-                continue
-            sz = z0 + (z1 - z0) * min(max(t / length, 0.0), 1.0)
-            cut_z[(i, j)] = min(cut_z.get((i, j), math.inf), sz)
-    return cut_z
+        cz = z0 if z0 < inf else inf            # min(inf, z0)
+        ox, oy = h.origin
+        cs = h.cell_size
+        hypot = math.hypot
+        cells = []
+        (i_lo, i_hi), (j_lo, j_hi) = _box(h, x0 - reach, x0 + reach,
+                                          y0 - reach, y0 + reach)
+        for i in range(i_lo, i_hi + 1):
+            cx = ox + (i + 0.5) * cs
+            for j in range(j_lo, j_hi + 1):
+                if hypot(cx - x0, oy + (j + 0.5) * cs - y0) <= reach:
+                    cells.append((i, j, cz))
+        return cells
+    if len(pts) == 2:
+        return _segment_cells(h, pts[0], pts[1], reach)
+    cut_z: dict[tuple[int, int], float] = {}
+    for a, b in zip(pts, pts[1:]):
+        for i, j, sz in _segment_cells(h, a, b, reach):
+            old = cut_z.get((i, j), inf)
+            cut_z[(i, j)] = sz if sz < old else old     # min(old, sz)
+    return [(i, j, cz) for (i, j), cz in cut_z.items()]
 
 
-def _cells_in_box(h: Heightfield, lo_x, hi_x, lo_y, hi_y):
+def _segment_cells(h: Heightfield, p0, p1, reach: float) -> list:
+    """(i, j, min(inf, cut surface elevation)) of each cell whose center
+    lies within `reach` of the segment p0-p1, in box order."""
+    x0, y0, z0, _a0 = p0
+    x1, y1, z1, _a1 = p1
+    dx, dy = x1 - x0, y1 - y0
+    length = math.hypot(dx, dy)
+    ux, uy = dx / length, dy / length
+    ox, oy = h.origin
     cs = h.cell_size
-    i_lo = max(int(math.floor((lo_x - h.origin[0]) / cs - 0.5)), 0)
-    i_hi = min(int(math.ceil((hi_x - h.origin[0]) / cs - 0.5)), h.nx - 1)
-    j_lo = max(int(math.floor((lo_y - h.origin[1]) / cs - 0.5)), 0)
-    j_hi = min(int(math.ceil((hi_y - h.origin[1]) / cs - 0.5)), h.ny - 1)
+    t_lo, t_hi = -1e-9, length + 1e-9
+    inf = math.inf
+    cells = []
+    (i_lo, i_hi), (j_lo, j_hi) = _box(
+        h, (x1 if x1 < x0 else x0) - reach, (x1 if x1 > x0 else x0) + reach,
+        (y1 if y1 < y0 else y0) - reach, (y1 if y1 > y0 else y0) + reach)
     for i in range(i_lo, i_hi + 1):
+        rx = ox + (i + 0.5) * cs - x0
         for j in range(j_lo, j_hi + 1):
-            yield i, j
+            ry = oy + (j + 0.5) * cs - y0
+            t = rx * ux + ry * uy
+            if t < t_lo or t > t_hi:
+                continue
+            if abs(-rx * uy + ry * ux) > reach:
+                continue
+            # min(max(t / length, 0.0), 1.0), as the builtins evaluate it
+            f = t / length
+            f = 0.0 if 0.0 > f else f
+            f = 1.0 if 1.0 < f else f
+            sz = z0 + (z1 - z0) * f
+            cells.append((i, j, sz if sz < inf else inf))
+    return cells
+
+
+def _box(h: Heightfield, lo_x, hi_x, lo_y, hi_y):
+    """((i_lo, i_hi), (j_lo, j_hi)): the inclusive index ranges of the
+    cells whose centers can lie in the box, clipped to the grid."""
+    cs = h.cell_size
+    ox, oy = h.origin
+    return ((max(math.floor((lo_x - ox) / cs - 0.5), 0),
+             min(math.ceil((hi_x - ox) / cs - 0.5), h.nx - 1)),
+            (max(math.floor((lo_y - oy) / cs - 0.5), 0),
+             min(math.ceil((hi_y - oy) / cs - 0.5), h.ny - 1)))
 
 
 def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams,
@@ -117,16 +151,22 @@ def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams,
         raise ValueError("target grid does not match terrain grid")
     removed_volume = 0.0
     area = h.cell_size ** 2
-    for (i, j), cz in _cut_depth_map(h, cut).items():
-        old = h.elevation.item(i, j)
-        floor = old - cut.max_depth
-        if target is not None:
-            floor = max(floor, target.elevation.item(i, j))
-        new = max(cz, floor)
+    elevation = h.elevation
+    e = elevation.item
+    floor_at = target.elevation.item if target is not None else None
+    max_depth = cut.max_depth
+    dirty = h.dirty
+    for i, j, cz in _cut_cells(h, cut):
+        old = e(i, j)
+        floor = old - max_depth
+        if floor_at is not None:
+            t = floor_at(i, j)
+            floor = t if t > floor else floor           # max(floor, t)
+        new = floor if floor > cz else cz               # max(cz, floor)
         if new < old:
             removed_volume += (old - new) * area
-            h.elevation[i, j] = new
-            h.mark_dirty(i, j)
+            elevation[i, j] = new
+            dirty.add((i, j))
     return removed_volume * soil.bank_density
 
 
@@ -141,18 +181,20 @@ def deposit(h: Heightfield, x: float, y: float, mass: float,
         return 0.0
     volume = mass / soil.bank_density
     cs = h.cell_size
+    ox, oy = h.origin
     radius = max(spread_radius, cs * 0.75)
-    i_lo = int(math.floor((x - radius - h.origin[0]) / cs - 0.5))
-    i_hi = int(math.ceil((x + radius - h.origin[0]) / cs - 0.5))
-    j_lo = int(math.floor((y - radius - h.origin[1]) / cs - 0.5))
-    j_hi = int(math.ceil((y + radius - h.origin[1]) / cs - 0.5))
+    i_lo = math.floor((x - radius - ox) / cs - 0.5)
+    i_hi = math.ceil((x + radius - ox) / cs - 0.5)
+    j_lo = math.floor((y - radius - oy) / cs - 0.5)
+    j_hi = math.ceil((y + radius - oy) / cs - 0.5)
+    hypot = math.hypot
     weights = []
     total_w = 0.0
     for i in range(i_lo, i_hi + 1):
+        rx = ox + (i + 0.5) * cs - x
         for j in range(j_lo, j_hi + 1):
-            cx = h.origin[0] + (i + 0.5) * cs
-            cy = h.origin[1] + (j + 0.5) * cs
-            w = max(0.0, 1.0 - math.hypot(cx - x, cy - y) / radius)
+            # max(0.0, w) is positive exactly where w is
+            w = 1.0 - hypot(rx, oy + (j + 0.5) * cs - y) / radius
             if w > 0.0:
                 weights.append((i, j, w))
                 total_w += w
@@ -160,22 +202,28 @@ def deposit(h: Heightfield, x: float, y: float, mass: float,
         return mass  # entire footprint off-grid or degenerate
     lost_volume = 0.0
     area = cs ** 2
-    touched = []
+    nx, ny = h.nx, h.ny
+    elevation = h.elevation
+    e = elevation.item
+    dirty = h.dirty
+    # index bounds of the cells written
+    ti0, ti1, tj0, tj1 = nx, -1, ny, -1
     for i, j, w in weights:
         share = volume * w / total_w
-        if 0 <= i < h.nx and 0 <= j < h.ny:
-            h.elevation[i, j] += share / area
-            h.mark_dirty(i, j)
-            touched.append((i, j))
+        if 0 <= i < nx and 0 <= j < ny:
+            elevation[i, j] = e(i, j) + share / area
+            dirty.add((i, j))
+            ti0 = i if i < ti0 else ti0
+            ti1 = i if i > ti1 else ti1
+            tj0 = j if j < tj0 else tj0
+            tj1 = j if j > tj1 else tj1
         else:
             lost_volume += share
-    if relax and touched:
-        margin = int(math.ceil(radius / cs)) + 3
-        i0 = max(min(i for i, _ in touched) - margin, 0)
-        i1 = min(max(i for i, _ in touched) + margin + 1, h.nx)
-        j0 = max(min(j for _, j in touched) - margin, 0)
-        j1 = min(max(j for _, j in touched) + margin + 1, h.ny)
-        avalanche_relax(h, soil, region=(i0, j0, i1, j1))
+    if relax and ti1 >= 0:
+        margin = math.ceil(radius / cs) + 3
+        avalanche_relax(h, soil, region=(
+            max(ti0 - margin, 0), max(tj0 - margin, 0),
+            min(ti1 + margin + 1, nx), min(tj1 + margin + 1, ny)))
     return lost_volume * soil.bank_density
 
 
@@ -191,7 +239,7 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
     if region is None:
         region = (0, 0, h.nx, h.ny)
     si, sj = h.region_slice(region)
-    e = h.elevation[si, sj]
+    e = h.elevation[si, sj]         # a view: the sweeps write the terrain
     if e.shape[0] < 1 or e.shape[1] < 1:
         return RelaxResult(0.0, False, 0)
     cs = h.cell_size
@@ -200,42 +248,41 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
     moved_volume = 0.0
     sweeps = 0
     factor = RELAX_TRANSFER_FACTOR * 0.5  # 0.5 of the equalizing half-diff
+    # (the pair below cell k along an axis, the pair above it)
+    axes = [(e[:-1, :], e[1:, :])] if e.shape[0] >= 2 else []
+    if e.shape[1] >= 2:
+        axes.append((e[:, :-1], e[:, 1:]))
     for sweeps in range(1, RELAX_MAX_SWEEPS + 1):
         worst = 0.0
-        for axis in (0, 1):
-            if e.shape[axis] < 2:
-                continue
-            d = np.diff(e, axis=axis)
-            excess = np.abs(d) - limit
-            np.clip(excess, 0.0, None, out=excess)
-            m = float(excess.max()) if excess.size else 0.0
-            worst = max(worst, m)
+        for lower, upper in axes:
+            d = upper - lower               # np.diff along the axis
+            excess = np.abs(d)
+            # rounding a - limit is monotone in a, so this is the largest
+            # excess over the repose limit, or <= 0 where none is positive
+            m = float(excess.max()) - limit
+            worst = m if m > worst else worst
             if m <= tol:
                 continue
-            t = factor * excess * np.sign(d)
-            if axis == 0:
-                e[:-1, :] += t
-                e[1:, :] -= t
-            else:
-                e[:, :-1] += t
-                e[:, 1:] -= t
-            moved_volume += float(np.abs(t).sum()) * cs ** 2
+            np.subtract(excess, limit, out=excess)
+            np.maximum(excess, 0.0, out=excess)
+            np.multiply(excess, factor, out=excess)
+            # |factor * excess * sign(d)| is factor * excess: sign(d) is
+            # +-1, or 0 where the excess is 0
+            moved_volume += float(excess.sum()) * cs ** 2
+            t = np.multiply(excess, np.sign(d, out=d), out=excess)
+            lower += t
+            upper -= t
         if worst <= tol:
-            h.elevation[si, sj] = e
-            if moved_volume > 0.0:
-                _mark_region_dirty(h, region)
-            return RelaxResult(moved_volume * soil.bank_density, False, sweeps)
-    h.elevation[si, sj] = e
+            break
     if moved_volume > 0.0:
         _mark_region_dirty(h, region)
-    return RelaxResult(moved_volume * soil.bank_density, True, sweeps)
+    return RelaxResult(moved_volume * soil.bank_density,
+                       worst > tol, sweeps)
 
 
 def _mark_region_dirty(h: Heightfield, region) -> None:
     i0, j0, i1, j1 = region
-    for i in range(i0, i1):
-        for j in range(j0, j1):
-            h.mark_dirty(i, j)
+    h.dirty.update(itertools.product(range(i0, i1), range(j0, j1)))
 
 
 def max_region_slope(h: Heightfield, region=None) -> float:

@@ -71,7 +71,12 @@ class Heightfield:
             if not np.all(np.isfinite(elevation)):
                 raise ValueError("elevations must be finite")
             self.elevation = elevation.copy()
+        # Upper bounds of the closed grid rectangle; the geometry is fixed
+        # at construction.
+        self.x_max = self.origin[0] + nx * self.cell_size
+        self.y_max = self.origin[1] + ny * self.cell_size
         # Cells touched since the last drain; feeds terrain-patch telemetry.
+        # The kernels add (i, j) to it directly.
         self.dirty: set[tuple[int, int]] = set()
 
     # -- geometry ----------------------------------------------------------
@@ -85,10 +90,6 @@ class Heightfield:
                 and self.cell_size == other.cell_size
                 and self.origin == other.origin)
 
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (self.origin[0] + (i + 0.5) * self.cell_size,
-                self.origin[1] + (j + 0.5) * self.cell_size)
-
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         i = math.floor((x - self.origin[0]) / self.cell_size)
         j = math.floor((y - self.origin[1]) / self.cell_size)
@@ -97,21 +98,20 @@ class Heightfield:
         return i, j
 
     def in_bounds(self, x: float, y: float) -> bool:
-        return (self.origin[0] <= x <= self.origin[0] + self.nx * self.cell_size
-                and self.origin[1] <= y <= self.origin[1] + self.ny * self.cell_size)
+        ox, oy = self.origin
+        return ox <= x <= self.x_max and oy <= y <= self.y_max
 
     def in_cells(self, x: float, y: float) -> bool:
         """Whether (x, y) lies in a cell: where `surface_at` is defined,
         the closed grid rectangle less its upper edges."""
         # in bounds, the floors are nonnegative: only the upper cell index
         # needs a check, as `cell_of` computes it
+        ox, oy = self.origin
+        if not (ox <= x <= self.x_max and oy <= y <= self.y_max):
+            return False
         cs = self.cell_size
-        return (self.in_bounds(x, y)
-                and math.floor((x - self.origin[0]) / cs) < self.nx
-                and math.floor((y - self.origin[1]) / cs) < self.ny)
-
-    def mark_dirty(self, i: int, j: int) -> None:
-        self.dirty.add((i, j))
+        return (math.floor((x - ox) / cs) < self.nx
+                and math.floor((y - oy) / cs) < self.ny)
 
     def drain_dirty(self) -> list[tuple[int, int]]:
         cells = sorted(self.dirty)
@@ -123,18 +123,24 @@ class Heightfield:
     def height_at(self, x: float, y: float) -> float:
         """Bilinear interpolation of the four surrounding cell centers, as a
         plain float.  Raises OutOfBounds outside the closed grid rectangle."""
-        if not self.in_bounds(x, y):
+        ox, oy = self.origin
+        if not (ox <= x <= self.x_max and oy <= y <= self.y_max):
             raise OutOfBounds(f"({x:.3f}, {y:.3f}) outside grid")
-        u = (x - self.origin[0]) / self.cell_size - 0.5
-        v = (y - self.origin[1]) / self.cell_size - 0.5
+        cs = self.cell_size
+        return self._bilinear((x - ox) / cs - 0.5, (y - oy) / cs - 0.5)
+
+    def _bilinear(self, u: float, v: float) -> float:
+        """The interpolated elevation at cell coordinates (u, v) measured
+        from the center of cell (0, 0)."""
+        nx, ny = self.nx, self.ny
         # each `t = lo if lo > v else v; hi if hi < t else t` below is
         # exactly min(max(v, lo), hi), without the two builtin calls
         i0 = math.floor(u)
         i0 = 0 if 0 > i0 else i0
-        i0 = self.nx - 2 if self.nx - 2 < i0 else i0
+        i0 = nx - 2 if nx - 2 < i0 else i0
         j0 = math.floor(v)
         j0 = 0 if 0 > j0 else j0
-        j0 = self.ny - 2 if self.ny - 2 < j0 else j0
+        j0 = ny - 2 if ny - 2 < j0 else j0
         fu = u - i0
         fu = 0.0 if 0.0 > fu else fu
         fu = 1.0 if 1.0 < fu else fu
@@ -152,9 +158,21 @@ class Heightfield:
         central-difference gradient at the containing cell (one-sided on
         the boundary).  Raises OutOfBounds where either does: outside the
         grid, and on its upper edges, which belong to no cell."""
-        z = self.height_at(x, y)
-        i, j = self.cell_of(x, y)
-        nx, ny, cs = self.nx, self.ny, self.cell_size
+        ox, oy = self.origin
+        nx, ny = self.nx, self.ny
+        if not (ox <= x <= self.x_max and oy <= y <= self.y_max):
+            raise OutOfBounds(f"({x:.3f}, {y:.3f}) outside grid")
+        cs = self.cell_size
+        # q is the cell coordinate from the grid origin: floor(q) is
+        # `cell_of`'s index, q - 0.5 `height_at`'s u
+        qx = (x - ox) / cs
+        qy = (y - oy) / cs
+        i = math.floor(qx)
+        j = math.floor(qy)
+        # in bounds, the floors are nonnegative
+        if i >= nx or j >= ny:
+            raise OutOfBounds(f"({x:.3f}, {y:.3f}) outside grid")
+        z = self._bilinear(qx - 0.5, qy - 0.5)
         i_lo = i - 1 if i > 0 else 0
         i_hi = i + 1 if i + 1 < nx else nx - 1
         j_lo = j - 1 if j > 0 else 0

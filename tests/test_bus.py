@@ -237,6 +237,43 @@ def test_frame_decoder_reports_truncated_stream():
     assert dec.errors
 
 
+#: A 25 KB payload of 5000 nested one-element lists around a None: deeper
+#: than the interpreter's recursion limit.
+DEEP_PAYLOAD = b"L\x01\x00\x00\x00" * 5000 + b"N"
+
+
+def test_decode_rejects_a_frame_nested_too_deeply():
+    with pytest.raises(wire.WireError, match="nested too deeply"):
+        wire.decode(DEEP_PAYLOAD)
+    shallow = b"L\x01\x00\x00\x00" * 50 + b"N"
+    value = wire.decode(shallow)
+    for _ in range(50):
+        value, = value
+    assert value is None
+
+
+def test_frame_decoder_drops_a_deeply_nested_frame_and_recovers():
+    dec = wire.FrameDecoder()
+    deep = struct.pack("<I", len(DEEP_PAYLOAD)) + DEEP_PAYLOAD
+    assert dec.feed(deep + wire.frame({"ok": 1})) == [{"ok": 1}]
+    assert len(dec.errors) == 1 and "nested too deeply" in dec.errors[0]
+
+
+def test_bridge_reports_a_deeply_nested_frame_as_a_bus_error():
+    server = TcpBridgeServer(Bus())
+    peer = socket.create_connection(("127.0.0.1", server.port))
+    try:
+        server.accept(wait=5.0)
+        deep = struct.pack("<I", len(DEEP_PAYLOAD)) + DEEP_PAYLOAD
+        peer.sendall(deep + wire.frame({"_ctl": "ack", "tick": 3}))
+        ack = server.sync(0.0)
+    finally:
+        peer.close()
+        server.shutdown()
+    assert ack["tick"] == 3
+    assert any("nested too deeply" in e for e in server.bus.error_events)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=200))
 def test_frame_decoder_total_on_fuzz(data):

@@ -25,8 +25,6 @@ from regolith.machines import (
     settle_on_terrain,
     spill_model,
     step_locomotion,
-    sub_crawler_policy,
-    track_torques,
     transfer_bucket,
 )
 from regolith.machines.kinematics import (
@@ -83,13 +81,27 @@ def test_flat_straight_steady_empty_speed():
     assert state.track_speed_left == pytest.approx(state.track_speed_right)
 
 
+def planar_field(grade, n=48, cs=0.5):
+    """A plane rising along x by `grade` (rise over run)."""
+    xs = (np.arange(n) + 0.5) * cs
+    return Heightfield(n, n, cs,
+                       elevation=np.tile(2.0 + grade * xs[:, None], (1, n)))
+
+
+def track_torques_after_one_step(h):
+    """Left and right track torque samples of an empty excavator taking
+    one straight step along +x at (5, 10)."""
+    spec, state = machine(x=5.0, h=h)
+    step_locomotion(state, spec, [(20.0, 10.0)], 0, h, SOIL, DT)
+    return (spec, state.samples["left_track"].torque,
+            state.samples["right_track"].torque)
+
+
 def test_grade_torque_term_on_ten_degree_slope():
-    spec, _ = machine()
     theta = math.radians(10.0)
-    flat_l, flat_r = track_torques(spec, spec.mass, 0.0, 0.0, SOIL.gravity,
-                                   crawlers_down=True)
-    slope_l, slope_r = track_torques(spec, spec.mass, theta, 0.0, SOIL.gravity,
-                                     crawlers_down=True)
+    spec, flat_l, flat_r = track_torques_after_one_step(planar_field(0.0))
+    _, slope_l, slope_r = track_torques_after_one_step(
+        planar_field(math.tan(theta)))
     added = (slope_l + slope_r) - (flat_l + flat_r)
     expected = spec.mass * SOIL.gravity * math.sin(theta) * spec.wheel_radius
     assert added == pytest.approx(expected, rel=0.02)
@@ -178,30 +190,55 @@ def test_z_follows_terrain_under_centroid():
                                         abs=1e-12)
 
 
-# -- sub-crawler policy ------------------------------------------------------
+def test_heading_wraps_across_pi_while_turning_in_place():
+    h = flat_field()
+    spec, state = machine(heading=math.pi - 0.05, h=h)
+    final = -math.pi + 0.3          # 0.35 rad counterclockwise, across pi
+    crossed = False
+    for _ in range(500):
+        status, _ = step_locomotion(state, spec, [(10.0, 10.0, final)], 0,
+                                    h, SOIL, DT)
+        assert -math.pi <= state.heading < math.pi
+        crossed = crossed or state.heading < 0.0
+        if status == ARRIVED:
+            break
+    assert status == ARRIVED and crossed
+    assert abs(state.heading - final) <= 0.1
+    assert (state.x, state.y) == (10.0, 10.0)
+
+
+# -- sub-crawler stance ------------------------------------------------------
 
 def test_subcrawler_stows_when_turning():
-    _, state = machine()
-    for _ in range(400):
-        sub_crawler_policy(state, True, DT)
+    h = flat_field()
+    spec, state = machine(h=h)
+    for _ in range(400):        # 4 s of a 3 rad turn in place
+        status, _ = step_locomotion(state, spec, [(10.0, 10.0, 3.0)], 0, h,
+                                    SOIL, DT)
+        assert status == DRIVE_RUNNING
     assert state.sub_crawler_front == pytest.approx(SUBCRAWLER_STOW)
     assert state.sub_crawler_rear == pytest.approx(SUBCRAWLER_STOW)
 
 
 def test_subcrawler_flat_straight_is_zero():
-    _, state = machine()
-    target, _ = sub_crawler_policy(state, False, DT)
-    assert target == 0.0
+    h = flat_field()
+    spec, state = machine(x=5.0, h=h)
+    for _ in range(100):
+        step_locomotion(state, spec, [(20.0, 10.0)], 0, h, SOIL, DT)
+    assert state.sub_crawler_front == 0.0
+    assert state.sub_crawler_rear == 0.0
 
 
 def test_subcrawler_tracks_ramp_pitch_with_rate_limit():
-    _, state = machine()
-    state.pitch = 0.3
+    h = planar_field(math.tan(0.3))
+    spec, state = machine(x=5.0, h=h)
     t = 0.0
     while state.sub_crawler_front < 0.3 - 1e-9:
-        sub_crawler_policy(state, False, DT)
+        step_locomotion(state, spec, [(20.0, 10.0)], 0, h, SOIL, DT)
         t += DT
+        assert state.pitch == pytest.approx(0.3, abs=1e-9)
         assert state.sub_crawler_front <= SUBCRAWLER_RATE * t + 1e-9
+        assert state.sub_crawler_rear == state.sub_crawler_front
         assert t < 5.0
     assert t == pytest.approx(0.3 / SUBCRAWLER_RATE, abs=0.05)
 

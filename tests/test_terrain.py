@@ -30,16 +30,13 @@ def flat(nx=10, ny=10, cs=1.0, height=2.0):
 def test_height_at_cell_center():
     h = flat()
     h.elevation[3, 4] = 5.0
-    x, y = h.cell_center(3, 4)
-    assert h.height_at(x, y) == pytest.approx(5.0)
+    assert h.height_at(3.5, 4.5) == pytest.approx(5.0)
 
 
 def test_height_at_midpoint_of_two_cells():
     h = flat(height=1.0)
-    h.elevation[4, 4] = 2.0  # neighbors at 1.0
-    x0, y0 = h.cell_center(4, 4)
-    x1, _ = h.cell_center(5, 4)
-    assert h.height_at((x0 + x1) / 2, y0) == pytest.approx(1.5)
+    h.elevation[4, 4] = 2.0  # neighbors at 1.0; centers at x 4.5 and 5.5
+    assert h.height_at(5.0, 4.5) == pytest.approx(1.5)
 
 
 def test_height_at_out_of_bounds():
