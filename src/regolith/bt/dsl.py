@@ -211,26 +211,25 @@ def _parallel(policy_fn):
 class NodeRegistry:
     """Maps node_spec strings to node factories."""
 
-    def __init__(self, include_builtins: bool = True):
+    def __init__(self):
         self._factories: dict[str, Factory] = {}
-        if include_builtins:
-            self.register("Sequence", _composite(
-                lambda name, children, context: Sequence(
-                    name, children, context, memory=True)))
-            self.register("SequenceWithoutMemory", _composite(
-                lambda name, children, context: Sequence(
-                    name, children, context, memory=False)))
-            self.register("Selector", _composite(Selector))
-            self.register("ParallelSuccessOnOne",
-                          _parallel(ParallelPolicy.SucceedOnOne))
-            self.register("ParallelSuccessOnAll",
-                          _parallel(ParallelPolicy.SucceedOnAll))
-            # "first" = the status of child 0 decides (used for the
-            # scenario-completion gate at the top of the planner trees).
-            self.register("ParallelSuccessOnFirst",
-                          _parallel(lambda: ParallelPolicy.SucceedOnChild(0)))
-            self.register("Inverter", _composite(Inverter))
-            self.register("FailureIsRunning", _composite(FailureIsRunning))
+        self.register("Sequence", _composite(
+            lambda name, children, context: Sequence(
+                name, children, context, memory=True)))
+        self.register("SequenceWithoutMemory", _composite(
+            lambda name, children, context: Sequence(
+                name, children, context, memory=False)))
+        self.register("Selector", _composite(Selector))
+        self.register("ParallelSuccessOnOne",
+                      _parallel(ParallelPolicy.SucceedOnOne))
+        self.register("ParallelSuccessOnAll",
+                      _parallel(ParallelPolicy.SucceedOnAll))
+        # "first" = the status of child 0 decides (used for the
+        # scenario-completion gate at the top of the planner trees).
+        self.register("ParallelSuccessOnFirst",
+                      _parallel(lambda: ParallelPolicy.SucceedOnChild(0)))
+        self.register("Inverter", _composite(Inverter))
+        self.register("FailureIsRunning", _composite(FailureIsRunning))
 
     def register(self, spec: str, factory: Factory) -> None:
         self._factories[spec] = factory

@@ -43,24 +43,17 @@ class LoopbackBridge:
         delivered = 0
         for sub, dest in ([(s, self.planner_bus) for s in self._to_planner]
                           + [(s, self.sim_bus) for s in self._to_sim]):
-            while True:
-                batch = sub.poll(256)
-                if not batch:
-                    break
-                for env in batch:
-                    dest.republish(env)
-                delivered += len(batch)
+            batch = sub.poll()
+            for env in batch:
+                dest.republish(env)
+            delivered += len(batch)
         return delivered
 
 
 def _drain(subs) -> list[Envelope]:
     out = []
     for sub in subs:
-        while True:
-            batch = sub.poll(256)
-            if not batch:
-                break
-            out.extend(batch)
+        out.extend(sub.poll())
     return out
 
 
@@ -100,8 +93,9 @@ class _Endpoint:
             try:
                 data = self.sock.recv(65536)
             except OSError as exc:
+                # a TimeoutError cause is a peer that stopped answering
                 self.bus.report_error(f"bridge connection lost: {exc}")
-                raise BridgeError(str(exc))
+                raise BridgeError(str(exc)) from exc
             if not data:
                 self.decoder.close()
                 for err in self.decoder.errors:
@@ -133,15 +127,15 @@ class TcpBridgeServer:
         self._subs = [bus.subscribe_category(c) for c in SIM_TO_PLANNER]
         self._endpoint: Optional[_Endpoint] = None
 
-    def accept(self, timeout: float = SYNC_TIMEOUT,
-               wait: Optional[float] = None) -> None:
-        """Accepts the planner's connection, waiting up to wait s for it
-        (default: timeout); raises TimeoutError when none arrives.  Every
-        later `sync` on the connection fails after timeout s without an
-        ack, so a short wait does not shorten the lockstep deadline."""
-        self._listener.settimeout(timeout if wait is None else wait)
+    def accept(self, wait: float) -> None:
+        """Accepts the planner's connection, waiting up to wait s for it;
+        raises TimeoutError when none arrives.  Every later `sync` on the
+        connection fails after SYNC_TIMEOUT s without an ack, read when the
+        connection is accepted, so a short wait does not shorten the
+        lockstep deadline."""
+        self._listener.settimeout(wait)
         conn, _ = self._listener.accept()
-        conn.settimeout(timeout)        # a hung planner fails sync()
+        conn.settimeout(SYNC_TIMEOUT)   # a hung planner fails sync()
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._endpoint = _Endpoint(self.bus, conn)
 

@@ -3,7 +3,8 @@
 Topics are named ``/{machine}/{category}/{action}`` with category one of
 target / telemetry / skill.  A subscription receives every topic of one
 category in a bounded FIFO queue (overflow drops the oldest envelope and is
-counted, so the realtime loop never blocks).  Timestamps are simulated time.
+counted, so the realtime loop never blocks); `poll` takes every queued
+envelope at once.  Timestamps are simulated time.
 """
 
 from __future__ import annotations
@@ -79,12 +80,12 @@ class Subscription:
             self.dropped += 1
         self._queue.append(env)
 
-    def poll(self, max_envelopes: int = 64) -> list[Envelope]:
-        if max_envelopes < 1:
-            raise ValueError("max_envelopes must be >= 1")
+    def poll(self) -> list[Envelope]:
+        """Takes every queued envelope, oldest first."""
+        queue = self._queue
         out = []
-        while self._queue and len(out) < max_envelopes:
-            out.append(self._queue.popleft())
+        while queue:
+            out.append(queue.popleft())
         return out
 
     def __len__(self):

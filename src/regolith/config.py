@@ -17,6 +17,9 @@ TRANSPORTS = ("loopback", "tcp")
 #: Default run-stall window for the deadlock detector (sim s).
 DEFAULT_DEADLOCK_WINDOW = 120.0
 
+#: The keys of a machine's `rig`, the planner's view of its tools.
+RIG_KEYS = ("reach", "bucket_width", "bucket_capacity_kg", "target_load_kg")
+
 
 class ConfigError(ValueError):
     """Validation failure; the message starts with the offending field path."""
@@ -191,6 +194,9 @@ def validate_config(raw: dict, base_dir: Path, name: str = "") \
         for key, val in (("spec", spec_over), ("rig", rig)):
             if not isinstance(val, dict):
                 raise ConfigError(f"{prefix}{key}", "must be an object")
+        unknown = sorted(rig.keys() - set(RIG_KEYS))
+        if unknown:
+            raise ConfigError(f"{prefix}rig", f"unknown keys {unknown}")
         machines.append(MachineConfig(machine_id, role, pose, spec_over, rig))
 
     cells = _require(raw, "cells", "cells", dict)

@@ -2,7 +2,6 @@ from .kinematics import (
     ArmGeometry,
     IkResult,
     JOINT_NAMES,
-    JointKind,
     calculate_ik,
     forward_kinematics,
 )
@@ -44,7 +43,7 @@ __all__ = [
     "ACTUATORS", "ARRIVED", "ROLES", "ActuatorSample", "ArmDumpExecution",
     "ArmGeometry", "LevelRunExecution",
     "BedDumpExecution", "DRIVE_RUNNING", "DigExecution", "FAILED", "IDLE",
-    "IkResult", "JOINT_NAMES", "JointKind", "MachineSpec", "MachineState",
+    "IkResult", "JOINT_NAMES", "MachineSpec", "MachineState",
     "Pid", "RUNNING", "SUCCEEDED", "blade_level_step", "blade_release",
     "bucket_tip", "calculate_ik", "default_spec", "forward_kinematics",
     "in_bed_footprint", "move_arm_toward", "record_arm_samples",

@@ -9,7 +9,6 @@ can do.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -17,12 +16,6 @@ from dataclasses import dataclass, field
 IK_REACHED_TOL = 1e-4
 
 JOINT_NAMES = ("swing", "boom", "stick", "bucket")
-
-
-class JointKind(enum.Enum):
-    HINGE = "Hinge"
-    PRISMATIC = "Prismatic"
-    LOCK = "Lock"
 
 
 def _default_ranges():
@@ -40,8 +33,6 @@ class ArmGeometry:
     stick_length: float = 1.5
     bucket_length: float = 0.5
     joint_ranges: dict = field(default_factory=_default_ranges)
-    joint_kinds: dict = field(default_factory=lambda: {
-        name: JointKind.HINGE for name in JOINT_NAMES})
     # Arm pivot relative to the machine reference point: forward along the
     # heading and up.
     pivot_forward: float = 0.0

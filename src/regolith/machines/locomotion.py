@@ -45,7 +45,7 @@ def settle_on_terrain(state: MachineState, h: Heightfield) -> None:
 
 def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
                     index: int, h: Heightfield, soil: SoilParams,
-                    dt: float, goal_tol: float = GOAL_TOL) -> tuple[str, int]:
+                    dt: float) -> tuple[str, int]:
     """Advance the machine toward its route for one timestep.
 
     Waypoints are (x, y) or (x, y, heading); a heading on the final
@@ -83,7 +83,7 @@ def step_locomotion(state: MachineState, spec: MachineSpec, waypoints,
     while index <= last:
         wp = waypoints[index]
         dx, dy = wp[0] - x, wp[1] - y
-        if math.hypot(dx, dy) > goal_tol:
+        if math.hypot(dx, dy) > GOAL_TOL:
             break
         if index == last:
             final_heading = wp[2] if len(wp) > 2 and wp[2] is not None else None

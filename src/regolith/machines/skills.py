@@ -540,13 +540,12 @@ class LevelRunExecution:
     Returns per step (status, graded_kg, shed_kg, lost_kg).
     """
 
-    def __init__(self, spec: MachineSpec, start, end, target_height: float,
-                 pid: Optional["Pid"] = None):
+    def __init__(self, spec: MachineSpec, start, end, target_height: float):
         self.spec = spec
         self.start = tuple(start)
         self.end = tuple(end)
         self.target_height = target_height
-        self.pid = pid or Pid(3.0, 0.8, 0.0, out_limit=0.25)
+        self.pid = Pid(3.0, 0.8, out_limit=0.25)
         self.phase = "to_start"
         self.index = 0
         heading = math.atan2(self.end[1] - self.start[1],
@@ -586,35 +585,26 @@ class LevelRunExecution:
 # -- blade leveling ---------------------------------------------------------
 
 class Pid:
-    """Discrete PID with clamped integral and symmetric output limit."""
+    """Discrete PI controller with a symmetric output limit."""
 
-    def __init__(self, kp: float, ki: float = 0.0, kd: float = 0.0,
-                 out_limit: float = math.inf, integral_limit: float = math.inf):
-        self.kp, self.ki, self.kd = kp, ki, kd
+    def __init__(self, kp: float, ki: float, out_limit: float):
+        self.kp, self.ki = kp, ki
         self.out_limit = out_limit
-        self.integral_limit = integral_limit
         self.reset()
 
     def reset(self):
         self.integral = 0.0
-        self.prev_error = None
 
     def update(self, error: float, dt: float) -> float:
-        deriv = 0.0 if self.prev_error is None or dt <= 0 \
-            else (error - self.prev_error) / dt
-        self.prev_error = error
-        # min(max(v, -limit), limit) as the builtins evaluate it
-        limit = self.integral_limit
         proposed = self.integral + error * dt
-        proposed = -limit if -limit > proposed else proposed
-        proposed = limit if limit < proposed else proposed
-        unsat = self.kp * error + self.ki * proposed + self.kd * deriv
+        unsat = self.kp * error + self.ki * proposed
         # conditional integration: freeze the integral while the output is
         # saturated in the error's direction (anti-windup)
         if not ((unsat > self.out_limit and error > 0)
                 or (unsat < -self.out_limit and error < 0)):
             self.integral = proposed
-        out = self.kp * error + self.ki * self.integral + self.kd * deriv
+        out = self.kp * error + self.ki * self.integral
+        # min(max(out, -limit), limit) as the builtins evaluate it
         limit = self.out_limit
         out = -limit if -limit > out else out
         return limit if limit < out else out
@@ -626,7 +616,7 @@ BLADE_ATTACK = 0.5        # rad, fixed blade rake for the resistance sample
 def blade_level_step(state: MachineState, spec: MachineSpec,
                      target_height: float, h: Heightfield, soil: SoilParams,
                      pid: Pid, dt: float) -> tuple[float, float, float]:
-    """Carry the blade at a PID-held height, cutting cells under it down to
+    """Carry the blade at a PI-held height, cutting cells under it down to
     the blade edge.  Cut material accrues to the blade load; overflow past
     capacity is shed just ahead of the blade.
 
@@ -728,20 +718,18 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
     return graded, shed, lost
 
 
-def blade_release(state: MachineState, h: Heightfield, soil: SoilParams,
-                  at=None) -> tuple[float, float]:
-    """Shed the whole blade load at the given point (default: ahead of the
-    machine).  Returns (released_kg, boundary_lost_kg)."""
+def blade_release(state: MachineState, h: Heightfield,
+                  soil: SoilParams) -> tuple[float, float]:
+    """Shed the whole blade load 1.2 m ahead of the machine.  Returns
+    (released_kg, boundary_lost_kg)."""
     mass = state.blade_load_kg
     if mass <= 0.0:
         return 0.0, 0.0
     state.blade_load_kg = 0.0
-    if at is None:
-        front = 1.2
-        at = (state.x + front * math.cos(state.heading),
-              state.y + front * math.sin(state.heading))
-    if h.in_bounds(at[0], at[1]):
-        lost = deposit(h, at[0], at[1], mass, soil, spread_radius=0.8)
+    x = state.x + 1.2 * math.cos(state.heading)
+    y = state.y + 1.2 * math.sin(state.heading)
+    if h.in_bounds(x, y):
+        lost = deposit(h, x, y, mass, soil, spread_radius=0.8)
     else:
         lost = mass
     return mass, lost

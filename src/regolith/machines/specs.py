@@ -28,7 +28,6 @@ class MachineSpec:
     machine_id: str
     role: str
     length: float = 3.3                  # m
-    width: float = 2.5                   # m
     mass: float = 3000.0                 # kg, unladen
     speed_loaded: float = 0.30           # m/s target, carrying a load
     speed_empty: float = 0.35            # m/s target, empty
@@ -41,7 +40,6 @@ class MachineSpec:
     turning_resistance_subcrawler: float = 1200.0  # same, sub-crawlers down
     # excavator
     arm: Optional[ArmGeometry] = None
-    bucket_width: float = 0.6            # m
     arm_joint_speed: float = 0.8         # rad/s rate limit per joint
     swing_accel: float = 1.0             # rad/s^2 accel limit on the swing
     dig_speed: float = 0.25              # m/s bucket-tip speed along a cut
@@ -59,7 +57,7 @@ class MachineSpec:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown machine role {self.role!r}")
-        for name in ("length", "width", "mass", "speed_loaded", "speed_empty",
+        for name in ("length", "mass", "speed_loaded", "speed_empty",
                      "wheel_radius", "track_width", "max_turn_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -75,10 +73,10 @@ class MachineSpec:
 
 
 def default_spec(machine_id: str, role: str, **overrides) -> MachineSpec:
-    """Spec with per-role defaults: lighter, slightly faster dump truck."""
+    """Spec with per-role defaults: lighter, shorter dump truck."""
     base = {"machine_id": machine_id, "role": role}
     if role == "dumptruck":
-        base.update(mass=2000.0, length=3.0, width=2.2)
+        base.update(mass=2000.0, length=3.0)
     base.update(overrides)
     return MachineSpec(**base)
 

@@ -53,26 +53,23 @@ class WaitUntil(TreeNode):
 class SkillBinding:
     """Publishes a skill command on activation and follows its status.
 
+    The command goes to the machine named by the node's context.
     make_params(runtime, node, ctx) returns the command params, or None
     when planning fails (reported as Failure).  A skill whose status goes
     silent for SKILL_STATUS_TIMEOUT of sim time counts as Failed.
     """
 
-    def __init__(self, runtime, action: str, make_params,
-                 machine: Optional[str] = None, on_success=None,
-                 timeout: float = SKILL_STATUS_TIMEOUT):
+    def __init__(self, runtime, action: str, make_params, on_success=None):
         self.runtime = runtime
         self.action = action
         self.make_params = make_params
-        self.machine = machine
         self.on_success = on_success
-        self.timeout = timeout
         self.active_id: Optional[int] = None
         self.active_machine: Optional[str] = None
         self.last_heard = 0.0
 
     def _machine_for(self, node) -> str:
-        machine = self.machine or node.context
+        machine = node.context
         if machine is None:
             raise StructureError(
                 f"task {node.name!r} has no machine context")
@@ -106,7 +103,7 @@ class SkillBinding:
             if state == "Failed":
                 self.active_id = None
                 return FAILURE
-        if ctx.sim_time - self.last_heard > self.timeout:
+        if ctx.sim_time - self.last_heard > SKILL_STATUS_TIMEOUT:
             self.active_id = None
             return FAILURE
         return RUNNING
@@ -219,14 +216,14 @@ class LevelBinding(SkillBinding):
     """Runs the boustrophedon leveling passes one skill command at a time.
 
     Run geometry comes from the blackboard keys leveling/start_position,
-    leveling/end_position, and leveling/offset; the run counter lives on
-    the blackboard too so a planner restart resumes where it left off.
+    leveling/end_position, and leveling/offset; the run counter is the
+    blackboard key leveling/run_index.  A snapshot does not save the
+    blackboard, so a resumed planner starts again from the first run.
     """
 
-    def __init__(self, runtime, machine=None):
+    def __init__(self, runtime):
         super().__init__(runtime, "level", self._next_run_params,
-                         machine=machine, on_success=self._run_finished,
-                         timeout=SKILL_STATUS_TIMEOUT)
+                         on_success=self._run_finished)
 
     def _runs(self, ctx):
         bb = ctx.blackboard

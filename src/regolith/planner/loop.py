@@ -79,11 +79,7 @@ class PlannerLoop:
     def drain(self) -> int:
         count = 0
         for sub in (self.sub_telemetry, self.sub_skill):
-            while True:
-                batch = sub.poll(256)
-                if not batch:
-                    break
-                count += self.runtime.wm.ingest_all(batch)
+            count += self.runtime.wm.ingest_all(sub.poll())
         return count
 
     def step(self, sim_time: float) -> NodeStatus:

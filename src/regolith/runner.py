@@ -15,7 +15,7 @@ import numpy as np
 
 from . import planner_proc
 from .bt import NodeStatus, SUCCESS, parse_document, resolve
-from .bus import BridgeError, Bus, LoopbackBridge, TcpBridgeServer
+from .bus import BridgeError, Bus, LoopbackBridge, TcpBridgeServer, bridge
 from .config import ScenarioConfig
 from .planner import (
     PLANNER_PERIOD,
@@ -226,7 +226,17 @@ class _ChildLink:
             self._accept()
             self.server.hello(self.hello)
             self.connected = True
-        return self.server.sync(sim_time)
+        try:
+            return self.server.sync(sim_time)
+        except BridgeError as exc:
+            if not isinstance(exc.__cause__, TimeoutError):
+                raise
+            # hung, not dead: end it now, not after close()'s join
+            self.child.kill()
+            raise BridgeError(
+                f"planner child sent no ack for the sync at sim time "
+                f"{sim_time:.2f} s within SYNC_TIMEOUT = "
+                f"{bridge.SYNC_TIMEOUT:g} s") from exc
 
     def _accept(self) -> None:
         """Waits up to 30 s for the child to connect, in short slices, so a

@@ -297,18 +297,14 @@ class Simulator:
     # -- stepping ------------------------------------------------------------
 
     def _drain_commands(self) -> None:
-        while True:
-            batch = self.sub_commands.poll(64)
-            if not batch:
-                break
-            for env in batch:
-                machine, _, _ = split_topic(env.topic)
-                runner = self.runners.get(machine)
-                if runner is None:
-                    self.bus.report_error(
-                        f"command for unknown machine {machine!r}")
-                    continue
-                runner.handle_command(env.payload)
+        for env in self.sub_commands.poll():
+            machine, _, _ = split_topic(env.topic)
+            runner = self.runners.get(machine)
+            if runner is None:
+                self.bus.report_error(
+                    f"command for unknown machine {machine!r}")
+                continue
+            runner.handle_command(env.payload)
 
     def step(self) -> None:
         """Advance the world by one timestep and publish due telemetry.

@@ -311,17 +311,13 @@ class TelemetryCollector:
         """Takes the skill events that arrived, then the rows read before
         now, the simulator's current time."""
         arrived = []
-        while True:
-            batch = self.sub_skill.poll(256)
-            if not batch:
-                break
-            for env in batch:
-                machine, _, action = split_topic(env.topic)
-                arrived.append(SkillEvent(
-                    sim_time=env.sim_time, machine=machine, action=action,
-                    state=env.payload.get("state", ""),
-                    activation_id=int(env.payload.get("id", 0)),
-                    payload=dict(env.payload)))
+        for env in self.sub_skill.poll():
+            machine, _, action = split_topic(env.topic)
+            arrived.append(SkillEvent(
+                sim_time=env.sim_time, machine=machine, action=action,
+                state=env.payload.get("state", ""),
+                activation_id=int(env.payload.get("id", 0)),
+                payload=dict(env.payload)))
         arrived.sort(key=lambda e: (e.sim_time, e.activation_id))
         for ev in arrived:
             self.last_event_time[ev.machine] = ev.sim_time

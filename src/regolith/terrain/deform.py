@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .heightfield import Heightfield, OutOfBounds, SoilParams
@@ -136,32 +134,25 @@ def _box(h: Heightfield, lo_x, hi_x, lo_y, hi_y):
              min(math.ceil((hi_y - oy) / cs - 0.5), h.ny - 1)))
 
 
-def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams,
-                   target: Optional[Heightfield] = None) -> float:
+def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams) -> float:
     """Lower terrain to the swept cut surface; returns removed mass (kg).
 
-    Per cell the new elevation is max(cut surface, target elevation when a
-    target is supplied, old elevation - max_depth) and never above the old
-    elevation.  Terrain mass decreases by exactly the returned mass.
+    Per cell the new elevation is max(cut surface, old elevation -
+    max_depth) and never above the old elevation.  Terrain mass decreases
+    by exactly the returned mass.
     """
     for (x, y, _z, _a) in cut.points:
         if not h.in_bounds(x, y):
             raise OutOfBounds(f"cut point ({x:.2f}, {y:.2f}) outside grid")
-    if target is not None and not h.same_grid(target):
-        raise ValueError("target grid does not match terrain grid")
     removed_volume = 0.0
     area = h.cell_size ** 2
     elevation = h.elevation
     e = elevation.item
-    floor_at = target.elevation.item if target is not None else None
     max_depth = cut.max_depth
     dirty = h.dirty
     for i, j, cz in _cut_cells(h, cut):
         old = e(i, j)
         floor = old - max_depth
-        if floor_at is not None:
-            t = floor_at(i, j)
-            floor = t if t > floor else floor           # max(floor, t)
         new = floor if floor > cz else cz               # max(cz, floor)
         if new < old:
             removed_volume += (old - new) * area
@@ -171,10 +162,10 @@ def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams,
 
 
 def deposit(h: Heightfield, x: float, y: float, mass: float,
-            soil: SoilParams, spread_radius: float = 1.0,
-            relax: bool = True) -> float:
-    """Add material as a cone-shaped mound at (x, y); returns mass lost to
-    clipping at the grid boundary (zero when fully inside)."""
+            soil: SoilParams, spread_radius: float = 1.0) -> float:
+    """Add material as a cone-shaped mound at (x, y), then relax the slopes
+    around it; returns mass lost to clipping at the grid boundary (zero
+    when fully inside)."""
     if mass < 0:
         raise ValueError("deposit mass must be >= 0")
     if mass == 0.0:
@@ -219,7 +210,7 @@ def deposit(h: Heightfield, x: float, y: float, mass: float,
             tj1 = j if j > tj1 else tj1
         else:
             lost_volume += share
-    if relax and ti1 >= 0:
+    if ti1 >= 0:
         margin = math.ceil(radius / cs) + 3
         avalanche_relax(h, soil, region=(
             max(ti0 - margin, 0), max(tj0 - margin, 0),

@@ -20,20 +20,14 @@ class SoilParams:
 
     internal_friction_angle: float = 0.80   # rad
     cohesion: float = 900.0                 # Pa
-    dilatancy_angle: float = 0.23           # rad
     bank_density: float = 1580.0            # kg/m^3
-    packing_fraction: float = 0.66
-    compression_index: float = 0.11         # carried for reports, unused here
     gravity: float = 1.6                    # m/s^2
 
     def __post_init__(self):
-        for name in ("internal_friction_angle", "cohesion", "dilatancy_angle",
-                     "bank_density", "packing_fraction", "compression_index",
+        for name in ("internal_friction_angle", "cohesion", "bank_density",
                      "gravity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"soil parameter {name} must be positive")
-        if self.packing_fraction > 1.0:
-            raise ValueError("packing_fraction must be in (0, 1]")
 
     @property
     def repose_tan(self) -> float:
@@ -84,11 +78,6 @@ class Heightfield:
     def copy(self) -> "Heightfield":
         return Heightfield(self.nx, self.ny, self.cell_size, self.origin,
                            self.elevation)
-
-    def same_grid(self, other: "Heightfield") -> bool:
-        return (self.nx == other.nx and self.ny == other.ny
-                and self.cell_size == other.cell_size
-                and self.origin == other.origin)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         i = math.floor((x - self.origin[0]) / self.cell_size)

@@ -72,7 +72,7 @@ def test_publish_then_poll():
     bus = Bus()
     sub = bus.subscribe_category("target")
     bus.publish("/m1/target/drive", cmd(x=1), 0.5)
-    got = sub.poll(10)
+    got = sub.poll()
     assert len(got) == 1
     assert got[0].payload["x"] == 1
     assert got[0].sim_time == 0.5
@@ -85,7 +85,7 @@ def test_two_subscribers_both_receive_in_order():
     for i in range(5):
         bus.publish("/m1/target/drive", cmd(i=i), float(i))
     for sub in (a, b):
-        assert [e.payload["i"] for e in sub.poll(10)] == list(range(5))
+        assert [e.payload["i"] for e in sub.poll()] == list(range(5))
 
 
 def test_payload_kind_must_match_category():
@@ -98,7 +98,7 @@ def test_no_replay_before_subscription():
     bus = Bus()
     bus.publish("/m1/target/drive", cmd(), 0.0)
     sub = bus.subscribe_category("target")
-    assert sub.poll(10) == []
+    assert sub.poll() == []
 
 
 def test_queue_length_after_publishes():
@@ -109,23 +109,13 @@ def test_queue_length_after_publishes():
     assert len(sub) == 7
 
 
-def test_poll_batches():
-    bus = Bus()
-    sub = bus.subscribe_category("target")
-    for name in "abc":
-        bus.publish("/m1/target/drive", cmd(name=name), 0.0)
-    assert [e.payload["name"] for e in sub.poll(2)] == ["a", "b"]
-    assert [e.payload["name"] for e in sub.poll(2)] == ["c"]
-    assert sub.poll(2) == []
-
-
 def test_bounded_queue_drops_oldest_and_counts():
     bus = Bus(queue_limit=3)
     sub = bus.subscribe_category("target")
     for i in range(5):
         bus.publish("/m1/target/drive", cmd(i=i), 0.0)
     assert sub.dropped == 2
-    assert [e.payload["i"] for e in sub.poll(10)] == [2, 3, 4]
+    assert [e.payload["i"] for e in sub.poll()] == [2, 3, 4]
 
 
 def test_bus_dropped_sums_every_subscription():
@@ -155,7 +145,7 @@ def test_interleaved_publishers_keep_per_publisher_seq_order():
     for t in threads:
         t.join()
     seen = {"a": 0, "b": 0}
-    for env in sub.poll(1000):
+    for env in sub.poll():
         p = env.payload["p"]
         assert env.seq == seen[p] + 1  # linearization per publisher
         seen[p] = env.seq
@@ -183,8 +173,8 @@ def test_loopback_bridge_equivalent_to_local_bus():
     planner.publish("/m1/target/drive", cmd(w=1), 0.0)
     sim.publish("/m1/telemetry/state", tlm(z=2), 0.0)
     assert bridge.pump() == 2
-    assert sim_sub.poll(5)[0].payload["w"] == 1
-    assert planner_sub.poll(5)[0].payload["z"] == 2
+    assert sim_sub.poll()[0].payload["w"] == 1
+    assert planner_sub.poll()[0].payload["z"] == 2
 
 
 def test_loopback_bridge_preserves_order():
@@ -193,7 +183,7 @@ def test_loopback_bridge_preserves_order():
     for i in range(4):
         sim.publish("/m1/telemetry/state", tlm(i=i), float(i) * 0.01)
     assert bridge.pump() == 4
-    assert [e.payload["i"] for e in planner_sub.poll(10)] == [0, 1, 2, 3]
+    assert [e.payload["i"] for e in planner_sub.poll()] == [0, 1, 2, 3]
 
 
 # -- wire encoding ----------------------------------------------------------
@@ -496,7 +486,7 @@ def test_tcp_bridge_lockstep_exchange():
             t = client.wait_sync()
             if t is None:
                 break
-            for env in sub.poll(50):
+            for env in sub.poll():
                 result.setdefault("seen", []).append(env.payload["step"])
             planner_bus.publish("/m1/target/drive", cmd(at=t), t)
             client.ack()
@@ -504,7 +494,7 @@ def test_tcp_bridge_lockstep_exchange():
 
     thread = threading.Thread(target=planner_side)
     thread.start()
-    server.accept()
+    server.accept(wait=5.0)
     cmd_sub = sim_bus.subscribe_category("target")
     for step in range(3):
         sim_bus.publish("/m1/telemetry/state", tlm(step=step), float(step))
@@ -513,13 +503,14 @@ def test_tcp_bridge_lockstep_exchange():
     thread.join(timeout=5)
     assert not thread.is_alive()
     assert result["seen"] == [0, 1, 2]
-    assert [e.payload["at"] for e in cmd_sub.poll(10)] == [0.0, 1.0, 2.0]
+    assert [e.payload["at"] for e in cmd_sub.poll()] == [0.0, 1.0, 2.0]
 
 
-def test_tcp_bridge_sync_times_out_on_silent_planner():
+def test_tcp_bridge_sync_times_out_on_silent_planner(monkeypatch):
+    monkeypatch.setattr("regolith.bus.bridge.SYNC_TIMEOUT", 0.5)
     server = TcpBridgeServer(Bus())
     peer = socket.create_connection(("127.0.0.1", server.port))
-    server.accept(timeout=0.5)
+    server.accept(wait=0.5)
     raised = []
 
     def simulator_side():

@@ -15,7 +15,7 @@ import regolith
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
 from regolith import planner_proc
-from regolith.bus import Bus, TcpBridgeClient, topic_for, wire
+from regolith.bus import Bus, TcpBridgeClient, bridge, topic_for, wire
 from regolith.planner import SITE_ID
 import regolith.runner
 from regolith.runner import _finalize, _progressed, run
@@ -76,11 +76,25 @@ def test_missing_field_error_includes_path():
         validate_config(raw, TREE_DIR)
 
 
-def test_unknown_role_rejected():
-    raw = minimal_raw()
-    raw["machines"][0]["role"] = "crane"
-    with pytest.raises(ConfigError, match="role"):
+@pytest.mark.parametrize("machine, key, value, field", [
+    (0, "role", "crane", "machines[0].role"),
+    (None, "soil", {"dilatancy_angle": 0.23}, "soil"),
+    (0, "spec", {"bucket_width": 0.6}, "machines"),
+    (0, "rig", {"bucket_widht": 0.6}, "machines[0].rig"),
+], ids=["role", "soil", "spec", "rig"])
+def test_unknown_value_rejected(tmp_path, capsys, machine, key, value,
+                                field):
+    """An unknown role, or a soil, spec or rig key that names nothing,
+    fails validation, and `regolith run` exits 3."""
+    raw = minimal_raw(tree_file=str(TREE_DIR / "scenario1.bt"))
+    owner = raw if machine is None else raw["machines"][machine]
+    owner[key] = value
+    with pytest.raises(ConfigError) as info:
         validate_config(raw, TREE_DIR)
+    assert info.value.path == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == EXIT_ERROR
 
 
 def test_terrain_needs_exactly_one_source():
@@ -245,6 +259,35 @@ def test_tcp_run_fails_fast_when_the_child_exits_after_some_syncs(
     assert samples[0].startswith("sim_time,")
     assert len(samples) > 1
     assert not any(line.startswith("sim_time,") for line in samples[1:])
+
+
+def test_tcp_run_ends_after_one_sync_deadline_when_the_child_hangs(
+        tmp_path, monkeypatch):
+    """A planner child that stops answering is killed once its sync
+    deadline passes, so the run ends in SYNC_TIMEOUT, not twice that, with
+    an error naming the child, the sim time and the deadline."""
+    def ack_two_syncs_then_hang(host, port):
+        client = TcpBridgeClient(Bus(), host, port)
+        client.wait_hello()
+        for _ in range(2):
+            client.wait_sync()
+            client.ack({"status": "RUNNING", "cell_index": 0})
+        time.sleep(60.0)
+
+    monkeypatch.setattr(planner_proc, "serve", ack_two_syncs_then_hang)
+    monkeypatch.setattr(bridge, "SYNC_TIMEOUT", 1.0)
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"transport": "tcp", "max_sim_time": 5.0})
+    start = time.perf_counter()
+    report = run(config, out_dir=tmp_path)
+    assert time.perf_counter() - start < bridge.SYNC_TIMEOUT + 1.0
+    assert report.error == ("BridgeError: planner child sent no ack for the "
+                            "sync at sim time 0.30 s within SYNC_TIMEOUT = "
+                            "1 s")
+    assert not report.complete
+    samples = (tmp_path / "samples.csv").read_text().splitlines()
+    assert samples[0].startswith("sim_time,")
+    assert len(samples) > 1
 
 
 ARTIFACTS = ("cycles.csv", "samples.csv", "events.csv")

@@ -263,7 +263,7 @@ def test_dig_conserves_mass_into_bucket():
     surface = 2.0
     traj = SweptCut(points=[(12.0, 10.0, surface - 0.15, 0.5),
                             (13.0, 10.0, surface - 0.15, 0.5)],
-                    width=spec.bucket_width, max_depth=0.3)
+                    width=0.6, max_depth=0.3)
     before = h.total_mass(SOIL.bank_density)
     status, removed, _ = run_dig(spec, state, traj, h)
     after = h.total_mass(SOIL.bank_density)
@@ -277,7 +277,7 @@ def test_dig_keeps_payload_a_plain_float():
     h = flat_field(height=2.0)
     spec, state = machine(h=h)
     traj = SweptCut(points=[(12.0, 10.0, 1.85, 0.5), (13.0, 10.0, 1.85, 0.5)],
-                    width=spec.bucket_width, max_depth=0.3)
+                    width=0.6, max_depth=0.3)
     execution = DigExecution(spec, traj)
     for _ in range(20000):
         status, removed = execution.step(state, h, SOIL, DT)
@@ -293,7 +293,7 @@ def test_dig_fully_above_surface_succeeds_with_zero():
     h = flat_field(height=2.0)
     spec, state = machine(h=h)
     traj = SweptCut(points=[(12.0, 10.0, 2.5, 0.5), (13.0, 10.0, 2.5, 0.5)],
-                    width=spec.bucket_width)
+                    width=0.6)
     before = h.elevation.copy()
     status, removed, _ = run_dig(spec, state, traj, h)
     assert status == SUCCEEDED
@@ -305,7 +305,7 @@ def test_dig_unreachable_start_fails_without_terrain_change():
     h = flat_field(height=2.0)
     spec, state = machine(h=h)
     traj = SweptCut(points=[(20.0, 10.0, 1.85, 0.5), (21.0, 10.0, 1.85, 0.5)],
-                    width=spec.bucket_width)
+                    width=0.6)
     before = h.elevation.copy()
     status, removed, _ = run_dig(spec, state, traj, h, max_steps=100)
     assert status == FAILED
@@ -317,7 +317,7 @@ def test_dig_torque_samples_within_limits():
     h = flat_field(height=2.0)
     spec, state = machine(h=h)
     traj = SweptCut(points=[(12.0, 10.0, 1.85, 0.5), (13.0, 10.0, 1.85, 0.5)],
-                    width=spec.bucket_width, max_depth=0.3)
+                    width=0.6, max_depth=0.3)
     execution = DigExecution(spec, traj)
     for _ in range(20000):
         status, _ = execution.step(state, h, SOIL, DT)
@@ -335,7 +335,7 @@ def test_dig_is_deterministic():
         spec, state = machine(h=h)
         traj = SweptCut(points=[(12.0, 10.0, 1.85, 0.5),
                                 (13.0, 10.0, 1.85, 0.5)],
-                        width=spec.bucket_width, max_depth=0.3)
+                        width=0.6, max_depth=0.3)
         _, removed, _ = run_dig(spec, state, traj, h)
         results.append((removed, state.payload_kg, tuple(state.joints.values()),
                         h.elevation.tobytes()))
@@ -461,19 +461,19 @@ def pid_oracle(kp, ki, kd, out_limit, errors, dt):
 def test_pid_matches_discrete_oracle():
     rng = np.random.default_rng(8)
     errors = rng.uniform(-1, 1, 50)
-    pid = Pid(1.5, 0.4, 0.1, out_limit=0.8)
+    pid = Pid(1.5, 0.4, out_limit=0.8)
     got = [pid.update(e, DT) for e in errors]
-    expected = pid_oracle(1.5, 0.4, 0.1, 0.8, errors, DT)
+    expected = pid_oracle(1.5, 0.4, 0.0, 0.8, errors, DT)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_pid_zero_error_zero_output():
-    pid = Pid(2.0, 0.5, 0.0, out_limit=0.3)
+    pid = Pid(2.0, 0.5, out_limit=0.3)
     assert pid.update(0.0, DT) == 0.0
 
 
 def test_pid_step_response_converges_without_steady_state_error():
-    pid = Pid(2.0, 0.5, 0.0, out_limit=0.3)
+    pid = Pid(2.0, 0.5, out_limit=0.3)
     height, target = 0.0, 0.5
     trace = []
     for _ in range(3000):
@@ -487,7 +487,7 @@ def test_blade_run_levels_cells_to_target():
     h = flat_field(height=2.0)
     spec, state = machine(x=5.0, y=10.0, h=h)
     target = 1.92
-    pid = Pid(3.0, 0.8, 0.0, out_limit=0.25)
+    pid = Pid(3.0, 0.8, out_limit=0.25)
     terrain_before = h.total_mass(SOIL.bank_density)
     graded_total = shed_total = lost_total = 0.0
     for _ in range(4000):  # drive 12 m at 0.3 m/s
@@ -631,7 +631,7 @@ def _dig_world():
     spec, state = machine(h=h)
     # off the machine's axis, so that the swing moves
     traj = SweptCut(points=[(12.0, 10.8, 1.85, 0.5), (12.9, 11.3, 1.85, 0.5)],
-                    width=spec.bucket_width, max_depth=0.3)
+                    width=0.6, max_depth=0.3)
     execution = DigExecution(spec, traj)
     return h, [state], lambda k: execution.step(state, h, SOIL, DT)
 

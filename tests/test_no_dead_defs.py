@@ -10,13 +10,21 @@ stay for a stated reason.
 Uses are matched by bare name, not by owner: a method nothing calls passes
 when another definition shares its name and is used (a caller-less
 `to_dict` on one class hides behind `RunReport.to_dict`).
+
+The config dataclasses get a second guard: each of their fields must be
+read as an attribute outside a `__post_init__`, since a field that only
+its own validation reads changes nothing a run does.
 """
 
 import ast
+import dataclasses
 import re
 import time
 from collections import Counter
 from pathlib import Path
+
+from regolith.machines import ArmGeometry, MachineSpec
+from regolith.terrain import SoilParams
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "regolith"
 
@@ -127,3 +135,42 @@ def test_guard_flags_a_caller_less_function(tmp_path):
     (pkg / "tree.bt").write_text("Node\n")
     defs, uses = scan(pkg)
     assert sorted(name for name in defs if not uses[name]) == ["unused"]
+
+
+def attribute_reads(root: Path = SRC) -> Counter:
+    """attribute name -> loads outside any `__post_init__`, over the
+    package sources.  Matched by bare name, as `scan` matches uses: a field
+    that shares its name with another class's attribute hides behind it,
+    as an unread `MachineSpec.width` did behind `SweptCut.width`."""
+    reads: Counter = Counter()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        validation = {id(node) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef)
+                      and fn.name == "__post_init__"
+                      for node in ast.walk(fn)}
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in validation)
+    return reads
+
+
+def test_every_config_field_is_read():
+    reads = attribute_reads()
+    unread = sorted(f"{cls.__name__}.{f.name}"
+                    for cls in (SoilParams, MachineSpec, ArmGeometry)
+                    for f in dataclasses.fields(cls) if not reads[f.name])
+    assert not unread, "config fields nothing reads: " + ", ".join(unread)
+
+
+def test_field_guard_skips_validation_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Soil:\n"
+        "    def __post_init__(self):\n"
+        "        if self.only_validated <= 0:\n"
+        "            raise ValueError\n\n"
+        "def use(soil):\n"
+        "    soil.written = soil.read\n")
+    reads = attribute_reads(tmp_path)
+    assert set(reads) == {"read"}

@@ -397,8 +397,7 @@ def test_skill_binding_failure_and_planning_failure():
 
 def test_skill_binding_times_out_without_status():
     runtime, bus = make_runtime()
-    binding = SkillBinding(runtime, "dig", lambda rt, node, ctx: {},
-                           timeout=5.0)
+    binding = SkillBinding(runtime, "dig", lambda rt, node, ctx: {})
     node = Task("DigLeaf", binding=binding, context="excavator1")
     ctx0 = TickContext(blackboard=Blackboard(), sim_time=0.0)
     assert node.tick(ctx0) is RUNNING

@@ -595,7 +595,7 @@ def test_simulator_logs_samples_off_the_bus(tmp_path):
     for _ in range(2 * TELEMETRY_EVERY):
         sim.step()
     write_samples_csv(path, log)
-    envelopes = telemetry.poll(1000)
+    envelopes = telemetry.poll()
     assert envelopes
     assert {split_topic(e.topic)[2] for e in envelopes} <= {"state", "terrain"}
     steps = sorted({e.sim_time for e in envelopes})
