@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bt import ParseError, ResolveError, parse_document, resolve, serialize
-from .config import ConfigError, load_config
+from .config import ConfigError, PlannerParams, load_config
 from .planner import PlannerRuntime, build_registry
 from .scenarios import REFERENCE_SCENARIOS, scenario_path
 
@@ -68,7 +68,7 @@ def _cmd_validate_bt(args) -> int:
         return EXIT_ERROR
     try:
         doc = parse_document(text)
-        stub = PlannerRuntime(bus=None, wm=None, machine_rigs={}, params={})
+        stub = PlannerRuntime(bus=None, wm=None, params=PlannerParams())
         tree = resolve(doc, build_registry(stub))
     except (ParseError, ResolveError) as exc:
         print(f"invalid tree: {exc}", file=sys.stderr)

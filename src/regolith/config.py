@@ -1,11 +1,17 @@
 """Scenario configuration: JSON loading, validation with field paths, and
-construction of the terrain, soil, and machine objects a run needs."""
+construction of the terrain, soil, and machine objects a run needs.
+
+Every key a scenario may set is declared here once, with its default and
+its check; a key not declared fails validation, at any level.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -14,11 +20,20 @@ from .terrain import Heightfield, SoilParams, generate_heightfield
 
 TRANSPORTS = ("loopback", "tcp")
 
-#: Default run-stall window for the deadlock detector (sim s).
-DEFAULT_DEADLOCK_WINDOW = 120.0
-
-#: The keys of a machine's `rig`, the planner's view of its tools.
-RIG_KEYS = ("reach", "bucket_width", "bucket_capacity_kg", "target_load_kg")
+#: The keys of the sections that `validate_config` reads key by key; the
+#: sections with named values are the `_key` fields of their dataclasses.
+TOP_KEYS = ("name", "timestep", "max_sim_time", "seed", "transport",
+            "terrain", "target", "soil", "machines", "cells", "tree_file",
+            "planner", "poses", "deadlock_window")
+TERRAIN_KEYS = ("file", "generate")
+GENERATE_KEYS = tuple(inspect.signature(generate_heightfield).parameters)
+RIDGE_KEYS = ("x", "height", "half_width")
+TARGET_KEYS = ("file", "flat_height", "dig_depth")
+CELLS_KEYS = ("area", "cells_x", "cells_y")
+MACHINE_KEYS = ("id", "role", "pose", "spec", "rig")
+SOIL_KEYS = tuple(f.name for f in fields(SoilParams))
+SPEC_KEYS = tuple(f.name for f in fields(MachineSpec)
+                  if f.name not in ("machine_id", "role"))
 
 
 class ConfigError(ValueError):
@@ -29,16 +44,42 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require(raw: dict, path: str, key: str, kind, parent: str = ""):
-    if key not in raw:
-        raise ConfigError(f"{parent}{key}", "missing required field")
-    value = raw[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{parent}{key}", "must be a number")
-        return float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{parent}{key}", f"must be {kind.__name__}")
+# -- values ------------------------------------------------------------------
+# A parser takes a value and its path, and returns the value checked and
+# converted, or raises ConfigError at the path.
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(path, "must be a number")
+    return float(value)
+
+
+def _positive(value, path: str) -> float:
+    value = _number(value, path)
+    if not value > 0:
+        raise ConfigError(path, "must be > 0")
+    return value
+
+
+def _integer(value, path: str, low: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(path, f"must be an integer >= {low}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, "must be str")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
     return value
 
 
@@ -50,13 +91,110 @@ def _point(value, path: str, min_len: int = 2, max_len: int = 3):
     return tuple(float(v) for v in value)
 
 
+def _area(value, path: str) -> tuple:
+    area = _point(value, path, 4, 4)
+    if not (area[2] > area[0] and area[3] > area[1]):
+        raise ConfigError(path, "needs x1 > x0 and y1 > y0")
+    return area
+
+
+def _known(section: dict, path: str, keys) -> dict:
+    """section, once each of its keys is one of keys."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(_at(path, key), "unknown key")
+    return section
+
+
+def _get(section: dict, path: str, key: str, parse, default=MISSING):
+    """section[key] through parse, or default when the key is absent; a
+    key without a default is required."""
+    if key in section:
+        return parse(section[key], _at(path, key))
+    if default is MISSING:
+        raise ConfigError(_at(path, key), "missing required field")
+    return default
+
+
+# -- sections ----------------------------------------------------------------
+
+def _key(parse, default=MISSING):
+    """A dataclass field that the config key of the same name sets, checked
+    and converted by parse; without a default the key is required."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def _load(cls, value, path: str, **rest):
+    """cls from the config object at path: each `_key` field from its key,
+    or at its default.  rest sets the fields that no key sets."""
+    declared = {f.name: f for f in fields(cls) if "parse" in f.metadata}
+    section = _known(_object(value, path), path, declared)
+    return cls(**{name: _get(section, path, name, f.metadata["parse"],
+                             f.default)
+                  for name, f in declared.items()}, **rest)
+
+
+@dataclass(frozen=True)
+class Rig:
+    """`machines[].rig`: the planner's view of a machine's tools."""
+    reach: float = _key(_positive, 4.0)                  # m
+    bucket_width: float = _key(_positive, 0.6)           # m
+    bucket_capacity_kg: float = _key(_positive, 75.0)
+
+
+@dataclass(frozen=True)
+class Poses:
+    """`poses`: where a truck loads and dumps, and the terrain offload
+    point of a site without trucks; each (x, y) or (x, y, heading)."""
+    loading_pose: Optional[tuple] = _key(_point, None)
+    truck_dump_pose: Optional[tuple] = _key(_point, None)
+    offload_point: Optional[tuple] = _key(_point, None)
+
+
+@dataclass(frozen=True)
+class Leveling:
+    """`planner.leveling`: the first leveling run, from start_position to
+    end_position, and the lateral step between runs (m)."""
+    start_position: tuple = _key(_point)
+    end_position: tuple = _key(_point)
+    offset: float = _key(_positive)
+
+    def __post_init__(self):
+        if self.start_position[:2] == self.end_position[:2]:
+            raise ConfigError("planner.leveling.end_position",
+                              "must differ from start_position")
+
+
+@dataclass(frozen=True)
+class PlannerParams:
+    """What the planner reads from a scenario: the keys of its `planner`
+    section, plus the `poses`, each machine's rig and the soil's bank
+    density, which `validate_config` fills in."""
+    dig_depth: float = _key(_positive, 0.15)             # m per pass
+    cell_tolerance: float = _key(_positive, 0.05)        # m, mean |h - target|
+    truck_target_load_kg: float = _key(_positive, 200.0)
+    leveling: Optional[Leveling] = _key(partial(_load, Leveling), None)
+    leveling_width: Optional[float] = _key(_positive, None)        # m
+    leveling_target_height: Optional[float] = _key(_number, None)  # m
+    poses: Poses = field(default_factory=Poses)
+    rigs: dict = field(default_factory=dict)             # machine id -> Rig
+    bank_density: float = SoilParams.bank_density
+
+    def __post_init__(self):
+        if self.leveling is not None:
+            for key in ("leveling_width", "leveling_target_height"):
+                if getattr(self, key) is None:
+                    raise ConfigError(f"planner.{key}",
+                                      "required with planner.leveling")
+
+
 @dataclass
 class MachineConfig:
     machine_id: str
     role: str
     pose: tuple                      # (x, y, heading)
-    spec_overrides: dict = field(default_factory=dict)
-    rig: dict = field(default_factory=dict)
+    spec_overrides: dict
+    rig: Rig
 
     def build_spec(self) -> MachineSpec:
         return default_spec(self.machine_id, self.role,
@@ -76,8 +214,7 @@ class ScenarioConfig:
     machines: list            # of MachineConfig
     cells: dict               # {"area": [x0,y0,x1,y1], "cells_x", "cells_y"}
     tree_file: Path
-    planner: dict
-    poses: dict               # loading_pose / truck_dump_pose / offload_point
+    planner: PlannerParams
     deadlock_window: float
     raw: dict = field(repr=False, default_factory=dict)
     base_dir: Path = field(default_factory=Path)
@@ -123,122 +260,117 @@ class ScenarioConfig:
                 int(self.cells["cells_y"]))
 
 
+def _file(value, path: str, base_dir: Path) -> str:
+    if not (base_dir / _string(value, path)).exists():
+        raise ConfigError(path, f"file not found: {value}")
+    return value
+
+
+def _one_of(section: dict, path: str, keys: tuple) -> dict:
+    """section, once it has exactly one of keys and no other key."""
+    if len(_known(section, path, keys)) != 1:
+        raise ConfigError(path, "needs exactly one of "
+                          + ", ".join(repr(k) for k in keys))
+    return section
+
+
+def _machine(entry, path: str) -> MachineConfig:
+    entry = _known(_object(entry, path), path, MACHINE_KEYS)
+    machine_id = _get(entry, path, "id", _string)
+    role = _get(entry, path, "role", _string)
+    if role not in ROLES:
+        raise ConfigError(_at(path, "role"), f"must be one of {ROLES}")
+    pose = _get(entry, path, "pose", _point, (0.0, 0.0, 0.0))
+    if len(pose) == 2:
+        pose = (*pose, 0.0)
+    spec = _known(_get(entry, path, "spec", _object, {}), _at(path, "spec"),
+                  SPEC_KEYS)
+    rig = _get(entry, path, "rig", partial(_load, Rig), Rig())
+    machine = MachineConfig(machine_id, role, pose, spec, rig)
+    try:
+        machine.build_spec()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(_at(path, "spec"), str(exc)) from exc
+    return machine
+
+
+def _machines(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "needs a list of at least one machine")
+    machines = [_machine(entry, f"{path}[{k}]")
+                for k, entry in enumerate(value)]
+    ids = [m.machine_id for m in machines]
+    for k, machine_id in enumerate(ids):
+        if machine_id in ids[:k]:
+            raise ConfigError(f"{path}[{k}].id",
+                              f"duplicate machine id {machine_id!r}")
+    return machines
+
+
 def validate_config(raw: dict, base_dir: Path, name: str = "") \
         -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("$", "config root must be a JSON object")
-    cfg_name = raw.get("name", name or "scenario")
-    timestep = _require(raw, "timestep", "timestep", float)
-    if timestep <= 0:
-        raise ConfigError("timestep", "must be > 0")
-    max_sim_time = _require(raw, "max_sim_time", "max_sim_time", float)
-    if max_sim_time <= 0:
-        raise ConfigError("max_sim_time", "must be > 0")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed", "must be a non-negative integer")
-    transport = raw.get("transport", "loopback")
+    _known(raw, "", TOP_KEYS)
+    cfg_name = _get(raw, "", "name", _string, name or "scenario")
+    timestep = _get(raw, "", "timestep", _positive)
+    max_sim_time = _get(raw, "", "max_sim_time", _positive)
+    seed = _get(raw, "", "seed", partial(_integer, low=0), 0)
+    transport = _get(raw, "", "transport", _string, "loopback")
     if transport not in TRANSPORTS:
         raise ConfigError("transport", f"must be one of {TRANSPORTS}")
+    deadlock = _get(raw, "", "deadlock_window", _positive, 120.0)   # sim s
 
-    terrain = _require(raw, "terrain", "terrain", dict)
-    if ("file" in terrain) == ("generate" in terrain):
-        raise ConfigError("terrain",
-                          "needs exactly one of 'file' or 'generate'")
-    if "file" in terrain and not (base_dir / terrain["file"]).exists():
-        raise ConfigError("terrain.file",
-                          f"file not found: {terrain['file']}")
+    terrain = _one_of(_get(raw, "", "terrain", _object), "terrain",
+                      TERRAIN_KEYS)
+    if "file" in terrain:
+        _file(terrain["file"], "terrain.file", base_dir)
+    else:
+        generate = _known(_object(terrain["generate"], "terrain.generate"),
+                          "terrain.generate", GENERATE_KEYS)
+        if generate.get("ridge") is not None:
+            path = "terrain.generate.ridge"
+            ridge = _known(_object(generate["ridge"], path), path, RIDGE_KEYS)
+            for key in RIDGE_KEYS:
+                _get(ridge, path, key, _number)
 
-    target = raw.get("target")
+    target = _get(raw, "", "target", _object, None)
     if target is not None:
-        if not isinstance(target, dict):
-            raise ConfigError("target", "must be an object")
-        keys = {"file", "flat_height", "dig_depth"} & target.keys()
-        if len(keys) != 1:
-            raise ConfigError(
-                "target",
-                "needs exactly one of 'file', 'flat_height', 'dig_depth'")
-        if "file" in target and not (base_dir / target["file"]).exists():
-            raise ConfigError("target.file",
-                              f"file not found: {target['file']}")
+        (key, value), = _one_of(target, "target", TARGET_KEYS).items()
+        if key == "file":
+            _file(value, "target.file", base_dir)
+        else:
+            _number(value, f"target.{key}")
 
-    soil = raw.get("soil", {})
-    if not isinstance(soil, dict):
-        raise ConfigError("soil", "must be an object")
+    soil = _known(_get(raw, "", "soil", _object, {}), "soil", SOIL_KEYS)
     try:
-        SoilParams(**soil)
+        bank_density = SoilParams(**soil).bank_density
     except (TypeError, ValueError) as exc:
         raise ConfigError("soil", str(exc)) from exc
 
-    machines_raw = _require(raw, "machines", "machines", list)
-    if not machines_raw:
-        raise ConfigError("machines", "needs at least one machine")
-    machines, seen = [], set()
-    for k, entry in enumerate(machines_raw):
-        prefix = f"machines[{k}]."
-        if not isinstance(entry, dict):
-            raise ConfigError(f"machines[{k}]", "must be an object")
-        machine_id = _require(entry, "id", "id", str, prefix)
-        if machine_id in seen:
-            raise ConfigError(f"{prefix}id",
-                              f"duplicate machine id {machine_id!r}")
-        seen.add(machine_id)
-        role = _require(entry, "role", "role", str, prefix)
-        if role not in ROLES:
-            raise ConfigError(f"{prefix}role", f"must be one of {ROLES}")
-        pose = _point(entry.get("pose", [0, 0, 0]), f"{prefix}pose", 2, 3)
-        if len(pose) == 2:
-            pose = (*pose, 0.0)
-        spec_over = entry.get("spec", {})
-        rig = entry.get("rig", {})
-        for key, val in (("spec", spec_over), ("rig", rig)):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{prefix}{key}", "must be an object")
-        unknown = sorted(rig.keys() - set(RIG_KEYS))
-        if unknown:
-            raise ConfigError(f"{prefix}rig", f"unknown keys {unknown}")
-        machines.append(MachineConfig(machine_id, role, pose, spec_over, rig))
+    machines = _get(raw, "", "machines", _machines)
 
-    cells = _require(raw, "cells", "cells", dict)
-    area = _point(cells.get("area"), "cells.area", 4, 4)
-    if not (area[2] > area[0] and area[3] > area[1]):
-        raise ConfigError("cells.area", "needs x1 > x0 and y1 > y0")
-    for key in ("cells_x", "cells_y"):
-        count = cells.get(key, 1)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError(f"cells.{key}", "must be a positive integer")
-    cells = {"area": list(area), "cells_x": int(cells.get("cells_x", 1)),
-             "cells_y": int(cells.get("cells_y", 1))}
+    cells = _known(_get(raw, "", "cells", _object), "cells", CELLS_KEYS)
+    cells = {"area": list(_get(cells, "cells", "area", _area)),
+             "cells_x": _get(cells, "cells", "cells_x",
+                             partial(_integer, low=1), 1),
+             "cells_y": _get(cells, "cells", "cells_y",
+                             partial(_integer, low=1), 1)}
 
-    tree_name = _require(raw, "tree_file", "tree_file", str)
-    tree_file = base_dir / tree_name
-    if not tree_file.exists():
-        raise ConfigError("tree_file", f"file not found: {tree_name}")
+    tree_file = base_dir / _get(raw, "", "tree_file",
+                                partial(_file, base_dir=base_dir))
 
-    planner = raw.get("planner", {})
-    if not isinstance(planner, dict):
-        raise ConfigError("planner", "must be an object")
-    poses = raw.get("poses", {})
-    if not isinstance(poses, dict):
-        raise ConfigError("poses", "must be an object")
-    for key, value in poses.items():
-        poses = {**poses, key: _point(value, f"poses.{key}", 2, 3)}
-    deadlock = raw.get("deadlock_window", DEFAULT_DEADLOCK_WINDOW)
-    if not isinstance(deadlock, (int, float)) or deadlock <= 0:
-        raise ConfigError("deadlock_window", "must be > 0")
-
-    try:
-        for machine in machines:
-            machine.build_spec()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("machines", f"invalid spec override: {exc}") from exc
+    poses = _load(Poses, raw.get("poses", {}), "poses")
+    planner = _load(PlannerParams, raw.get("planner", {}), "planner",
+                    poses=poses, bank_density=bank_density,
+                    rigs={m.machine_id: m.rig for m in machines})
 
     return ScenarioConfig(
         name=cfg_name, timestep=timestep, max_sim_time=max_sim_time,
         seed=seed, transport=transport, terrain=terrain, target=target,
         soil=soil, machines=machines, cells=cells, tree_file=tree_file,
-        planner=planner, poses=poses, deadlock_window=float(deadlock),
-        raw=raw, base_dir=base_dir)
+        planner=planner, deadlock_window=deadlock, raw=raw,
+        base_dir=base_dir)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:

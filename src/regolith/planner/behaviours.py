@@ -124,18 +124,11 @@ def _machine_report(runtime, machine):
 
 
 def _fresh_dig_plan(runtime, machine, ctx):
-    rig = runtime.rig(machine)
-    plan = plan_dig(
-        runtime.wm, machine,
-        dig_depth=runtime.params.get("dig_depth", 0.15),
-        attack=runtime.params.get("attack", 0.5),
-        max_cut_length=runtime.params.get("max_cut_length", 1.2),
-        bucket_width=rig["bucket_width"],
-        bucket_capacity_kg=rig["bucket_capacity_kg"],
-        bank_density=runtime.bank_density,
-        max_depth=runtime.params.get("max_dig_depth", 0.3),
-        sim_time=ctx.sim_time)
-    return plan
+    params = runtime.params
+    rig = params.rigs[machine]
+    return plan_dig(runtime.wm, machine, params.dig_depth, rig.bucket_width,
+                    rig.bucket_capacity_kg, params.bank_density,
+                    sim_time=ctx.sim_time)
 
 
 def _drive_to_dig_params(runtime, node, ctx):
@@ -160,14 +153,15 @@ def _dig_params(runtime, node, ctx):
 
 def _dump_to_truck_params(runtime, node, ctx):
     machine = node.context
-    plan = plan_dump(runtime.wm, machine, reach=runtime.rig(machine)["reach"])
+    plan = plan_dump(runtime.wm, machine, runtime.params.rigs[machine].reach,
+                     runtime.params.poses.offload_point)
     if plan is None or plan.truck_id is None:
         return None
     return {"truck": plan.truck_id}
 
 
 def _dump_to_area_params(runtime, node, ctx):
-    point = runtime.offload_point
+    point = runtime.params.poses.offload_point
     if point is None:
         return None
     return {"point": [point[0], point[1]]}
@@ -175,9 +169,8 @@ def _dump_to_area_params(runtime, node, ctx):
 
 def _drive_to_dump_stance_params(runtime, node, ctx):
     machine = node.context
-    plan = plan_dump(runtime.wm, machine,
-                     reach=runtime.rig(machine)["reach"],
-                     fallback_point=runtime.offload_point)
+    plan = plan_dump(runtime.wm, machine, runtime.params.rigs[machine].reach,
+                     runtime.params.poses.offload_point)
     if plan is None:
         return None
     if plan.stance is None:
@@ -189,7 +182,7 @@ def _drive_to_dump_stance_params(runtime, node, ctx):
 
 
 def _drive_to_loading_params(runtime, node, ctx):
-    pose = runtime.loading_pose
+    pose = runtime.params.poses.loading_pose
     if pose is None:
         return None
     report = _machine_report(runtime, node.context)
@@ -199,7 +192,7 @@ def _drive_to_loading_params(runtime, node, ctx):
 
 
 def _drive_to_dump_area_params(runtime, node, ctx):
-    pose = runtime.truck_dump_pose
+    pose = runtime.params.poses.truck_dump_pose
     if pose is None:
         return None
     report = _machine_report(runtime, node.context)
@@ -215,44 +208,36 @@ def _bed_dump_params(runtime, node, ctx):
 class LevelBinding(SkillBinding):
     """Runs the boustrophedon leveling passes one skill command at a time.
 
-    Run geometry comes from the blackboard keys leveling/start_position,
-    leveling/end_position, and leveling/offset; the run counter is the
-    blackboard key leveling/run_index.  A snapshot does not save the
-    blackboard, so a resumed planner starts again from the first run.
+    The runs are planned once, when the node is built, from the planner's
+    `leveling` and `leveling_width` settings; without them the node fails.
+    The only state a tick hands the next is the run counter, the blackboard
+    key leveling/run_index.  A snapshot does not save the blackboard, so a
+    resumed planner starts again from the first run.
     """
 
     def __init__(self, runtime):
         super().__init__(runtime, "level", self._next_run_params,
                          on_success=self._run_finished)
-
-    def _runs(self, ctx):
-        bb = ctx.blackboard
-        start = bb.read("leveling/start_position")
-        end = bb.read("leveling/end_position")
-        offset = bb.read("leveling/offset")
-        width = self.runtime.params.get("leveling_width")
-        if not start or not end or not offset or not width:
-            return None
-        return plan_leveling(self.runtime.wm, tuple(start), tuple(end),
-                             float(offset), float(width))
+        params = runtime.params
+        leveling = params.leveling
+        self.runs = None if leveling is None else plan_leveling(
+            leveling.start_position, leveling.end_position, leveling.offset,
+            params.leveling_width)
 
     def tick(self, node, ctx):
-        runs = self._runs(ctx)
-        if runs is None:
+        if self.runs is None:
             return FAILURE
-        index = ctx.blackboard.read("leveling/run_index", 0)
-        if index >= len(runs):
+        if ctx.blackboard.read("leveling/run_index", 0) >= len(self.runs):
             self.runtime.wm.leveling_done = True
             return SUCCESS
         return super().tick(node, ctx)
 
     def _next_run_params(self, runtime, node, ctx):
-        runs = self._runs(ctx)
         index = ctx.blackboard.read("leveling/run_index", 0)
-        run = runs[index]
+        run = self.runs[index]
         start, end = run.waypoints[0], run.waypoints[-1]
         return {"start": [start[0], start[1]], "end": [end[0], end[1]],
-                "target_height": runtime.params["leveling_target_height"],
+                "target_height": runtime.params.leveling_target_height,
                 "run_index": index}
 
     def _run_finished(self, runtime, node, ctx, status):
@@ -265,7 +250,7 @@ class LevelBinding(SkillBinding):
 def build_registry(runtime) -> NodeRegistry:
     """Node registry for planner trees: composites plus domain leaves."""
     registry = NodeRegistry()
-    wm = runtime.wm
+    wm, params = runtime.wm, runtime.params
 
     def condition(fn):
         def factory(name, children, context):
@@ -297,12 +282,12 @@ def build_registry(runtime) -> NodeRegistry:
     registry.register("BucketEmpty", condition(
         lambda m, ctx: planning.bucket_empty(wm, m)))
     registry.register("AwaitTruckInPosition", wait(
-        lambda m, ctx: runtime.loading_pose is not None and any(
+        lambda m, ctx: params.poses.loading_pose is not None and any(
             planning.truck_in_position(wm, tr.machine_id,
-                                       runtime.loading_pose)
+                                       params.poses.loading_pose)
             for tr in wm.machines_with_role("dumptruck"))))
     registry.register("AwaitBedFull", wait(
-        lambda m, ctx: planning.bed_full(wm, m, runtime.target_load(m))))
+        lambda m, ctx: planning.bed_full(wm, m, params.truck_target_load_kg)))
     registry.register("AwaitNoOffload", wait(
         lambda m, ctx: not planning.offload_in_progress(wm)))
 

@@ -4,32 +4,25 @@ the behaviour tree once, publish skill commands."""
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from ..bt import Blackboard, NodeStatus, TickContext
 from ..bus import Bus, topic_for
 from .world import WorldModel
 
-#: Default planner iteration period in sim time (s).
+#: Planner iteration period in sim time (s).
 PLANNER_PERIOD = 0.1
 
 
 class PlannerRuntime:
-    """Shared services for behaviour leaves: world model access, command
-    publishing with unique activation ids, and per-machine rig data."""
+    """Shared services for behaviour leaves: the world model, the
+    scenario's planner settings (`config.PlannerParams`: the planner keys,
+    poses, each machine's rig and the bank density), and command
+    publishing with unique activation ids."""
 
-    def __init__(self, bus: Bus, wm: WorldModel, machine_rigs: dict,
-                 params: Optional[dict] = None, bank_density: float = 1580.0,
-                 loading_pose=None, truck_dump_pose=None, offload_point=None):
+    def __init__(self, bus: Bus, wm: WorldModel, params):
         self.bus = bus
         self.wm = wm
-        self.machine_rigs = machine_rigs
-        self.params = dict(params or {})
-        self.bank_density = bank_density
-        self.loading_pose = tuple(loading_pose) if loading_pose else None
-        self.truck_dump_pose = tuple(truck_dump_pose) if truck_dump_pose \
-            else None
-        self.offload_point = tuple(offload_point) if offload_point else None
+        self.params = params
         self.sim_time = 0.0
         self._next_id = 0
 
@@ -40,17 +33,6 @@ class PlannerRuntime:
     def publish_command(self, machine: str, action: str, payload: dict):
         self.bus.publish(topic_for(machine, "target", action), payload,
                          sim_time=self.sim_time, publisher="planner")
-
-    def rig(self, machine: str) -> dict:
-        rig = self.machine_rigs.get(machine, {})
-        return {"bucket_width": rig.get("bucket_width", 0.6),
-                "bucket_capacity_kg": rig.get("bucket_capacity_kg", 75.0),
-                "reach": rig.get("reach", 4.0)}
-
-    def target_load(self, truck_id: str) -> float:
-        rig = self.machine_rigs.get(truck_id, {})
-        return rig.get("target_load_kg",
-                       self.params.get("truck_target_load_kg", 200.0))
 
 
 class PlannerLoop:
@@ -66,15 +48,6 @@ class PlannerLoop:
         self.tick_count = 0
         self.tick_seconds_total = 0.0
         self._switches_reported = 0
-        leveling = self.runtime.params.get("leveling")
-        if leveling:
-            self.blackboard.write("leveling/start_position",
-                                  list(leveling["start_position"]))
-            self.blackboard.write("leveling/end_position",
-                                  list(leveling["end_position"]))
-            self.blackboard.write("leveling/offset",
-                                  float(leveling["offset"]))
-            self.blackboard.write("leveling/run_index", 0)
 
     def drain(self) -> int:
         count = 0

@@ -24,6 +24,16 @@ DUMP_REACH_FRACTION = 0.8
 PRE_DUMP_BACK = 2.0
 #: Minimum spacing between consecutive route waypoints (m).
 MIN_WAYPOINT_SPACING = 0.2
+#: Bucket attack angle of a cut over a level target (rad).
+ATTACK = 0.5
+#: Longest cut along x in one pass (m).
+MAX_CUT_LENGTH = 1.2
+#: Deepest a dig trajectory may cut below the surface (m).
+MAX_DIG_DEPTH = 0.3
+#: How close a truck must stand to its loading pose, in position (m) and
+#: heading (rad), to count as in position.
+TRUCK_POS_TOL = 0.5
+TRUCK_HEADING_TOL = 0.2
 
 
 class RouteError(ValueError):
@@ -55,11 +65,10 @@ class RoutePlan:
             raise RouteError("route needs at least one waypoint")
 
 
-def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float = 0.15,
-             attack: float = 0.5, max_cut_length: float = 1.2,
-             bucket_width: float = 0.6, bucket_capacity_kg: float = 75.0,
-             bank_density: float = 1580.0, max_depth: float = 0.3,
-             sim_time: float = 0.0) -> Union[DigPlan, str]:
+def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float,
+             bucket_width: float, bucket_capacity_kg: float,
+             bank_density: float, sim_time: float = 0.0) \
+        -> Union[DigPlan, str]:
     """Next excavation pass in the active grid cell.
 
     Advances the cell index past cells already matching the target, then
@@ -110,11 +119,11 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float = 0.15,
         i_lo = max(i - 1, 0)
         slope = math.atan((t[i_hi, best_j] - t[i_lo, best_j])
                           / ((i_hi - i_lo) * cs)) if i_hi > i_lo else 0.0
-        pt_attack = min(max(attack + slope, 0.15), 1.2)
+        pt_attack = min(max(ATTACK + slope, 0.15), 1.2)
         points.append((x, y, cut_z, pt_attack))
         volume += max(excess, 0.0) * cs * bucket_width
         length = points[-1][0] - points[0][0]
-        if volume >= budget or length >= max_cut_length:
+        if volume >= budget or length >= MAX_CUT_LENGTH:
             break
     if len(points) < 2:
         if not points:
@@ -122,7 +131,7 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float = 0.15,
         x, y0, z, a = points[0]
         points.append((x + cs, y0, z, a))
     trajectory = SweptCut(points=points, width=bucket_width,
-                          max_depth=max_depth)
+                          max_depth=MAX_DIG_DEPTH)
     stance = (points[0][0] - STANCE_BACK, y, 0.0)
     return DigPlan(cell_index=index, trajectory=trajectory, stance=stance,
                    expected_volume=volume)
@@ -135,8 +144,8 @@ def _max_excess(wm: WorldModel, index: int) -> float:
     return float(diff.max())
 
 
-def plan_dump(wm: WorldModel, machine_id: str, reach: float = 4.0,
-              fallback_point: Optional[tuple] = None) -> Optional[DumpPlan]:
+def plan_dump(wm: WorldModel, machine_id: str, reach: float,
+              fallback_point: Optional[tuple]) -> Optional[DumpPlan]:
     """Offload pose for a loaded excavator: over the nearest truck bed, or
     the configured terrain offload point when no truck exists."""
     report = wm.machines[machine_id]
@@ -184,16 +193,15 @@ def plan_route(wm: WorldModel, frm: tuple, to: tuple,
 
 # -- coordination predicates -------------------------------------------------
 
-def truck_in_position(wm: WorldModel, truck_id: str, pose: tuple,
-                      pos_tol: float = 0.5, heading_tol: float = 0.2) -> bool:
+def truck_in_position(wm: WorldModel, truck_id: str, pose: tuple) -> bool:
     report = wm.machines.get(truck_id)
     if report is None:
         return False
-    if math.dist(report.position, pose[:2]) > pos_tol:
+    if math.dist(report.position, pose[:2]) > TRUCK_POS_TOL:
         return False
     if len(pose) > 2 and pose[2] is not None:
         err = (report.heading - pose[2] + math.pi) % (2 * math.pi) - math.pi
-        if abs(err) > heading_tol:
+        if abs(err) > TRUCK_HEADING_TOL:
             return False
     return True
 
@@ -217,7 +225,7 @@ def offload_in_progress(wm: WorldModel) -> bool:
 
 # -- leveling ----------------------------------------------------------------
 
-def plan_leveling(wm: WorldModel, start: tuple, end: tuple, offset: float,
+def plan_leveling(start: tuple, end: tuple, offset: float,
                   width: float) -> list[RoutePlan]:
     """Boustrophedon leveling runs: parallel passes from start to end,
     laterally shifted by multiples of the offset until the region width is

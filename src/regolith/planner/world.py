@@ -36,8 +36,7 @@ class WorldModel:
     """Believed site state: terrain, target profile, machines, grid cells."""
 
     def __init__(self, terrain: Heightfield, target: Optional[Heightfield],
-                 cells: list, machine_roles: dict,
-                 cell_tolerance: float = 0.05):
+                 cells: list, machine_roles: dict, cell_tolerance: float):
         self.terrain = terrain
         self.target = target
         self.cells = list(cells)          # (i0, j0, i1, j1) regions, in order

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import csv
 import warnings
+from bisect import bisect_right
+from collections import Counter
+from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 SERIES_FILES = ("mass.csv", "duration.csv", "work.csv",
@@ -26,17 +30,27 @@ class PlotDataError(ValueError):
     pass
 
 
-def _read_csv(path: Path, required: tuple) -> list[dict]:
+@contextmanager
+def _csv_rows(path: Path, required: tuple):
+    """The rows of a CSV file, read as they are iterated while the file is
+    open, each as the tuple of its required columns' values."""
     if not path.exists():
         raise PlotDataError(f"missing input file: {path}")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise PlotDataError(
                 f"{path.name} is missing columns: {', '.join(missing)}")
-        return list(reader)
+        # filter drops blank lines, as csv.DictReader does
+        yield map(itemgetter(*(header.index(c) for c in required)),
+                  filter(None, reader))
+
+
+def _read_csv(path: Path, required: tuple) -> list[dict]:
+    with _csv_rows(path, required) as rows:
+        return [dict(zip(required, row)) for row in rows]
 
 
 def _dig_machine(cycle_rows: list[dict]) -> str:
@@ -46,31 +60,52 @@ def _dig_machine(cycle_rows: list[dict]) -> str:
     return max(sorted(counts), key=counts.get)
 
 
-def _excavation_work(samples: list[dict], machine: str,
+def _sample_dt(path: Path, machine: str) -> float:
+    """The median gap between the machine's distinct sample times in
+    samples.csv, which is in time order: the time one of its rows stands
+    for.  0.1 s when it has fewer than two distinct times."""
+    gaps: Counter = Counter()
+    last = None
+    with _csv_rows(path, ("sim_time", "machine")) as rows:
+        for t, m in rows:
+            if m != machine:
+                continue
+            t = float(t)
+            if last is not None and t != last:
+                if t < last:
+                    raise PlotDataError(f"{path.name} is not in time order: "
+                                        f"{t!r} follows {last!r}")
+                gaps[t - last] += 1
+            last = t
+    rank = sum(gaps.values()) // 2
+    for gap in sorted(gaps):
+        rank -= gaps[gap]
+        if rank < 0:
+            return gap
+    return 0.1
+
+
+def _excavation_work(path: Path, machine: str,
                      boundaries: list[float]) -> list[float]:
-    """Positive actuator work during dig activity per cycle span."""
+    """Positive actuator work during dig activity per cycle span: each of
+    the machine's dig rows with positive power adds power * dt to the span
+    that holds its time, in file order.  samples.csv is streamed twice,
+    once for dt and once for the sums."""
     work = [0.0] * max(len(boundaries) - 1, 0)
     if not work:
         return work
-    times = sorted({float(s["sim_time"]) for s in samples
-                    if s["machine"] == machine})
-    if len(times) > 1:
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        gaps.sort()
-        dt = gaps[len(gaps) // 2]
-    else:
-        dt = 0.1
-    for s in samples:
-        if s["machine"] != machine or s["skill_state"] != "dig":
-            continue
-        power = float(s["torque_Nm"]) * float(s["omega_rad_s"])
-        if power <= 0.0:
-            continue
-        t = float(s["sim_time"])
-        for k in range(len(work)):
-            if boundaries[k] <= t < boundaries[k + 1]:
+    dt = _sample_dt(path, machine)
+    with _csv_rows(path, ("sim_time", "machine", "torque_Nm", "omega_rad_s",
+                          "skill_state")) as rows:
+        for t, m, torque, omega, state in rows:
+            if m != machine or state != "dig":
+                continue
+            power = float(torque) * float(omega)
+            if power <= 0.0:
+                continue
+            k = bisect_right(boundaries, float(t)) - 1
+            if 0 <= k < len(work):
                 work[k] += power * dt
-                break
     return work
 
 
@@ -78,7 +113,9 @@ def emit_plot_data(in_dir) -> dict:
     """Write the series files next to the run CSVs; returns row counts."""
     in_dir = Path(in_dir)
     cycles = _read_csv(in_dir / "cycles.csv", _CYCLE_COLUMNS)
-    samples = _read_csv(in_dir / "samples.csv", _SAMPLE_COLUMNS)
+    samples = in_dir / "samples.csv"
+    with _csv_rows(samples, _SAMPLE_COLUMNS):
+        pass                      # checked now, streamed when needed
     events = _read_csv(in_dir / "events.csv", ("sim_time", "event"))
 
     switches = [float(r["sim_time"]) for r in events

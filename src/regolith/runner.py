@@ -90,19 +90,13 @@ def build_planner(config: ScenarioConfig, bus: Bus,
     cells = grid_cells(belief, *config.cell_grid())
     roles = {m.machine_id: m.role for m in config.machines}
     wm = WorldModel(belief, target, cells, roles,
-                    cell_tolerance=config.planner.get("cell_tolerance", 0.05))
+                    config.planner.cell_tolerance)
     for mc in config.machines:
         report = wm.machines[mc.machine_id]
         report.x, report.y, report.heading = mc.pose
     wm.cell_index = min(cell_index, len(cells))
-    wm.leveling_required = "leveling" in config.planner
-    soil = config.build_soil()
-    runtime = PlannerRuntime(
-        bus, wm, machine_rigs={m.machine_id: m.rig for m in config.machines},
-        params=config.planner, bank_density=soil.bank_density,
-        loading_pose=config.poses.get("loading_pose"),
-        truck_dump_pose=config.poses.get("truck_dump_pose"),
-        offload_point=config.poses.get("offload_point"))
+    wm.leveling_required = config.planner.leveling is not None
+    runtime = PlannerRuntime(bus, wm, config.planner)
     registry = build_registry(runtime)
     tree = resolve(parse_document(config.tree_file.read_text()), registry)
     return PlannerLoop(runtime, tree)
@@ -303,8 +297,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         else:
             link = _InProcessLink(config, sim_bus,
                                   sim.terrain if snap else None, cell_index)
-        period = float(config.planner.get("period", PLANNER_PERIOD))
-        steps_per_tick = max(1, round(period / config.timestep))
+        steps_per_tick = max(1, round(PLANNER_PERIOD / config.timestep))
 
         start_wall = time.perf_counter()
         complete = False

@@ -75,6 +75,8 @@ class SkillRunner:
         self.waypoints: list = []
         self.waypoint_index = 0
         self.totals: dict = {}
+        #: ArmDumpExecution.step's destination arguments for a dump skill.
+        self.dump_to: dict = {}
         self.last_status_time = -math.inf
         self.prev_turn_rate = 0.0
         #: When False the machine rejects commands and fails its active
@@ -112,29 +114,31 @@ class SkillRunner:
         self.command_id = payload.get("id", 0)
         self._publish_status("Running")
 
-    def _start(self, action: str, params: dict) -> None:
+    def _start(self, action: str, args: dict) -> None:
         self.action = action
-        self.totals = {"removed": 0.0, "dumped": 0.0, "spilled": 0.0,
-                       "lost": 0.0, "graded": 0.0}
+        self.totals = {"dumped": 0.0, "spilled": 0.0, "graded": 0.0}
         self.execution = None
         if action == "drive":
-            self.waypoints = [tuple(w) for w in params.get("waypoints", [])]
+            self.waypoints = [tuple(w) for w in args.get("waypoints", [])]
             self.waypoint_index = 0
         elif action == "dig":
-            traj = SweptCut.from_dict(params["trajectory"])
+            traj = SweptCut.from_dict(args["trajectory"])
             self.execution = DigExecution(self.spec, traj)
-            self.totals["cell_index"] = params.get("cell_index")
+            self.totals["cell_index"] = args.get("cell_index")
         elif action == "dump":
             self.execution = ArmDumpExecution(self.spec)
-            self.totals["truck"] = params.get("truck")
-            self.totals["point"] = params.get("point")
+            truck = self.sim.machines.get(args.get("truck"))
+            point = args.get("point")
+            self.dump_to = {"truck_state": truck[1] if truck else None,
+                            "truck_spec": truck[0] if truck else None,
+                            "point": tuple(point) if point else None}
         elif action == "beddump":
             self.execution = BedDumpExecution(self.spec)
         elif action == "level":
             self.execution = LevelRunExecution(
-                self.spec, params["start"], params["end"],
-                float(params["target_height"]))
-            self.totals["run_index"] = params.get("run_index")
+                self.spec, args["start"], args["end"],
+                float(args["target_height"]))
+            self.totals["run_index"] = args.get("run_index")
 
     def _clear(self) -> None:
         self.action = None
@@ -198,7 +202,6 @@ class SkillRunner:
         status, removed = self.execution.step(
             self.state, self.sim.terrain, self.sim.soil, dt)
         self.sim.ledger.excavated_kg += removed
-        self.totals["removed"] += removed
         if status == "Succeeded":
             self._finish("Succeeded",
                          {"loaded_kg": self.execution.removed_total,
@@ -207,14 +210,8 @@ class SkillRunner:
             self._finish("Failed", {"loaded_kg": self.execution.removed_total})
 
     def _step_dump(self, dt: float) -> None:
-        truck_id = self.totals.get("truck")
-        truck = self.sim.machines.get(truck_id) if truck_id else None
-        point = self.totals.get("point")
         status, released, into_truck, lost, spilled = self.execution.step(
-            self.state, self.sim.terrain, self.sim.soil, dt,
-            truck_state=truck[1] if truck else None,
-            truck_spec=truck[0] if truck else None,
-            point=tuple(point) if point else None)
+            self.state, self.sim.terrain, self.sim.soil, dt, **self.dump_to)
         self.sim.ledger.spilled_kg += spilled
         self.sim.ledger.boundary_lost_kg += lost
         self.totals["spilled"] += spilled

@@ -76,25 +76,82 @@ def test_missing_field_error_includes_path():
         validate_config(raw, TREE_DIR)
 
 
-@pytest.mark.parametrize("machine, key, value, field", [
-    (0, "role", "crane", "machines[0].role"),
-    (None, "soil", {"dilatancy_angle": 0.23}, "soil"),
-    (0, "spec", {"bucket_width": 0.6}, "machines"),
-    (0, "rig", {"bucket_widht": 0.6}, "machines[0].rig"),
-], ids=["role", "soil", "spec", "rig"])
-def test_unknown_value_rejected(tmp_path, capsys, machine, key, value,
-                                field):
-    """An unknown role, or a soil, spec or rig key that names nothing,
-    fails validation, and `regolith run` exits 3."""
+def edit(raw, path, value):
+    """Sets the key at a dotted path such as `machines[0].rig.reach` in raw,
+    making the objects on the way; a value of None deletes the key."""
+    node = raw
+    *parents, last = path.split(".")
+    for part in parents:
+        name, _, index = part.partition("[")
+        node = node.setdefault(name, {})
+        if index:
+            node = node[int(index[:-1])]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    ("machines[0].role", "crane"),
+    ("soil.dilatancy_angle", 0.23),
+    ("machines[0].spec.bucket_width", 0.6),
+    ("machines[0].rig.bucket_widht", 0.6),
+    ("machines[0].rig.target_load_kg", 300.0),
+    ("machines[0].poses", [3.0, 3.0]),
+    ("deadlock_windw", 5.0),
+    ("terrain.fille", "x.txt"),
+    ("terrain.generate.nxx", 20),
+    ("terrain.generate.ridge.half_wdth", 2.5),
+    ("target.dig_dept", 0.2),
+    ("cells.cell_x", 2),
+    ("planner.dig_depht", 0.1),
+    ("planner.attack", 0.5),
+    ("planner.period", 0.2),
+    ("planner.leveling.ofset", 0.8),
+    ("poses.offlaod_point", [10.0, 19.0]),
+], ids=["role", "soil", "spec", "rig", "rig-target-load", "machine",
+        "top", "terrain", "generate", "ridge", "target", "cells", "planner",
+        "planner-attack", "planner-period", "leveling", "poses"])
+def test_unknown_value_rejected(tmp_path, capsys, path, value):
+    """An unknown role, or a key that names nothing at any level of the
+    config, fails validation with its path, and `regolith run` exits 3."""
     raw = minimal_raw(tree_file=str(TREE_DIR / "scenario1.bt"))
-    owner = raw if machine is None else raw["machines"][machine]
-    owner[key] = value
+    edit(raw, path, value)
     with pytest.raises(ConfigError) as info:
         validate_config(raw, TREE_DIR)
-    assert info.value.path == field
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(path)]) == EXIT_ERROR
+    assert info.value.path == path
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(config)]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("path, value", [
+    ("planner.leveling_width", None),
+    ("planner.leveling_target_height", None),
+    ("planner.leveling.offset", 0.0),
+    ("planner.leveling.offset", -0.8),
+    ("planner.leveling.end_position", [13.5, 13.7]),
+], ids=["no-width", "no-target-height", "zero-offset", "negative-offset",
+        "no-length"])
+def test_leveling_settings_are_checked_before_the_run(tmp_path, capsys, path,
+                                                      value):
+    """Leveling without its width or target height, with an offset that
+    is not positive or with a run from its start to its start fails
+    validation at its planner path, so `regolith run` exits 3 before the
+    first step, with no artifacts."""
+    raw = json.loads(scenario_path("scenario2_smoke").read_text())
+    raw["tree_file"] = str(TREE_DIR / "scenario2.bt")
+    edit(raw, path, value)
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw, TREE_DIR)
+    assert info.value.path == path
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) \
+        == EXIT_ERROR
+    assert not out.exists()
 
 
 def test_terrain_needs_exactly_one_source():

@@ -11,9 +11,10 @@ Uses are matched by bare name, not by owner: a method nothing calls passes
 when another definition shares its name and is used (a caller-less
 `to_dict` on one class hides behind `RunReport.to_dict`).
 
-The config dataclasses get a second guard: each of their fields must be
-read as an attribute outside a `__post_init__`, since a field that only
-its own validation reads changes nothing a run does.
+The config dataclasses (the soil, the machine specs, and the planner's
+settings, poses and rigs) get a second guard: each of their fields must
+be read as an attribute outside a `__post_init__`, since a field that
+only its own validation reads changes nothing a run does.
 """
 
 import ast
@@ -23,6 +24,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+from regolith.config import Leveling, PlannerParams, Poses, Rig
 from regolith.machines import ArmGeometry, MachineSpec
 from regolith.terrain import SoilParams
 
@@ -159,7 +161,8 @@ def attribute_reads(root: Path = SRC) -> Counter:
 def test_every_config_field_is_read():
     reads = attribute_reads()
     unread = sorted(f"{cls.__name__}.{f.name}"
-                    for cls in (SoilParams, MachineSpec, ArmGeometry)
+                    for cls in (SoilParams, MachineSpec, ArmGeometry,
+                                PlannerParams, Leveling, Poses, Rig)
                     for f in dataclasses.fields(cls) if not reads[f.name])
     assert not unread, "config fields nothing reads: " + ", ".join(unread)
 

@@ -15,6 +15,7 @@ from regolith.bt import (
     Task,
 )
 from regolith.bus import Bus, Envelope, topic_for
+from regolith.config import PlannerParams, Rig
 from regolith.machines import MachineState
 from regolith.planner import (
     ALL_CELLS_DONE,
@@ -39,6 +40,11 @@ from regolith.planner import (
 from regolith.terrain import Heightfield
 
 CS = 0.5
+#: plan_dig's scenario inputs at their config defaults.
+DIG = {"dig_depth": PlannerParams().dig_depth,
+       "bucket_width": Rig().bucket_width,
+       "bucket_capacity_kg": Rig().bucket_capacity_kg,
+       "bank_density": PlannerParams().bank_density}
 
 
 def flat(height=2.0, n=40):
@@ -53,7 +59,7 @@ def make_wm(excess=0.2, machines=None, n_cells=2):
     target.elevation[si, sj] = 2.0 - excess
     cells = grid_cells(terrain, (10.0, 10.0, 14.0, 14.0), n_cells, n_cells)
     roles = machines or {"excavator1": "excavator", "truck1": "dumptruck"}
-    wm = WorldModel(terrain, target, cells, roles)
+    wm = WorldModel(terrain, target, cells, roles, 0.05)
     for rep in wm.machines.values():
         rep.x, rep.y = 6.0, 12.0
     return wm
@@ -125,12 +131,12 @@ def test_grid_cells_cover_area_and_order_far_first():
 def test_plan_dig_requires_empty_bucket():
     wm = make_wm()
     wm.machines["excavator1"].payload_kg = 40.0
-    assert plan_dig(wm, "excavator1") == BUCKET_NOT_EMPTY
+    assert plan_dig(wm, "excavator1", **DIG) == BUCKET_NOT_EMPTY
 
 
 def test_plan_dig_skips_done_cells_and_reports_all_done():
     wm = make_wm(excess=0.0)   # target equals surface everywhere
-    assert plan_dig(wm, "excavator1") == ALL_CELLS_DONE
+    assert plan_dig(wm, "excavator1", **DIG) == ALL_CELLS_DONE
     assert wm.cell_index == len(wm.cells)
 
 
@@ -139,7 +145,7 @@ def test_plan_dig_advances_past_completed_cell():
     # complete the first cell by lowering terrain to target there
     i0, j0, i1, j1 = wm.cells[0]
     wm.terrain.elevation[i0:i1, j0:j1] = wm.target.elevation[i0:i1, j0:j1]
-    plan = plan_dig(wm, "excavator1")
+    plan = plan_dig(wm, "excavator1", **DIG)
     assert isinstance(plan, DigPlan)
     assert plan.cell_index == 1
     assert wm.cell_switch_times  # switch event recorded
@@ -147,13 +153,13 @@ def test_plan_dig_advances_past_completed_cell():
 
 def test_plan_dig_depth_clipped_by_pass_depth_and_target():
     wm = make_wm(excess=0.2)
-    plan = plan_dig(wm, "excavator1", dig_depth=0.15)
+    plan = plan_dig(wm, "excavator1", **dict(DIG, dig_depth=0.15))
     assert isinstance(plan, DigPlan)
     for (x, y, z, attack) in plan.trajectory.points:
         assert z == pytest.approx(2.0 - 0.15, abs=1e-12)
     # shallow excess: clipped at the target instead
     wm2 = make_wm(excess=0.1)
-    plan2 = plan_dig(wm2, "excavator1", dig_depth=0.15)
+    plan2 = plan_dig(wm2, "excavator1", **dict(DIG, dig_depth=0.15))
     for (x, y, z, attack) in plan2.trajectory.points:
         assert z == pytest.approx(2.0 - 0.1, abs=1e-12)
 
@@ -165,7 +171,7 @@ def test_plan_dig_never_below_target_on_random_fields():
         i0, j0, i1, j1 = wm.cells[0]
         wm.terrain.elevation[i0:i1, j0:j1] += rng.uniform(
             -0.05, 0.3, (i1 - i0, j1 - j0))
-        plan = plan_dig(wm, "excavator1")
+        plan = plan_dig(wm, "excavator1", **DIG)
         if not isinstance(plan, DigPlan):
             continue
         for (x, y, z, attack) in plan.trajectory.points:
@@ -177,7 +183,7 @@ def test_plan_dig_cell_index_monotone():
     wm = make_wm(excess=0.2)
     seen = [wm.cell_index]
     for _ in range(30):
-        plan = plan_dig(wm, "excavator1")
+        plan = plan_dig(wm, "excavator1", **DIG)
         seen.append(wm.cell_index)
         if plan == ALL_CELLS_DONE:
             break
@@ -190,8 +196,8 @@ def test_plan_dig_cell_index_monotone():
 
 def test_plan_dig_volume_fits_bucket():
     wm = make_wm(excess=0.2)
-    plan = plan_dig(wm, "excavator1", bucket_capacity_kg=75.0,
-                    bank_density=1580.0)
+    plan = plan_dig(wm, "excavator1", **dict(DIG, bucket_capacity_kg=75.0,
+                                             bank_density=1580.0))
     assert plan.expected_volume * 1580.0 <= 75.0
 
 
@@ -201,7 +207,7 @@ def test_plan_dump_truck_in_reach_means_no_drive():
     wm = make_wm()
     wm.machines["truck1"].x = wm.machines["excavator1"].x + 2.0
     wm.machines["truck1"].y = wm.machines["excavator1"].y
-    plan = plan_dump(wm, "excavator1", reach=4.0)
+    plan = plan_dump(wm, "excavator1", 4.0, None)
     assert plan.truck_id == "truck1"
     assert plan.stance is None
 
@@ -210,7 +216,7 @@ def test_plan_dump_far_truck_stance_within_reach():
     wm = make_wm()
     wm.machines["truck1"].x = wm.machines["excavator1"].x + 8.0
     wm.machines["truck1"].y = wm.machines["excavator1"].y
-    plan = plan_dump(wm, "excavator1", reach=4.0)
+    plan = plan_dump(wm, "excavator1", 4.0, None)
     assert plan.stance is not None
     d = math.dist(plan.stance[:2], wm.machines["truck1"].position)
     assert d <= 0.8 * 4.0 + 1e-9
@@ -218,8 +224,8 @@ def test_plan_dump_far_truck_stance_within_reach():
 
 def test_plan_dump_without_truck_uses_fallback_or_fails():
     wm = make_wm(machines={"excavator1": "excavator"})
-    assert plan_dump(wm, "excavator1") is None
-    plan = plan_dump(wm, "excavator1", fallback_point=(4.0, 4.0))
+    assert plan_dump(wm, "excavator1", 4.0, None) is None
+    plan = plan_dump(wm, "excavator1", 4.0, (4.0, 4.0))
     assert plan.truck_id is None and plan.point == (4.0, 4.0)
 
 
@@ -284,8 +290,7 @@ def test_offload_in_progress_detection():
 # -- leveling ----------------------------------------------------------------
 
 def test_leveling_run_count_and_boustrophedon():
-    wm = make_wm()
-    runs = plan_leveling(wm, (10.0, 10.0), (14.0, 10.0), 1.0, 4.0)
+    runs = plan_leveling((10.0, 10.0), (14.0, 10.0), 1.0, 4.0)
     assert len(runs) == 4
     first = runs[0].waypoints
     second = runs[1].waypoints
@@ -298,14 +303,12 @@ def test_leveling_run_count_and_boustrophedon():
 
 
 def test_leveling_offset_wider_than_region_single_run():
-    wm = make_wm()
-    assert len(plan_leveling(wm, (10.0, 10.0), (14.0, 10.0), 5.0, 4.0)) == 1
+    assert len(plan_leveling((10.0, 10.0), (14.0, 10.0), 5.0, 4.0)) == 1
 
 
 def test_leveling_degenerate_rejected():
-    wm = make_wm()
     with pytest.raises(ValueError):
-        plan_leveling(wm, (10.0, 10.0), (10.0, 10.0), 1.0, 4.0)
+        plan_leveling((10.0, 10.0), (10.0, 10.0), 1.0, 4.0)
 
 
 # -- scenario completion -----------------------------------------------------
@@ -326,7 +329,7 @@ def test_scenario_complete_rules():
 def make_runtime(wm=None):
     wm = wm or make_wm()
     bus = Bus(machine_ids=["excavator1", "truck1", "site"])
-    runtime = PlannerRuntime(bus, wm, machine_rigs={}, params={})
+    runtime = PlannerRuntime(bus, wm, PlannerParams())
     return runtime, bus
 
 
