@@ -26,14 +26,17 @@ TOP_KEYS = ("name", "timestep", "max_sim_time", "seed", "transport",
             "terrain", "target", "soil", "machines", "cells", "tree_file",
             "planner", "poses", "deadlock_window")
 TERRAIN_KEYS = ("file", "generate")
-GENERATE_KEYS = tuple(inspect.signature(generate_heightfield).parameters)
+_GENERATE_PARAMS = inspect.signature(generate_heightfield).parameters
+GENERATE_KEYS = tuple(_GENERATE_PARAMS)
 RIDGE_KEYS = ("x", "height", "half_width")
 TARGET_KEYS = ("file", "flat_height", "dig_depth")
 CELLS_KEYS = ("area", "cells_x", "cells_y")
 MACHINE_KEYS = ("id", "role", "pose", "spec", "rig")
 SOIL_KEYS = tuple(f.name for f in fields(SoilParams))
+#: `arm` is left out: its geometry is an `ArmGeometry`, which no JSON
+#: value builds.
 SPEC_KEYS = tuple(f.name for f in fields(MachineSpec)
-                  if f.name not in ("machine_id", "role"))
+                  if f.name not in ("machine_id", "role", "arm"))
 
 
 class ConfigError(ValueError):
@@ -96,6 +99,16 @@ def _area(value, path: str) -> tuple:
     if not (area[2] > area[0] and area[3] > area[1]):
         raise ConfigError(path, "needs x1 > x0 and y1 > y0")
     return area
+
+
+#: The check of each `terrain.generate` value but `ridge`; the values that
+#: `generate_heightfield` has no default for are required.
+GENERATE_VALUES = {
+    "nx": partial(_integer, low=2), "ny": partial(_integer, low=2),
+    "cell_size": _positive, "origin": partial(_point, max_len=2),
+    "amplitude": _number, "wavelength": _positive,
+    "seed": partial(_integer, low=0), "base_height": _number,
+}
 
 
 def _known(section: dict, path: str, keys) -> dict:
@@ -328,6 +341,10 @@ def validate_config(raw: dict, base_dir: Path, name: str = "") \
     else:
         generate = _known(_object(terrain["generate"], "terrain.generate"),
                           "terrain.generate", GENERATE_KEYS)
+        for key, parse in GENERATE_VALUES.items():
+            required = _GENERATE_PARAMS[key].default is inspect.Parameter.empty
+            _get(generate, "terrain.generate", key, parse,
+                 MISSING if required else None)
         if generate.get("ridge") is not None:
             path = "terrain.generate.ridge"
             ridge = _known(_object(generate["ridge"], path), path, RIDGE_KEYS)

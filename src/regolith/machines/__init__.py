@@ -17,6 +17,7 @@ from .skills import (
     BedDumpExecution,
     LevelRunExecution,
     DigExecution,
+    DriveExecution,
     FAILED,
     Pid,
     RUNNING,
@@ -42,7 +43,8 @@ from .specs import (
 __all__ = [
     "ACTUATORS", "ARRIVED", "ROLES", "ActuatorSample", "ArmDumpExecution",
     "ArmGeometry", "LevelRunExecution",
-    "BedDumpExecution", "DRIVE_RUNNING", "DigExecution", "FAILED", "IDLE",
+    "BedDumpExecution", "DRIVE_RUNNING", "DigExecution", "DriveExecution",
+    "FAILED", "IDLE",
     "IkResult", "JOINT_NAMES", "MachineSpec", "MachineState",
     "Pid", "RUNNING", "SUCCEEDED", "blade_level_step", "blade_release",
     "bucket_tip", "calculate_ik", "default_spec", "forward_kinematics",

@@ -1,8 +1,23 @@
-"""Machine skill executions: dig, payload transfer/dump, spill, leveling.
+"""Machine skill executions: drive, dig, arm dump, bed dump, level.
 
-Each execution object is advanced once per simulator timestep and reports
-Running/Succeeded/Failed; all terrain exchanges return the moved mass so
-the caller can keep a global mass ledger.
+Every skill has one contract.  An execution is built from its skill
+command's arguments and advanced once per simulator timestep by
+`step(state, h, soil, dt)`, which returns
+
+    (status, excavated_kg, dumped_kg, spilled_kg, lost_kg)
+
+the status Running, Succeeded or Failed, and the mass the step moved in
+the four columns of the simulator's mass ledger: removed from the terrain,
+released at an offload destination, shed in transit, and gone off the
+grid (a part of the other three).  When it ends, the execution sets
+`result`, the payload of its terminal status:
+
+- drive: `spilled_kg`;
+- dig: `loaded_kg`;
+- dump: `dumped_kg`, `into_truck` and `spilled_kg` (on Failed,
+  `spilled_kg` alone);
+- beddump: `dumped_kg` and `spilled_kg`;
+- level: `graded_kg`.
 """
 
 from __future__ import annotations
@@ -221,6 +236,7 @@ class DigExecution:
         self.prev_tip: Optional[tuple] = None
         self.removed_total = 0.0
         self.prev_swing_rate = 0.0
+        self.result: Optional[dict] = None
 
     def _point_at(self, s: float):
         pts = self.path
@@ -237,7 +253,7 @@ class DigExecution:
 
     def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
              dt: float):
-        """One timestep; returns (status, removed_kg).
+        """One timestep; the excavated mass is what the bucket took.
 
         The arm torque samples, the Jacobian and the dig force, which
         feeds only those samples, are computed on a sampling step alone.
@@ -259,7 +275,8 @@ class DigExecution:
         if ik.residual > TRACK_IK_TOL:
             if sampling:
                 record_arm_samples(state, spec, soil)
-            return FAILED, 0.0
+            self.result = {"loaded_kg": self.removed_total}
+            return FAILED, 0.0, 0.0, 0.0, 0.0
         err = move_arm_toward(state, spec, ik.joints, dt)
         if sampling:
             kin = _tip_jacobian(spec.arm, state.joints, state.pose)
@@ -278,7 +295,7 @@ class DigExecution:
             if err < JOINT_SETTLED_TOL:
                 self.phase = "cut"
                 self.prev_tip = tip
-            return RUNNING, 0.0
+            return RUNNING, 0.0, 0.0, 0.0, 0.0
 
         if phase == "cut":
             prev = self.prev_tip or tip
@@ -313,14 +330,15 @@ class DigExecution:
                                    swing_alpha=swing_alpha, kinematics=kin)
             if self.s >= self.length and err < JOINT_SETTLED_TOL:
                 self.phase = "raise"
-            return RUNNING, removed
+            return RUNNING, removed, 0.0, 0.0, 0.0
 
         if sampling:
             record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
                                kinematics=kin)
         if err < JOINT_SETTLED_TOL:
-            return SUCCEEDED, 0.0
-        return RUNNING, 0.0
+            self.result = {"loaded_kg": self.removed_total}
+            return SUCCEEDED, 0.0, 0.0, 0.0, 0.0
+        return RUNNING, 0.0, 0.0, 0.0, 0.0
 
 
 # -- spilling ---------------------------------------------------------------
@@ -349,6 +367,37 @@ def spill_model(state: MachineState, spec: MachineSpec, angular_accel: float,
     else:
         lost = spilled
     return spilled, lost
+
+
+# -- driving ----------------------------------------------------------------
+
+class DriveExecution:
+    """Follows a waypoint route; a loaded machine spills when its chassis
+    yaw rate changes too fast."""
+
+    def __init__(self, spec: MachineSpec, waypoints):
+        self.spec = spec
+        self.waypoints = [tuple(w) for w in waypoints]
+        self.index = 0
+        self.spilled_total = 0.0
+        self.result: Optional[dict] = None
+
+    def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
+             dt: float):
+        turn_rate = state.turn_rate
+        # looked up on its module at each call, as in LevelRunExecution
+        status, self.index = locomotion.step_locomotion(
+            state, self.spec, self.waypoints, self.index, h, soil, dt)
+        spilled = lost = 0.0
+        # spill_model returns zeros for a machine that carries nothing
+        if not state.payload_kg <= 0.0:
+            alpha = (state.turn_rate - turn_rate) / dt if dt > 0 else 0.0
+            spilled, lost = spill_model(state, self.spec, alpha, h, soil, dt)
+            self.spilled_total += spilled
+        if status == locomotion.RUNNING:
+            return RUNNING, 0.0, 0.0, spilled, lost
+        self.result = {"spilled_kg": self.spilled_total}
+        return SUCCEEDED, 0.0, 0.0, spilled, lost
 
 
 # -- payload transfer and bed dump ------------------------------------------
@@ -404,10 +453,8 @@ class BedDumpExecution:
         self.timer = 0.0
         self.flow_rate = None
         self.advanced = 0.0
-
-    def duration(self) -> float:
-        return (2 * self.spec.bed_raise_time + self.spec.bed_hold_time
-                + self.ADVANCE_DIST / self.spec.speed_loaded)
+        self.dumped_total = 0.0
+        self.result: Optional[dict] = None
 
     def _dump_point(self, state: MachineState):
         back = self.spec.length / 2.0 + 0.4
@@ -422,6 +469,7 @@ class BedDumpExecution:
         if out <= 0.0:
             return 0.0, 0.0
         state.payload_kg -= out
+        self.dumped_total += out
         x, y = self._dump_point(state)
         if h.in_bounds(x, y):
             lost = deposit(h, x, y, out, soil, spread_radius=0.6)
@@ -431,7 +479,6 @@ class BedDumpExecution:
 
     def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
              dt: float):
-        """Returns (status, dumped_kg, lost_kg)."""
         spec = self.spec
         rate = self.BED_RAISED / spec.bed_raise_time
         dumped = lost = 0.0
@@ -473,45 +520,54 @@ class BedDumpExecution:
                                  * math.cos(state.bed_angle), -rate,
                                  spec.torque_limits["bed"])
             if state.bed_angle <= 0.0:
-                return SUCCEEDED, dumped, lost
-        return RUNNING, dumped, lost
+                self.result = {"dumped_kg": self.dumped_total,
+                               "spilled_kg": 0.0}
+                return SUCCEEDED, 0.0, dumped, 0.0, lost
+        return RUNNING, 0.0, dumped, 0.0, lost
 
 
 class ArmDumpExecution:
     """Swing the loaded bucket over the offload point and release.
 
-    The offload point is the truck bed center (tracked live) or a fixed
-    terrain point.  Returns per step (status, released_kg, into_truck,
-    lost_kg, spilled_kg).
+    The offload point is the bed center of ``truck``, a truck's (spec,
+    state), tracked live, or else the fixed terrain ``point`` (x, y).  A
+    load placed in a truck bed is still payload, so only a release onto
+    the terrain counts as dumped.
     """
 
     RELEASE_HEIGHT = 1.0   # m above the bed / ground
     DUMP_TOOL_ANGLE = -0.4
 
-    def __init__(self, spec: MachineSpec):
+    def __init__(self, spec: MachineSpec, truck: Optional[tuple], point):
+        if not (truck or point):
+            raise ValueError("dump needs a truck or a point")
         self.spec = spec
-        self.phase = "swing"
+        self.truck_spec, self.truck_state = truck or (None, None)
+        self.point = tuple(point) if point else None
         self.prev_swing_rate = 0.0
+        self.spilled_total = 0.0
+        self.result: Optional[dict] = None
 
-    def _target(self, state, h, truck_state, truck_spec, point):
+    def _target(self, state, h):
+        truck_state = self.truck_state
         if truck_state is not None:
             return (truck_state.x, truck_state.y,
                     truck_state.z + self.RELEASE_HEIGHT)
-        x, y = point
+        x, y = self.point
         z = h.height_at(x, y) if h.in_bounds(x, y) else state.z
         return (x, y, z + self.RELEASE_HEIGHT)
 
     def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
-             dt: float, truck_state: Optional[MachineState] = None,
-             truck_spec: Optional[MachineSpec] = None, point=None):
+             dt: float):
         spec = self.spec
-        target = self._target(state, h, truck_state, truck_spec, point)
+        target = self._target(state, h)
         ik = calculate_ik(spec.arm, state.pose, target, self.DUMP_TOOL_ANGLE)
         sampling = state.sampling
         if ik.residual > 0.5:
             if sampling:
                 record_arm_samples(state, spec, soil)
-            return FAILED, 0.0, False, 0.0, 0.0
+            self.result = {"spilled_kg": self.spilled_total}
+            return FAILED, 0.0, 0.0, 0.0, 0.0
         err = move_arm_toward(state, spec, ik.joints, dt)
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
@@ -523,21 +579,24 @@ class ArmDumpExecution:
             tip = bucket_tip(spec, state)
         spilled, spill_lost = spill_model(state, spec, swing_alpha, h, soil,
                                           dt, at=(tip[0], tip[1]))
+        self.spilled_total += spilled
         if sampling:
             record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
                                kinematics=kin)
         if err >= JOINT_SETTLED_TOL:
-            return RUNNING, 0.0, False, spill_lost, spilled
+            return RUNNING, 0.0, 0.0, spilled, spill_lost
         released, into_truck, lost = transfer_bucket(
-            state, spec, truck_state, truck_spec, h, soil)
-        return SUCCEEDED, released, into_truck, lost + spill_lost, spilled
+            state, spec, self.truck_state, self.truck_spec, h, soil)
+        self.result = {"dumped_kg": released, "into_truck": into_truck,
+                       "spilled_kg": self.spilled_total}
+        return (SUCCEEDED, 0.0, 0.0 if into_truck else released, spilled,
+                lost + spill_lost)
 
 
 class LevelRunExecution:
     """One leveling pass: drive from the run start to its end carrying the
     blade at the target height, then shed the blade load past the run end.
-
-    Returns per step (status, graded_kg, shed_kg, lost_kg).
+    The graded mass counts as excavated and the shed mass as dumped.
     """
 
     def __init__(self, spec: MachineSpec, start, end, target_height: float):
@@ -553,6 +612,8 @@ class LevelRunExecution:
         #: one-waypoint routes to the run start and along the run
         self.start_route = [(self.start[0], self.start[1], heading)]
         self.run_route = [(self.end[0], self.end[1], heading)]
+        self.graded_total = 0.0
+        self.result: Optional[dict] = None
 
     def step(self, state: MachineState, h: Heightfield, soil: SoilParams,
              dt: float):
@@ -569,17 +630,17 @@ class LevelRunExecution:
                 self.index = 0
                 state.blade_height = h.height_at(state.x, state.y)
                 self.pid.reset()
-            return RUNNING, 0.0, 0.0, 0.0
-        if self.phase == "run":
-            status, self.index = locomotion.step_locomotion(
-                state, self.spec, self.run_route, self.index, h, soil, dt)
-            graded, shed, lost = blade_level_step(
-                state, self.spec, self.target_height, h, soil, self.pid, dt)
-            if status == locomotion.ARRIVED:
-                released, rel_lost = blade_release(state, h, soil)
-                return SUCCEEDED, graded, shed + released, lost + rel_lost
-            return RUNNING, graded, shed, lost
-        return SUCCEEDED, 0.0, 0.0, 0.0
+            return RUNNING, 0.0, 0.0, 0.0, 0.0
+        status, self.index = locomotion.step_locomotion(
+            state, self.spec, self.run_route, self.index, h, soil, dt)
+        graded, shed, lost = blade_level_step(
+            state, self.spec, self.target_height, h, soil, self.pid, dt)
+        self.graded_total += graded
+        if status == locomotion.ARRIVED:
+            released, rel_lost = blade_release(state, h, soil)
+            self.result = {"graded_kg": self.graded_total}
+            return SUCCEEDED, graded, shed + released, 0.0, lost + rel_lost
+        return RUNNING, graded, shed, 0.0, lost
 
 
 # -- blade leveling ---------------------------------------------------------

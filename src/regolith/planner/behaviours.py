@@ -147,8 +147,7 @@ def _dig_params(runtime, node, ctx):
     plan = _fresh_dig_plan(runtime, machine, ctx)
     if not isinstance(plan, DigPlan):
         return None
-    return {"trajectory": plan.trajectory.to_dict(),
-            "cell_index": plan.cell_index}
+    return {"trajectory": plan.trajectory.to_dict()}
 
 
 def _dump_to_truck_params(runtime, node, ctx):
@@ -237,8 +236,7 @@ class LevelBinding(SkillBinding):
         run = self.runs[index]
         start, end = run.waypoints[0], run.waypoints[-1]
         return {"start": [start[0], start[1]], "end": [end[0], end[1]],
-                "target_height": runtime.params.leveling_target_height,
-                "run_index": index}
+                "target_height": runtime.params.leveling_target_height}
 
     def _run_finished(self, runtime, node, ctx, status):
         index = ctx.blackboard.read("leveling/run_index", 0)

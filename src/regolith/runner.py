@@ -29,7 +29,6 @@ from .planner import (
 from .simulator import Simulator, TELEMETRY_EVERY
 from .telemetry import (
     TelemetryCollector,
-    dig_start_times,
     segment_cycles,
     summarize,
     write_cycles_csv,
@@ -377,8 +376,7 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
             summary[machine_id] = summarize(records)
     # fleet view: the digging machine's cycle spans, work charged across
     # every machine's actuators
-    diggers = [m for m in sim.machine_order
-               if dig_start_times(collector.events, m)]
+    diggers = [m for m in sim.machine_order if m in collector.dig_starts]
     if diggers:
         fleet = segment_cycles(collector, diggers[0], fleet=True)
         if fleet:
@@ -403,7 +401,7 @@ def _write_outputs(out_dir: Path, report: RunReport,
     write_samples_csv(out_dir / "samples.csv", collector.samples)
     events = [(t, "cell_switch") for t in report.cell_switch_times]
     for machine_id in sorted(report.cycles):
-        for t in dig_start_times(collector.events, machine_id):
+        for t in collector.dig_starts[machine_id]:
             events.append((t, f"dig_start:{machine_id}"))
     with open(out_dir / "events.csv", "w") as fh:
         fh.write("sim_time,event\n")

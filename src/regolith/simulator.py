@@ -16,17 +16,19 @@ from .bus import Bus, split_topic, topic_for
 from .config import ScenarioConfig
 from .machines import (
     ACTUATORS,
+    RUNNING,
     ArmDumpExecution,
     BedDumpExecution,
     DigExecution,
+    DriveExecution,
     LevelRunExecution,
     MachineSpec,
     MachineState,
     settle_on_terrain,
-    spill_model,
-    step_locomotion,
 )
-from .machines.locomotion import ARRIVED, IDLE
+# Not called here: the benchmark's tracer (perfbench/layers.py, SPANS
+# "machines.drive") resolves regolith.simulator.step_locomotion.
+from .machines import step_locomotion  # noqa: F401
 from .planner.world import SITE_ID
 from .telemetry import SampleLog
 from .terrain import SweptCut
@@ -61,7 +63,18 @@ class MassLedger:
 
 
 class SkillRunner:
-    """Executes one skill command at a time for one machine."""
+    """Runs one skill command at a time for one machine.
+
+    A command builds its skill's execution (`machines.skills`), and each
+    step advances it once.  The runner adds the mass the step moved to
+    the simulator's `MassLedger`, whose only writer it is, and publishes
+    the skill's status on `/{machine}/skill/{action}`: Running when the
+    command is taken and as a heartbeat, then Succeeded or Failed with
+    the execution's `result`.  A command that cannot start (a missing
+    argument, a dump with neither truck nor point, a machine out of
+    service) ends Failed with its error; an unknown action is a bus error
+    and publishes no status.
+    """
 
     def __init__(self, sim: "Simulator", machine_id: str, spec: MachineSpec,
                  state: MachineState):
@@ -72,20 +85,10 @@ class SkillRunner:
         self.action: Optional[str] = None
         self.command_id: Optional[int] = None
         self.execution = None
-        self.waypoints: list = []
-        self.waypoint_index = 0
-        self.totals: dict = {}
-        #: ArmDumpExecution.step's destination arguments for a dump skill.
-        self.dump_to: dict = {}
         self.last_status_time = -math.inf
-        self.prev_turn_rate = 0.0
         #: When False the machine rejects commands and fails its active
         #: skill (breakdown / taken out of service).
         self.available = True
-        self._handlers = {"drive": self._step_drive, "dig": self._step_dig,
-                          "dump": self._step_dump,
-                          "beddump": self._step_beddump,
-                          "level": self._step_level}
 
     # -- command intake ------------------------------------------------------
 
@@ -105,46 +108,29 @@ class SkillRunner:
             return
         if self.action is not None:
             self._finish("Failed", {"error": "preempted"})
+        self.action, self.command_id = action, payload.get("id", 0)
         try:
-            self._start(action, payload.get("params") or {})
+            self.execution = self._execution(action,
+                                             payload.get("params") or {})
         except (KeyError, ValueError, TypeError) as exc:
-            self.action, self.command_id = action, payload.get("id", 0)
             self._finish("Failed", {"error": str(exc)})
             return
-        self.command_id = payload.get("id", 0)
         self._publish_status("Running")
 
-    def _start(self, action: str, args: dict) -> None:
-        self.action = action
-        self.totals = {"dumped": 0.0, "spilled": 0.0, "graded": 0.0}
-        self.execution = None
+    def _execution(self, action: str, args: dict):
+        spec = self.spec
         if action == "drive":
-            self.waypoints = [tuple(w) for w in args.get("waypoints", [])]
-            self.waypoint_index = 0
-        elif action == "dig":
-            traj = SweptCut.from_dict(args["trajectory"])
-            self.execution = DigExecution(self.spec, traj)
-            self.totals["cell_index"] = args.get("cell_index")
-        elif action == "dump":
-            self.execution = ArmDumpExecution(self.spec)
-            truck = self.sim.machines.get(args.get("truck"))
-            point = args.get("point")
-            self.dump_to = {"truck_state": truck[1] if truck else None,
-                            "truck_spec": truck[0] if truck else None,
-                            "point": tuple(point) if point else None}
-        elif action == "beddump":
-            self.execution = BedDumpExecution(self.spec)
-        elif action == "level":
-            self.execution = LevelRunExecution(
-                self.spec, args["start"], args["end"],
-                float(args["target_height"]))
-            self.totals["run_index"] = args.get("run_index")
-
-    def _clear(self) -> None:
-        self.action = None
-        self.command_id = None
-        self.execution = None
-        self.waypoints = []
+            return DriveExecution(spec, args.get("waypoints", []))
+        if action == "dig":
+            return DigExecution(spec, SweptCut.from_dict(args["trajectory"]))
+        if action == "dump":
+            return ArmDumpExecution(spec,
+                                    self.sim.machines.get(args.get("truck")),
+                                    args.get("point"))
+        if action == "beddump":
+            return BedDumpExecution(spec)
+        return LevelRunExecution(spec, args["start"], args["end"],
+                                 float(args["target_height"]))
 
     # -- status --------------------------------------------------------------
 
@@ -159,96 +145,29 @@ class SkillRunner:
 
     def _finish(self, state: str, extra: Optional[dict] = None) -> None:
         self._publish_status(state, extra)
-        self._clear()
+        self.action = self.command_id = self.execution = None
 
     # -- stepping ------------------------------------------------------------
 
     def step(self, dt: float) -> None:
-        if self.action is None:
-            self.prev_turn_rate = self.state.turn_rate
+        execution = self.execution
+        if execution is None:
             return
         if not self.available:
             self._finish("Failed", {"error": "machine unavailable"})
-            self.prev_turn_rate = self.state.turn_rate
             return
-        self._handlers[self.action](dt)
-        if self.action is not None and \
-                self.sim.sim_time - self.last_status_time >= HEARTBEAT_PERIOD:
+        sim = self.sim
+        status, excavated, dumped, spilled, lost = execution.step(
+            self.state, sim.terrain, sim.soil, dt)
+        ledger = sim.ledger
+        ledger.excavated_kg += excavated
+        ledger.dumped_kg += dumped
+        ledger.spilled_kg += spilled
+        ledger.boundary_lost_kg += lost
+        if status != RUNNING:
+            self._finish(status, execution.result)
+        elif sim.sim_time - self.last_status_time >= HEARTBEAT_PERIOD:
             self._publish_status("Running")
-        self.prev_turn_rate = self.state.turn_rate
-
-    def _chassis_spill(self, dt: float) -> None:
-        """Payload shed when the chassis yaw rate changes too fast."""
-        alpha = (self.state.turn_rate - self.prev_turn_rate) / dt \
-            if dt > 0 else 0.0
-        spilled, lost = spill_model(self.state, self.spec, alpha,
-                                    self.sim.terrain, self.sim.soil, dt)
-        self.sim.ledger.spilled_kg += spilled
-        self.sim.ledger.boundary_lost_kg += lost
-        self.totals["spilled"] += spilled
-
-    def _step_drive(self, dt: float) -> None:
-        status, self.waypoint_index = step_locomotion(
-            self.state, self.spec, self.waypoints, self.waypoint_index,
-            self.sim.terrain, self.sim.soil, dt)
-        # spill_model returns zeros for a machine that carries nothing
-        if not self.state.payload_kg <= 0.0:
-            self._chassis_spill(dt)
-        if status in (ARRIVED, IDLE):
-            self._finish("Succeeded",
-                         {"spilled_kg": self.totals["spilled"]})
-
-    def _step_dig(self, dt: float) -> None:
-        status, removed = self.execution.step(
-            self.state, self.sim.terrain, self.sim.soil, dt)
-        self.sim.ledger.excavated_kg += removed
-        if status == "Succeeded":
-            self._finish("Succeeded",
-                         {"loaded_kg": self.execution.removed_total,
-                          "cell_index": self.totals.get("cell_index")})
-        elif status == "Failed":
-            self._finish("Failed", {"loaded_kg": self.execution.removed_total})
-
-    def _step_dump(self, dt: float) -> None:
-        status, released, into_truck, lost, spilled = self.execution.step(
-            self.state, self.sim.terrain, self.sim.soil, dt, **self.dump_to)
-        self.sim.ledger.spilled_kg += spilled
-        self.sim.ledger.boundary_lost_kg += lost
-        self.totals["spilled"] += spilled
-        if status == "Succeeded":
-            # a load placed in a truck bed is still residual payload; only
-            # terrain releases count as dumped
-            if not into_truck:
-                self.sim.ledger.dumped_kg += released
-            self._finish("Succeeded",
-                         {"dumped_kg": released,
-                          "into_truck": bool(into_truck),
-                          "spilled_kg": self.totals["spilled"]})
-        elif status == "Failed":
-            self._finish("Failed", {"spilled_kg": self.totals["spilled"]})
-
-    def _step_beddump(self, dt: float) -> None:
-        status, dumped, lost = self.execution.step(
-            self.state, self.sim.terrain, self.sim.soil, dt)
-        self.sim.ledger.dumped_kg += dumped
-        self.sim.ledger.boundary_lost_kg += lost
-        self.totals["dumped"] += dumped
-        if status == "Succeeded":
-            self._finish("Succeeded", {"dumped_kg": self.totals["dumped"],
-                                       "spilled_kg": 0.0})
-
-    def _step_level(self, dt: float) -> None:
-        status, graded, shed, lost = self.execution.step(
-            self.state, self.sim.terrain, self.sim.soil, dt)
-        self.sim.ledger.excavated_kg += graded
-        self.sim.ledger.dumped_kg += shed
-        self.sim.ledger.boundary_lost_kg += lost
-        self.totals["graded"] += graded
-        self.totals["dumped"] += shed
-        if status == "Succeeded":
-            self._finish("Succeeded",
-                         {"graded_kg": self.totals["graded"],
-                          "run_index": self.totals.get("run_index")})
 
 
 class Simulator:

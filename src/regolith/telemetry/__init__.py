@@ -8,7 +8,6 @@ import statistics
 from array import array
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable
 
 from ..bus import split_topic
 
@@ -169,18 +168,6 @@ def _overlap(start: float, end: float, lo: float, hi: float) -> float:
     return max(0.0, min(end, hi) - max(start, lo))
 
 
-def dig_start_times(events: Iterable[SkillEvent], machine: str) -> list[float]:
-    """Sim times at which the machine began a new dig activation."""
-    starts, seen = [], set()
-    for ev in sorted((e for e in events if e.machine == machine),
-                     key=lambda e: (e.sim_time, e.activation_id)):
-        if ev.action == "dig" and ev.state == "Running" \
-                and ev.activation_id not in seen:
-            seen.add(ev.activation_id)
-            starts.append(ev.sim_time)
-    return starts
-
-
 def segment_cycles(collector: "TelemetryCollector", machine: str,
                    fleet: bool = False) -> list[WorkCycleRecord]:
     """One record per dig-start → next dig-start span for one machine.
@@ -195,7 +182,7 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
     fleet charges every machine's actuator work to the spans, e.g. a
     hauler's transit work to the digging machine's cycles.
     """
-    dig_starts = dig_start_times(collector.events, machine)
+    dig_starts = collector.dig_starts.get(machine, [])
     if len(dig_starts) < 2:
         return []
     events = [e for e in collector.events if e.machine == machine]
@@ -290,9 +277,10 @@ class TelemetryCollector:
     Per digging machine the collector sums each joint's positive work,
     W += max(tau*omega, 0)*dt row by row from 0.0, over the open cycle,
     once for the machine's own actuators and once for the fleet's; the
-    next dig start closes the cycle.  Of the events it keeps
-    the first Running of each activation and the terminal ones, and each
-    machine's last event time, which is where open activations end.
+    next dig start, whose time `dig_starts` records, closes the cycle.  Of
+    the events it keeps the first Running of each activation and the
+    terminal ones, and each machine's last event time, which is where open
+    activations end.
     """
 
     def __init__(self, bus, sample_dt: float, samples_path=None):
@@ -301,6 +289,9 @@ class TelemetryCollector:
         self.sample_dt = sample_dt
         self.events: list[SkillEvent] = []
         self.last_event_time: dict[str, float] = {}
+        #: machine -> sim time of each of its dig activations' first
+        #: Running, in order
+        self.dig_starts: dict[str, list[float]] = {}
         #: (machine, fleet) -> per-joint work of each of the machine's dig
         #: cycles, the last one still open
         self.span_work: dict[tuple, list[dict]] = {}
@@ -331,6 +322,8 @@ class TelemetryCollector:
                 dig = (ev.machine, ev.activation_id)
                 if ev.action == "dig" and dig not in self._dig_ids:
                     self._dig_ids.add(dig)        # closes the open cycle
+                    self.dig_starts.setdefault(ev.machine, []).append(
+                        ev.sim_time)
                     self._assign(ev.sim_time)
                     for fleet in (False, True):
                         self.span_work.setdefault((ev.machine, fleet),
@@ -360,6 +353,6 @@ __all__ = [
     "CYCLE_CSV_HEADER", "SAMPLE_CSV_CHUNK", "SAMPLE_CSV_HEADER",
     "SUMMARY_COLUMNS", "SampleLog", "SkillEvent", "TASK_BUCKETS",
     "TelemetryCollector", "WorkCycleRecord", "cycles_csv_text",
-    "dig_start_times", "segment_cycles", "summarize", "write_cycles_csv",
+    "segment_cycles", "summarize", "write_cycles_csv",
     "write_samples_csv",
 ]

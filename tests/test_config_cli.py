@@ -96,6 +96,7 @@ def edit(raw, path, value):
     ("machines[0].role", "crane"),
     ("soil.dilatancy_angle", 0.23),
     ("machines[0].spec.bucket_width", 0.6),
+    ("machines[0].spec.arm", {"boom_length": 2.0}),
     ("machines[0].rig.bucket_widht", 0.6),
     ("machines[0].rig.target_load_kg", 300.0),
     ("machines[0].poses", [3.0, 3.0]),
@@ -110,12 +111,39 @@ def edit(raw, path, value):
     ("planner.period", 0.2),
     ("planner.leveling.ofset", 0.8),
     ("poses.offlaod_point", [10.0, 19.0]),
-], ids=["role", "soil", "spec", "rig", "rig-target-load", "machine",
+], ids=["role", "soil", "spec", "spec-arm", "rig", "rig-target-load", "machine",
         "top", "terrain", "generate", "ridge", "target", "cells", "planner",
         "planner-attack", "planner-period", "leveling", "poses"])
 def test_unknown_value_rejected(tmp_path, capsys, path, value):
     """An unknown role, or a key that names nothing at any level of the
     config, fails validation with its path, and `regolith run` exits 3."""
+    raw = minimal_raw(tree_file=str(TREE_DIR / "scenario1.bt"))
+    edit(raw, path, value)
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw, TREE_DIR)
+    assert info.value.path == path
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(config)]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("path, value", [
+    ("terrain.generate.nx", "60"),
+    ("terrain.generate.nx", None),
+    ("terrain.generate.ny", 1),
+    ("terrain.generate.cell_size", 0),
+    ("terrain.generate.origin", [1.0, 2.0, 3.0]),
+    ("terrain.generate.amplitude", "0.1"),
+    ("terrain.generate.wavelength", -5.0),
+    ("terrain.generate.seed", -1),
+    ("terrain.generate.base_height", True),
+], ids=["nx-string", "nx-missing", "ny-one", "cell-size-zero",
+        "origin-3d", "amplitude-string", "wavelength-negative",
+        "seed-negative", "base-height-bool"])
+def test_generate_value_rejected(tmp_path, capsys, path, value):
+    """A `terrain.generate` value that `generate_heightfield` cannot
+    take fails validation with its path, so `regolith run` exits 3 before
+    the terrain is built."""
     raw = minimal_raw(tree_file=str(TREE_DIR / "scenario1.bt"))
     edit(raw, path, value)
     with pytest.raises(ConfigError) as info:

@@ -250,7 +250,7 @@ def run_dig(spec, state, traj, h, max_steps=20000):
     status = None
     removed = 0.0
     for _ in range(max_steps):
-        status, got = execution.step(state, h, SOIL, DT)
+        status, got, _, _, _ = execution.step(state, h, SOIL, DT)
         removed += got
         if status != "Running":
             break
@@ -280,7 +280,7 @@ def test_dig_keeps_payload_a_plain_float():
                     width=0.6, max_depth=0.3)
     execution = DigExecution(spec, traj)
     for _ in range(20000):
-        status, removed = execution.step(state, h, SOIL, DT)
+        status, removed, _, _, _ = execution.step(state, h, SOIL, DT)
         assert type(removed) is float
         assert type(state.payload_kg) is float
         if status != "Running":
@@ -320,7 +320,7 @@ def test_dig_torque_samples_within_limits():
                     width=0.6, max_depth=0.3)
     execution = DigExecution(spec, traj)
     for _ in range(20000):
-        status, _ = execution.step(state, h, SOIL, DT)
+        status = execution.step(state, h, SOIL, DT)[0]
         for name in ("swing", "boom", "stick", "bucket"):
             assert abs(state.samples[name].torque) \
                 <= spec.torque_limits[name] + 1e-9
@@ -410,14 +410,16 @@ def test_bed_dump_sequence_duration_and_conservation():
     steps = 0
     dumped_total = lost_total = 0.0
     while True:
-        status, dumped, lost = execution.step(state, h, SOIL, DT)
+        status, _, dumped, _, lost = execution.step(state, h, SOIL, DT)
         dumped_total += dumped
         lost_total += lost
         steps += 1
         assert steps < 10000
         if status == SUCCEEDED:
             break
-    assert steps * DT == pytest.approx(execution.duration(), abs=0.1)
+    duration = (2 * spec.bed_raise_time + spec.bed_hold_time
+                + BedDumpExecution.ADVANCE_DIST / spec.speed_loaded)
+    assert steps * DT == pytest.approx(duration, abs=0.1)
     assert state.payload_kg == pytest.approx(0.0, abs=1e-9)
     assert state.bed_angle == 0.0
     gained = h.total_mass(SOIL.bank_density) - before
@@ -431,7 +433,7 @@ def test_bed_dump_empty_bed_succeeds_with_zero():
     execution = BedDumpExecution(spec)
     dumped_total = 0.0
     while True:
-        status, dumped, _ = execution.step(state, h, SOIL, DT)
+        status, _, dumped, _, _ = execution.step(state, h, SOIL, DT)
         dumped_total += dumped
         if status == SUCCEEDED:
             break
@@ -648,7 +650,8 @@ def test_dig_ik_failure_mid_cut_samples_like_every_step(fail_at):
         if k == fail_at:
             states[0].x -= 6.0
 
-    assert _step_both(_dig_world, 20000, perturb) == (FAILED, 0.0)
+    assert _step_both(_dig_world, 20000, perturb) \
+        == (FAILED, 0.0, 0.0, 0.0, 0.0)
 
 
 def _arm_dump_world(to_truck, unreachable_from=None):
@@ -658,36 +661,37 @@ def _arm_dump_world(to_truck, unreachable_from=None):
         state.payload_kg = 80.0
         truck_spec, truck = machine("dumptruck", x=12.8, y=11.5,
                                     heading=1.0, h=h)
-        execution = ArmDumpExecution(spec)
+        execution = ArmDumpExecution(
+            spec, (truck_spec, truck) if to_truck else None,
+            None if to_truck else (8.0, 12.5))
 
         def step(k):
-            if to_truck:
-                return execution.step(state, h, SOIL, DT, truck_state=truck,
-                                      truck_spec=truck_spec)
-            far = unreachable_from is not None and k >= unreachable_from
-            return execution.step(state, h, SOIL, DT,
-                                  point=(40.0, 40.0) if far else (8.0, 12.5))
+            if unreachable_from is not None and k >= unreachable_from:
+                execution.point = (40.0, 40.0)
+            return (*execution.step(state, h, SOIL, DT), execution.result)
         return h, [state, truck], step
     return make
 
 
 def test_arm_dump_into_truck_samples_on_the_cadence_like_every_step():
-    status, released, into_truck, _, _ = _step_both(
+    status, _, dumped, _, _, result = _step_both(
         _arm_dump_world(to_truck=True), 5000)
-    assert status == SUCCEEDED and into_truck and released > 0.0
+    assert status == SUCCEEDED and result["into_truck"]
+    assert result["dumped_kg"] > 0.0 and dumped == 0.0
 
 
 def test_arm_dump_at_point_samples_on_the_cadence_like_every_step():
-    status, released, into_truck, _, _ = _step_both(
+    status, _, dumped, _, _, result = _step_both(
         _arm_dump_world(to_truck=False), 5000)
-    assert status == SUCCEEDED and not into_truck and released > 0.0
+    assert status == SUCCEEDED and not result["into_truck"]
+    assert dumped == result["dumped_kg"] > 0.0
 
 
 @pytest.mark.parametrize("fail_at", [119, 123])
 def test_arm_dump_ik_failure_samples_like_every_step(fail_at):
     result = _step_both(_arm_dump_world(False, unreachable_from=fail_at),
                         5000)
-    assert result == (FAILED, 0.0, False, 0.0, 0.0)
+    assert result[:5] == (FAILED, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_bed_dump_samples_on_the_cadence_like_every_step():
