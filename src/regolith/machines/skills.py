@@ -58,16 +58,18 @@ _STEEPEST_CUT = math.pi / 2 - 0.06
 SWING_INERTIA = 400.0
 
 _ARM_JOINTS = ("swing", "boom", "stick", "bucket")
+#: Joint rates of an arm that did not move this step (rad/s).
+_ARM_STILL = dict.fromkeys(_ARM_JOINTS, 0.0)
 
 
 # -- arm motion and torque bookkeeping --------------------------------------
 
 def move_arm_toward(state: MachineState, spec: MachineSpec, targets: dict,
-                    dt: float) -> float:
+                    dt: float) -> tuple[float, dict]:
     """Rate-limited joint motion (trapezoidal accel profile on the swing).
 
-    Returns the largest remaining joint error (rad); joint omega samples
-    are refreshed on the state.
+    Returns the largest remaining joint error (rad) and the rate each
+    joint moved at this step (rad/s).
     """
     # The clamps are min/max written out: `b if b > a else a` is exactly
     # max(a, b) and `b if b < a else a` exactly min(a, b).
@@ -103,8 +105,7 @@ def move_arm_toward(state: MachineState, spec: MachineSpec, targets: dict,
         omegas["swing"] = state.swing_rate
     left = abs(targets["swing"] - joints["swing"])
     max_err = left if left > max_err else max_err
-    state._arm_omegas = omegas  # consumed by record_arm_samples
-    return max_err
+    return max_err, omegas
 
 
 def _tip_jacobian(geom, joints, base_pose):
@@ -167,11 +168,14 @@ def _tip_jacobian(geom, joints, base_pose):
 
 
 def record_arm_samples(state: MachineState, spec: MachineSpec,
-                       soil: SoilParams, ext_force=(0.0, 0.0, 0.0),
-                       swing_alpha: float = 0.0, kinematics=None) -> None:
+                       soil: SoilParams, omegas: dict,
+                       ext_force=(0.0, 0.0, 0.0), swing_alpha: float = 0.0,
+                       kinematics=None) -> None:
     """Joint torque samples from static equilibrium via the Jacobian
     transpose: the arm must exert ``ext_force`` on the environment and hold
     the payload weight; the swing additionally carries an inertial term.
+    ``omegas`` are the joint rates of this step, as `move_arm_toward`
+    returns them.
 
     ``kinematics`` is `_tip_jacobian`'s (tip, columns) for the state's
     current joints and pose, when the caller has it already."""
@@ -181,8 +185,6 @@ def record_arm_samples(state: MachineState, spec: MachineSpec,
     fx = ext_force[0]
     fy = ext_force[1]
     fz = ext_force[2] + load * soil.gravity
-    omegas = getattr(state, "_arm_omegas", None) or \
-        dict.fromkeys(_ARM_JOINTS, 0.0)
     r_tip = math.hypot(tip[0] - state.x, tip[1] - state.y)
     limits = spec.torque_limits
     for name in _ARM_JOINTS:
@@ -190,7 +192,7 @@ def record_arm_samples(state: MachineState, spec: MachineSpec,
         tau = jx * fx + jy * fy + jz * fz
         if name == "swing":
             tau += (SWING_INERTIA + load * r_tip ** 2) * swing_alpha
-        state.set_sample(name, tau, omegas.get(name, 0.0), limits[name])
+        state.set_sample(name, tau, omegas[name], limits[name])
 
 
 # -- digging ----------------------------------------------------------------
@@ -274,10 +276,10 @@ class DigExecution:
         sampling = state.sampling
         if ik.residual > TRACK_IK_TOL:
             if sampling:
-                record_arm_samples(state, spec, soil)
+                record_arm_samples(state, spec, soil, _ARM_STILL)
             self.result = {"loaded_kg": self.removed_total}
             return FAILED, 0.0, 0.0, 0.0, 0.0
-        err = move_arm_toward(state, spec, ik.joints, dt)
+        err, omegas = move_arm_toward(state, spec, ik.joints, dt)
         if sampling:
             kin = _tip_jacobian(spec.arm, state.joints, state.pose)
             tip = kin[0]
@@ -290,7 +292,7 @@ class DigExecution:
         removed = 0.0
         if phase == "approach":
             if sampling:
-                record_arm_samples(state, spec, soil,
+                record_arm_samples(state, spec, soil, omegas,
                                    swing_alpha=swing_alpha, kinematics=kin)
             if err < JOINT_SETTLED_TOL:
                 self.phase = "cut"
@@ -326,15 +328,15 @@ class DigExecution:
                     ux = uy = 0.0
                 ext = (force.resistance * ux, force.resistance * uy,
                        -force.normal)
-                record_arm_samples(state, spec, soil, ext_force=ext,
+                record_arm_samples(state, spec, soil, omegas, ext_force=ext,
                                    swing_alpha=swing_alpha, kinematics=kin)
             if self.s >= self.length and err < JOINT_SETTLED_TOL:
                 self.phase = "raise"
             return RUNNING, removed, 0.0, 0.0, 0.0
 
         if sampling:
-            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
-                               kinematics=kin)
+            record_arm_samples(state, spec, soil, omegas,
+                               swing_alpha=swing_alpha, kinematics=kin)
         if err < JOINT_SETTLED_TOL:
             self.result = {"loaded_kg": self.removed_total}
             return SUCCEEDED, 0.0, 0.0, 0.0, 0.0
@@ -565,10 +567,10 @@ class ArmDumpExecution:
         sampling = state.sampling
         if ik.residual > 0.5:
             if sampling:
-                record_arm_samples(state, spec, soil)
+                record_arm_samples(state, spec, soil, _ARM_STILL)
             self.result = {"spilled_kg": self.spilled_total}
             return FAILED, 0.0, 0.0, 0.0, 0.0
-        err = move_arm_toward(state, spec, ik.joints, dt)
+        err, omegas = move_arm_toward(state, spec, ik.joints, dt)
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
         self.prev_swing_rate = state.swing_rate
@@ -581,8 +583,8 @@ class ArmDumpExecution:
                                           dt, at=(tip[0], tip[1]))
         self.spilled_total += spilled
         if sampling:
-            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
-                               kinematics=kin)
+            record_arm_samples(state, spec, soil, omegas,
+                               swing_alpha=swing_alpha, kinematics=kin)
         if err >= JOINT_SETTLED_TOL:
             return RUNNING, 0.0, 0.0, spilled, spill_lost
         released, into_truck, lost = transfer_bucket(

@@ -42,7 +42,6 @@ class RouteError(ValueError):
 
 @dataclass
 class DigPlan:
-    cell_index: int
     trajectory: SweptCut
     stance: tuple                  # (x, y, heading)
     expected_volume: float         # m^3
@@ -133,7 +132,7 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float,
     trajectory = SweptCut(points=points, width=bucket_width,
                           max_depth=MAX_DIG_DEPTH)
     stance = (points[0][0] - STANCE_BACK, y, 0.0)
-    return DigPlan(cell_index=index, trajectory=trajectory, stance=stance,
+    return DigPlan(trajectory=trajectory, stance=stance,
                    expected_volume=volume)
 
 

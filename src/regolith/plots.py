@@ -1,17 +1,17 @@
-"""Plot-ready series emitted from a run's CSV directory.
+"""Plot-ready series emitted from a run's artifact directory.
 
 Four series mirror the per-cycle report figures: hauled mass, cycle
 duration with task breakdown, total work, and excavation-only work, plus
-a marker file with the cell-switch times.
+a marker file with the cell-switch times.  They are read from cycles.csv,
+events.csv and report.json, which holds each cycle's excavation-only work
+as the run summed it.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import warnings
-from bisect import bisect_right
-from collections import Counter
-from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
 
@@ -22,18 +22,16 @@ MARKER_FILE = "markers.csv"
 _CYCLE_COLUMNS = ("cycle", "machine", "loaded_kg", "spilled_kg",
                   "duration_s", "work_J", "dig_s", "drive_s", "dump_s",
                   "wait_s")
-_SAMPLE_COLUMNS = ("sim_time", "machine", "joint", "torque_Nm",
-                   "omega_rad_s", "payload_kg", "skill_state")
+#: report.json key: machine -> excavation-only work of each of its cycles
+EXCAVATION_KEY = "cycle_excavation_work_J"
 
 
 class PlotDataError(ValueError):
     pass
 
 
-@contextmanager
-def _csv_rows(path: Path, required: tuple):
-    """The rows of a CSV file, read as they are iterated while the file is
-    open, each as the tuple of its required columns' values."""
+def _read_csv(path: Path, required: tuple) -> list[dict]:
+    """The rows of a CSV file, each as a dict of its required columns."""
     if not path.exists():
         raise PlotDataError(f"missing input file: {path}")
     with open(path, newline="") as fh:
@@ -43,14 +41,10 @@ def _csv_rows(path: Path, required: tuple):
         if missing:
             raise PlotDataError(
                 f"{path.name} is missing columns: {', '.join(missing)}")
+        values = itemgetter(*(header.index(c) for c in required))
         # filter drops blank lines, as csv.DictReader does
-        yield map(itemgetter(*(header.index(c) for c in required)),
-                  filter(None, reader))
-
-
-def _read_csv(path: Path, required: tuple) -> list[dict]:
-    with _csv_rows(path, required) as rows:
-        return [dict(zip(required, row)) for row in rows]
+        return [dict(zip(required, values(row)))
+                for row in filter(None, reader)]
 
 
 def _dig_machine(cycle_rows: list[dict]) -> str:
@@ -60,52 +54,13 @@ def _dig_machine(cycle_rows: list[dict]) -> str:
     return max(sorted(counts), key=counts.get)
 
 
-def _sample_dt(path: Path, machine: str) -> float:
-    """The median gap between the machine's distinct sample times in
-    samples.csv, which is in time order: the time one of its rows stands
-    for.  0.1 s when it has fewer than two distinct times."""
-    gaps: Counter = Counter()
-    last = None
-    with _csv_rows(path, ("sim_time", "machine")) as rows:
-        for t, m in rows:
-            if m != machine:
-                continue
-            t = float(t)
-            if last is not None and t != last:
-                if t < last:
-                    raise PlotDataError(f"{path.name} is not in time order: "
-                                        f"{t!r} follows {last!r}")
-                gaps[t - last] += 1
-            last = t
-    rank = sum(gaps.values()) // 2
-    for gap in sorted(gaps):
-        rank -= gaps[gap]
-        if rank < 0:
-            return gap
-    return 0.1
-
-
-def _excavation_work(path: Path, machine: str,
-                     boundaries: list[float]) -> list[float]:
-    """Positive actuator work during dig activity per cycle span: each of
-    the machine's dig rows with positive power adds power * dt to the span
-    that holds its time, in file order.  samples.csv is streamed twice,
-    once for dt and once for the sums."""
-    work = [0.0] * max(len(boundaries) - 1, 0)
-    if not work:
-        return work
-    dt = _sample_dt(path, machine)
-    with _csv_rows(path, ("sim_time", "machine", "torque_Nm", "omega_rad_s",
-                          "skill_state")) as rows:
-        for t, m, torque, omega, state in rows:
-            if m != machine or state != "dig":
-                continue
-            power = float(torque) * float(omega)
-            if power <= 0.0:
-                continue
-            k = bisect_right(boundaries, float(t)) - 1
-            if 0 <= k < len(work):
-                work[k] += power * dt
+def _read_excavation_work(path: Path) -> dict:
+    """report.json's excavation-only work per machine and cycle."""
+    if not path.exists():
+        raise PlotDataError(f"missing input file: {path}")
+    work = json.loads(path.read_text()).get(EXCAVATION_KEY)
+    if work is None:
+        raise PlotDataError(f"{path.name} has no {EXCAVATION_KEY}")
     return work
 
 
@@ -113,10 +68,8 @@ def emit_plot_data(in_dir) -> dict:
     """Write the series files next to the run CSVs; returns row counts."""
     in_dir = Path(in_dir)
     cycles = _read_csv(in_dir / "cycles.csv", _CYCLE_COLUMNS)
-    samples = in_dir / "samples.csv"
-    with _csv_rows(samples, _SAMPLE_COLUMNS):
-        pass                      # checked now, streamed when needed
     events = _read_csv(in_dir / "events.csv", ("sim_time", "event"))
+    excavation_work = _read_excavation_work(in_dir / "report.json")
 
     switches = [float(r["sim_time"]) for r in events
                 if r["event"] == "cell_switch"]
@@ -134,12 +87,11 @@ def emit_plot_data(in_dir) -> dict:
         rows = sorted((r for r in cycles if r["machine"] == machine),
                       key=lambda r: int(r["cycle"]))
 
-    digs = sorted(float(r["sim_time"]) for r in events
-                  if r["event"] == f"dig_start:{machine}")
-    excavation = _excavation_work(samples, machine, digs) \
-        if machine else []
-    if len(excavation) < len(rows):
-        excavation += [0.0] * (len(rows) - len(excavation))
+    excavation = excavation_work.get(machine, [])
+    if len(excavation) != len(rows):
+        raise PlotDataError(
+            f"{EXCAVATION_KEY} has {len(excavation)} cycles of {machine}, "
+            f"cycles.csv {len(rows)}")
 
     cum_loaded = cum_dumped = 0.0
     with open(in_dir / "mass.csv", "w") as fh:

@@ -71,6 +71,9 @@ class RunReport:
             "boundary_lost_kg": self.boundary_lost_kg,
             "cycles_per_machine": {m: len(rs) for m, rs in
                                    self.cycles.items()},
+            "cycle_excavation_work_J": {
+                m: [r.excavation_work_J for r in rs]
+                for m, rs in self.cycles.items()},
             "summary": {m: {col: list(stat) for col, stat in s.items()}
                         for m, s in self.summary.items()},
         }

@@ -102,13 +102,13 @@ class SkillRunner:
             self.sim.bus.report_error(
                 f"{self.machine_id}: unknown skill action {action!r}")
             return
+        if self.action is not None:
+            self._finish("Failed", {"error": "preempted" if self.available
+                                    else "machine unavailable"})
+        self.action, self.command_id = action, payload.get("id", 0)
         if not self.available:
-            self.action, self.command_id = action, payload.get("id", 0)
             self._finish("Failed", {"error": "machine unavailable"})
             return
-        if self.action is not None:
-            self._finish("Failed", {"error": "preempted"})
-        self.action, self.command_id = action, payload.get("id", 0)
         try:
             self.execution = self._execution(action,
                                              payload.get("params") or {})

@@ -1,6 +1,6 @@
 """Work and cycle telemetry: actuator samples streamed to samples.csv,
-positive work summed per dig cycle as the run goes, cycle segmentation,
-summary statistics, and CSV export."""
+positive work and its excavation-only part summed per dig cycle as the
+run goes, cycle segmentation, summary statistics, and CSV export."""
 
 from __future__ import annotations
 
@@ -42,7 +42,8 @@ class SkillEvent:
 @dataclass
 class WorkCycleRecord:
     """One dig cycle: loaded/spilled mass, duration, positive actuator work,
-    and the per-task time breakdown."""
+    the per-task time breakdown, and the positive work of the machine's
+    own rows logged while it was digging."""
     cycle: int
     machine: str
     loaded_kg: float
@@ -54,6 +55,7 @@ class WorkCycleRecord:
     dump_s: float
     wait_s: float
     actuator_work_J: dict = field(default_factory=dict)
+    excavation_work_J: float = 0.0
 
 
 class SampleLog:
@@ -68,8 +70,8 @@ class SampleLog:
 
     def __init__(self, path=None):
         self.rows = 0
-        #: (sim_time, machine, joints, torques, omegas) per extend call not
-        #: yet taken, in logging order
+        #: (sim_time, machine, joints, torques, omegas, skill_state) per
+        #: extend call not yet taken, in logging order
         self.held: list[tuple] = []
         self.sim_time = array("d")
         self.torque = array("d")
@@ -90,7 +92,8 @@ class SampleLog:
         machine; torques and omegas are the rows' columns, in joint order."""
         n = len(joints)
         self.rows += n
-        self.held.append((sim_time, machine, joints, torques, omegas))
+        self.held.append((sim_time, machine, joints, torques, omegas,
+                          skill_state))
         if self._file is None:
             return
         # one fromlist per column: the cheapest way to grow an array
@@ -173,11 +176,11 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
     """One record per dig-start → next dig-start span for one machine.
 
     Loaded mass comes from dig completion reports, spilled mass from any
-    completion report inside the span, work from the positive work the
-    collector summed over the span's rows, and the task breakdown from the
-    skill activity intervals; time in no skill counts as waiting.  The
-    trailing span with no terminating dig start is dropped: events.csv
-    still lists its dig start.
+    completion report inside the span, work and excavation work from the
+    positive work the collector summed over the span's rows, and the task
+    breakdown from the skill activity intervals; time in no skill counts
+    as waiting.  The trailing span with no terminating dig start is
+    dropped: events.csv still lists its dig start.
 
     fleet charges every machine's actuator work to the spans, e.g. a
     hauler's transit work to the digging machine's cycles.
@@ -187,6 +190,7 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
         return []
     events = [e for e in collector.events if e.machine == machine]
     span_work = collector.span_work[(machine, fleet)]
+    excavation_work = collector.excavation_work[machine]
     intervals = _skill_intervals(events, collector.last_event_time[machine])
 
     records = []
@@ -214,7 +218,8 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
             duration_s=duration, work_J=sum(actuator_work.values()),
             dig_s=breakdown["dig"], drive_s=breakdown["drive"],
             dump_s=breakdown["dump"], wait_s=max(0.0, duration - busy),
-            actuator_work_J=actuator_work))
+            actuator_work_J=actuator_work,
+            excavation_work_J=float(excavation_work[k])))
     return records
 
 
@@ -276,8 +281,10 @@ class TelemetryCollector:
     still come, so a drain assigns only the held rows read before now.
     Per digging machine the collector sums each joint's positive work,
     W += max(tau*omega, 0)*dt row by row from 0.0, over the open cycle,
-    once for the machine's own actuators and once for the fleet's; the
-    next dig start, whose time `dig_starts` records, closes the cycle.  Of
+    once for the machine's own actuators and once for the fleet's, and
+    sums the same terms of its own rows logged in the dig skill into one
+    excavation-only float per cycle, in log and joint order; the next dig
+    start, whose time `dig_starts` records, closes the cycle.  Of
     the events it keeps the first Running of each activation and the
     terminal ones, and each machine's last event time, which is where open
     activations end.
@@ -295,6 +302,9 @@ class TelemetryCollector:
         #: (machine, fleet) -> per-joint work of each of the machine's dig
         #: cycles, the last one still open
         self.span_work: dict[tuple, list[dict]] = {}
+        #: machine -> excavation-only work of each of its dig cycles, the
+        #: last one still open
+        self.excavation_work: dict[str, list[float]] = {}
         self._running: set[tuple] = set()
         self._dig_ids: set[tuple] = set()
 
@@ -328,15 +338,19 @@ class TelemetryCollector:
                     for fleet in (False, True):
                         self.span_work.setdefault((ev.machine, fleet),
                                                   []).append({})
+                    self.excavation_work.setdefault(ev.machine,
+                                                    []).append(0.0)
             self.events.append(ev)
         self._assign(now)
 
     def _assign(self, before: float) -> None:
         """Adds the work of the held rows read before `before` to the open
         cycles: a machine's own cycle takes its rows, a fleet cycle every
-        row."""
+        row, and the machine's excavation-only sum its rows in the dig
+        skill."""
         dt = self.sample_dt
-        for _, machine, joints, torques, omegas in self.samples.take(before):
+        for _, machine, joints, torques, omegas, skill_state in \
+                self.samples.take(before):
             energy = [p * dt if p > 0.0 else 0.0
                       for p in map(mul, torques, omegas)]
             for (digger, fleet), spans in self.span_work.items():
@@ -344,6 +358,12 @@ class TelemetryCollector:
                     work = spans[-1]
                     for joint, e in zip(joints, energy):
                         work[joint] = work.get(joint, 0.0) + e
+            excavation = self.excavation_work.get(machine)
+            if excavation and skill_state == "dig":
+                total = excavation[-1]
+                for e in energy:
+                    total += e
+                excavation[-1] = total
 
     def cycles(self, machine: str) -> list[WorkCycleRecord]:
         return segment_cycles(self, machine)

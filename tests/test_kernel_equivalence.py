@@ -34,6 +34,7 @@ from regolith.machines import (
 )
 from regolith.machines.kinematics import (
     IK_REACHED_TOL,
+    JOINT_NAMES,
     ArmGeometry,
     IkResult,
     forward_kinematics,
@@ -517,9 +518,10 @@ class _RefDigExecution:
         sampling = state.sampling
         if ik.residual > TRACK_IK_TOL:
             if sampling:
-                record_arm_samples(state, spec, soil)
+                record_arm_samples(state, spec, soil,
+                                   dict.fromkeys(JOINT_NAMES, 0.0))
             return FAILED, 0.0
-        err = move_arm_toward(state, spec, ik.joints, dt)
+        err, omegas = move_arm_toward(state, spec, ik.joints, dt)
         if sampling:
             kin = _tip_jacobian(spec.arm, state.joints, state.pose)
             tip = kin[0]
@@ -531,7 +533,7 @@ class _RefDigExecution:
         removed = 0.0
         if self.phase == "approach":
             if sampling:
-                record_arm_samples(state, spec, soil,
+                record_arm_samples(state, spec, soil, omegas,
                                    swing_alpha=swing_alpha, kinematics=kin)
             if err < JOINT_SETTLED_TOL:
                 self.phase = "cut"
@@ -564,14 +566,14 @@ class _RefDigExecution:
                     ux = uy = 0.0
                 ext = (force.resistance * ux, force.resistance * uy,
                        -force.normal)
-                record_arm_samples(state, spec, soil, ext_force=ext,
+                record_arm_samples(state, spec, soil, omegas, ext_force=ext,
                                    swing_alpha=swing_alpha, kinematics=kin)
             if self.s >= self.length and err < JOINT_SETTLED_TOL:
                 self.phase = "raise"
             return SKILL_RUNNING, removed
         if sampling:
-            record_arm_samples(state, spec, soil, swing_alpha=swing_alpha,
-                               kinematics=kin)
+            record_arm_samples(state, spec, soil, omegas,
+                               swing_alpha=swing_alpha, kinematics=kin)
         if err < JOINT_SETTLED_TOL:
             return SUCCEEDED, 0.0
         return SKILL_RUNNING, 0.0

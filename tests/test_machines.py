@@ -18,6 +18,7 @@ from regolith.machines import (
     MachineSpec,
     MachineState,
     Pid,
+    RUNNING,
     SUCCEEDED,
     blade_level_step,
     bucket_tip,
@@ -581,11 +582,10 @@ def test_fused_tip_jacobian_matches_five_forward_passes():
 # -- sampling on the telemetry cadence against sampling every step -----------
 
 def _state_bits(state):
-    """Every field but the samples, and the arm omegas, as text: equal
-    only for bit-equal floats, NaN and signed zeros included."""
+    """Every field but the samples as text: equal only for bit-equal
+    floats, NaN and signed zeros included."""
     return repr([getattr(state, f.name) for f in dataclasses.fields(state)
-                 if f.name != "samples"]
-                + [getattr(state, "_arm_omegas", None)])
+                 if f.name != "samples"])
 
 
 def _sample_bits(state):
@@ -692,6 +692,45 @@ def test_arm_dump_ik_failure_samples_like_every_step(fail_at):
     result = _step_both(_arm_dump_world(False, unreachable_from=fail_at),
                         5000)
     assert result[:5] == (FAILED, 0.0, 0.0, 0.0, 0.0)
+
+
+def _arm_rates_when_failed(make, perturb=None):
+    """Steps a world's first machine on the telemetry cadence until its
+    skill ends, which must be Failed on a logged step; returns the arm
+    joint rates sampled on that step."""
+    h, states, step = make()
+    state = states[0]
+    for k in range(20000):
+        if perturb is not None:
+            perturb(states, k)
+        state.sampling = (k + 1) % TELEMETRY_EVERY == 0
+        if state.sampling:
+            state.clear_samples()
+        result = step(k)
+        if result[0] != RUNNING:
+            break
+    assert result[0] == FAILED and state.sampling
+    return {name: state.samples[name].omega
+            for name in ("swing", "boom", "stick", "bucket")}
+
+
+def test_dig_ik_failure_samples_a_still_arm():
+    # the arm is moving along the cut when the trajectory goes out of reach
+    # on logged step 399; the failed step does not move it
+    def perturb(states, k):
+        if k == 399:
+            states[0].x -= 6.0
+
+    assert _arm_rates_when_failed(_dig_world, perturb) == \
+        {"swing": 0.0, "boom": 0.0, "stick": 0.0, "bucket": 0.0}
+
+
+def test_arm_dump_ik_failure_samples_a_still_arm():
+    # the arm is swinging toward the point when it moves out of reach on
+    # logged step 119
+    make = _arm_dump_world(to_truck=False, unreachable_from=119)
+    assert _arm_rates_when_failed(make) == \
+        {"swing": 0.0, "boom": 0.0, "stick": 0.0, "bucket": 0.0}
 
 
 def test_bed_dump_samples_on_the_cadence_like_every_step():

@@ -147,7 +147,7 @@ def test_plan_dig_advances_past_completed_cell():
     wm.terrain.elevation[i0:i1, j0:j1] = wm.target.elevation[i0:i1, j0:j1]
     plan = plan_dig(wm, "excavator1", **DIG)
     assert isinstance(plan, DigPlan)
-    assert plan.cell_index == 1
+    assert wm.cell_index == 1
     assert wm.cell_switch_times  # switch event recorded
 
 

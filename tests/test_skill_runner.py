@@ -27,9 +27,9 @@ def world(machine_states=None):
     return sim, bus.subscribe_category("skill")
 
 
-def command(sim, machine, action, params):
+def command(sim, machine, action, params, aid=7):
     sim.bus.publish(topic_for(machine, "target", action),
-                    {"kind": "command", "action": action, "id": 7,
+                    {"kind": "command", "action": action, "id": aid,
                      "params": params}, sim.sim_time)
 
 
@@ -76,6 +76,18 @@ def test_a_command_to_an_unavailable_machine_fails():
     assert statuses(sub) == [{"kind": "status", "id": 7, "state": "Failed",
                               "error": "machine unavailable"}]
     assert sim.machines["truck1"][1].x == 14.5
+
+
+def test_a_command_to_an_unavailable_machine_fails_its_active_skill_too():
+    sim, sub = world()
+    command(sim, "truck1", "drive", {"waypoints": [[20.0, 26.0]]})
+    sim.step()
+    sim.set_available("truck1", False)
+    command(sim, "truck1", "drive", {"waypoints": [[20.0, 26.0]]}, aid=8)
+    run_skill(sim, "truck1")
+    assert [(p["id"], p["state"], p.get("error")) for p in statuses(sub)] \
+        == [(7, "Running", None), (7, "Failed", "machine unavailable"),
+            (8, "Failed", "machine unavailable")]
 
 
 def test_a_dump_into_a_truck_leaves_the_dumped_mass_unchanged():

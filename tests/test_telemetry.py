@@ -10,6 +10,7 @@ import math
 import random
 import struct
 import tracemalloc
+from bisect import bisect_right
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -146,6 +147,22 @@ def reference_span_work(samples, machines, bounds, dt):
             for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
+def reference_excavation_work(samples, machine, bounds, dt):
+    """Positive work of the machine's rows in the dig skill in each span
+    [bounds[k], bounds[k + 1]): each row with positive power adds
+    power * dt to its span, the rows taken in time order (ties in arrival
+    order)."""
+    work = [0.0] * (len(bounds) - 1)
+    for s in sorted((s for s in samples
+                     if s.machine == machine and s.skill_state == "dig"),
+                    key=lambda s: s.sim_time):
+        k = bisect_right(bounds, s.sim_time) - 1
+        power = s.torque * s.omega
+        if 0 <= k < len(work) and power > 0.0:
+            work[k] += power * dt
+    return work
+
+
 def reference_intervals(events):
     intervals = []
     open_at = {}
@@ -183,6 +200,7 @@ def reference_segment_cycles(samples, events, machine, dt,
     events = sorted((e for e in events if e.machine == machine),
                     key=lambda e: (e.sim_time, e.activation_id))
     span_work = reference_span_work(samples, works, dig_starts, dt)
+    excavation = reference_excavation_work(samples, machine, dig_starts, dt)
     intervals = reference_intervals(events)
     records = []
     for k in range(len(dig_starts) - 1):
@@ -206,7 +224,7 @@ def reference_segment_cycles(samples, events, machine, dt,
             duration_s=duration, work_J=sum(span_work[k].values()),
             dig_s=breakdown["dig"], drive_s=breakdown["drive"],
             dump_s=breakdown["dump"], wait_s=max(0.0, duration - busy),
-            actuator_work_J=span_work[k]))
+            actuator_work_J=span_work[k], excavation_work_J=excavation[k]))
     return records
 
 
@@ -324,6 +342,19 @@ def test_sample_at_dig_start_belongs_to_later_cycle():
     assert [r.work_J for r in records] == [3.0, 4.0]
 
 
+def test_excavation_work_sums_the_machines_own_dig_rows():
+    # dig starts at 0, 12 and 24: only m1's rows in the dig skill with
+    # positive power count
+    samples = [sample(1.0, torque=2.0, omega=1.0, state="dig"),
+               sample(2.0, torque=4.0, omega=1.0, state="drive"),
+               sample(3.0, torque=8.0, omega=1.0, state="dig", machine="m2"),
+               sample(4.0, torque=-1.0, omega=1.0, state="dig"),
+               sample(13.0, torque=16.0, omega=1.0, state="dig")]
+    records = online_cycles(samples, synthetic_stream(), "m1", 1.0)
+    assert [r.excavation_work_J for r in records] == [2.0, 16.0]
+    assert [r.work_J for r in records] == [6.0, 16.0]
+
+
 def test_segment_cycles_independent_of_sample_order():
     # the batch segmentation sorted the rows, so it took them in any order
     dt = 0.1
@@ -368,7 +399,8 @@ def logged_runs(draw):
     """(rows, events, drains) of two machines on a 0.5 s step grid: skill
     activations with heartbeats, Failed with no Running before it, a
     last activation left open, and rows at every step, so at each dig
-    start, with NaN, ±0.0 and ±inf among their torques and speeds."""
+    start, with NaN, ±0.0 and ±inf among their torques and speeds, and
+    some of them logged in the dig skill."""
     steps = draw(st.integers(1, 24))
     events = []
     aid = 0
@@ -406,7 +438,9 @@ def logged_runs(draw):
                                        max_size=3)):
                 rows.append(sample(k * 0.5, joint=joint,
                                    torque=draw(_VALUES), omega=draw(_VALUES),
-                                   machine=machine))
+                                   machine=machine,
+                                   state=draw(st.sampled_from(["dig",
+                                                               "Idle"]))))
     drains = draw(st.lists(st.booleans(), min_size=1, max_size=4))
     return rows, events, drains
 
