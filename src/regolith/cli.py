@@ -2,7 +2,8 @@
 behaviour-tree files.
 
 Exit codes: 0 scenario complete / command succeeded, 2 scenario ran but
-did not complete, 3 error.
+did not complete, 3 error.  Each subcommand imports what it uses, so
+`plots` loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import sys
 from pathlib import Path
 
 from .bt import ParseError, ResolveError, parse_document, resolve, serialize
-from .config import ConfigError, PlannerParams, load_config
-from .planner import PlannerRuntime, build_registry
 from .scenarios import REFERENCE_SCENARIOS, scenario_path
 
 EXIT_OK = 0
@@ -32,6 +31,8 @@ def _resolve_config_path(value: str) -> Path:
 
 
 def _cmd_run(args) -> int:
+    from .config import ConfigError, load_config
+    from .runner import run
     path = _resolve_config_path(args.config)
     # load_config skips the None values of flags left unset
     overrides = {"seed": args.seed, "max_sim_time": args.max_sim_time,
@@ -41,7 +42,6 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    from .runner import run
     report = run(config, out_dir=args.out, snapshot=args.snapshot)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if report.error:
@@ -61,6 +61,8 @@ def _cmd_plots(args) -> int:
 
 
 def _cmd_validate_bt(args) -> int:
+    from .config import PlannerParams
+    from .planner import PlannerRuntime, build_registry
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--max-sim-time", type=float, default=None)
     run_p.add_argument("--out", default=None, help="artifact directory")
     run_p.add_argument("--snapshot", default=None,
-                       help="resume from a saved state snapshot")
+                       help="resume where the snapshot's run stopped")
     run_p.set_defaults(func=_cmd_run)
 
     plots_p = sub.add_parser("plots", help="emit plot series from run CSVs")

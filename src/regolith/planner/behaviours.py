@@ -210,8 +210,8 @@ class LevelBinding(SkillBinding):
     The runs are planned once, when the node is built, from the planner's
     `leveling` and `leveling_width` settings; without them the node fails.
     The only state a tick hands the next is the run counter, the blackboard
-    key leveling/run_index.  A snapshot does not save the blackboard, so a
-    resumed planner starts again from the first run.
+    key leveling/run_index.  A resumed run replays every tick, so its
+    planner goes on from the run where the snapshot's run stopped.
     """
 
     def __init__(self, runtime):

@@ -1,10 +1,10 @@
 """Planner child process for two-process runs.
 
 `serve` connects to the simulator's TCP bridge, takes the resolved config
-and the snapshot path from its hello frame, runs the planner loop in
-lockstep with its sync marks, and reports tree status plus planning
-counters in every ack.  A TCP run forks its planner child from the
-simulator process with `serve` as the target; `main` starts the same
+from its hello frame alone, runs the planner loop in lockstep with its
+sync marks, and reports tree status plus planning counters in every ack; a
+resumed run replays from the first sync.  A TCP run forks its planner
+child from the simulator process with `serve` as the target; `main` starts the same
 planner by hand (``python -m regolith.planner_proc --port P``).
 """
 
@@ -22,7 +22,7 @@ from .planner import SITE_ID
 def serve(host: str, port: int) -> None:
     """Plans for the simulator whose bridge listens on host:port, until it
     sends shutdown or the connection ends."""
-    from .runner import build_planner, load_snapshot
+    from .runner import build_planner
 
     bus = Bus()
     client = TcpBridgeClient(bus, host, port)
@@ -31,10 +31,7 @@ def serve(host: str, port: int) -> None:
         config = validate_config(hello["config"], Path(hello["base_dir"]),
                                  name=hello["name"])
         bus.set_machine_ids(config.machine_ids() + [SITE_ID])
-        snap = load_snapshot(hello["snapshot"]) if hello["snapshot"] else None
-        loop = build_planner(config, bus,
-                             terrain=snap["terrain"] if snap else None,
-                             cell_index=snap["cell_index"] if snap else 0)
+        loop = build_planner(config, bus)
         while True:
             sim_time = client.wait_sync()
             if sim_time is None:

@@ -1,17 +1,16 @@
 """Scenario runner: wires planner and simulator together over the bus in
 loopback (single process) or TCP lockstep (two process) mode, detects
-stalls, and writes the run artifacts (CSVs, events, report, snapshot)."""
+stalls, and writes the run artifacts (CSVs, events, report, and the
+snapshot: the step a resumed run replays to, runs being deterministic)."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import planner_proc
 from .bt import NodeStatus, SUCCESS, parse_document, resolve
@@ -34,7 +33,6 @@ from .telemetry import (
     write_cycles_csv,
     write_samples_csv,
 )
-from .terrain import Heightfield
 
 
 @dataclass
@@ -83,11 +81,9 @@ def _bus_ids(config: ScenarioConfig) -> list[str]:
     return config.machine_ids() + [SITE_ID]
 
 
-def build_planner(config: ScenarioConfig, bus: Bus,
-                  terrain: Optional[Heightfield] = None,
-                  cell_index: int = 0) -> PlannerLoop:
+def build_planner(config: ScenarioConfig, bus: Bus) -> PlannerLoop:
     """Planner loop with its world model seeded from the shared config."""
-    belief = terrain.copy() if terrain is not None else config.build_terrain()
+    belief = config.build_terrain()
     target = config.build_target(belief)
     cells = grid_cells(belief, *config.cell_grid())
     roles = {m.machine_id: m.role for m in config.machines}
@@ -96,7 +92,6 @@ def build_planner(config: ScenarioConfig, bus: Bus,
     for mc in config.machines:
         report = wm.machines[mc.machine_id]
         report.x, report.y, report.heading = mc.pose
-    wm.cell_index = min(cell_index, len(cells))
     wm.leveling_required = config.planner.leveling is not None
     runtime = PlannerRuntime(bus, wm, config.planner)
     registry = build_registry(runtime)
@@ -106,34 +101,26 @@ def build_planner(config: ScenarioConfig, bus: Bus,
 
 # -- snapshots ---------------------------------------------------------------
 
-def save_snapshot(path, sim: Simulator, cell_index: int) -> None:
-    state = {}
-    for machine_id, (_, ms) in sim.machines.items():
-        state[machine_id] = {
-            "x": ms.x, "y": ms.y, "heading": ms.heading,
-            "payload_kg": ms.payload_kg, "blade_load_kg": ms.blade_load_kg,
-            "joints": dict(ms.joints),
-        }
-    snap = {
-        "sim_time": sim.sim_time,
-        "cell_index": cell_index,
-        "machines": state,
-        "terrain": {
-            "nx": sim.terrain.nx, "ny": sim.terrain.ny,
-            "cell_size": sim.terrain.cell_size,
-            "origin": list(sim.terrain.origin),
-            "elevation": sim.terrain.elevation.tolist(),
-        },
-    }
-    Path(path).write_text(json.dumps(snap))
+SNAPSHOT_VERSION = 2
 
 
-def load_snapshot(path) -> dict:
-    snap = json.loads(Path(path).read_text())
-    t = snap["terrain"]
-    snap["terrain"] = Heightfield(
-        t["nx"], t["ny"], t["cell_size"], origin=tuple(t["origin"]),
-        elevation=np.asarray(t["elevation"], dtype=float))
+def _replay_key(config: ScenarioConfig) -> str:
+    """The config hash but for the keys a resumed run may change."""
+    raw = {**config.raw, "max_sim_time": None, "transport": None}
+    return replace(config, raw=raw).config_hash
+
+
+def load_snapshot(path, config: ScenarioConfig) -> dict:
+    """The resume point saved at path by a run of this config, but for its
+    max_sim_time and transport."""
+    try:
+        snap = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if snap.get("version") != SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: not a version {SNAPSHOT_VERSION} snapshot")
+    if snap["config"] != _replay_key(config):
+        raise ValueError(f"{path}: written by a run of another config")
     return snap
 
 
@@ -176,12 +163,10 @@ def _progressed(last: Optional[tuple], now: tuple, digits: tuple) -> bool:
 class _InProcessLink:
     """Planner loop in this process, on its own bus joined by a bridge."""
 
-    def __init__(self, config: ScenarioConfig, sim_bus: Bus,
-                 terrain: Optional[Heightfield], cell_index: int):
+    def __init__(self, config: ScenarioConfig, sim_bus: Bus):
         bus = Bus(machine_ids=_bus_ids(config))
         self.bridge = LoopbackBridge(bus, sim_bus)
-        self.loop = build_planner(config, bus, terrain=terrain,
-                                  cell_index=cell_index)
+        self.loop = build_planner(config, bus)
 
     def tick(self, sim_time: float) -> dict:
         self.bridge.pump()
@@ -204,12 +189,10 @@ class _ChildLink:
     the child never flushes buffers it inherited, such as the open
     samples.csv."""
 
-    def __init__(self, config: ScenarioConfig, sim_bus: Bus,
-                 snapshot: Optional[str]):
+    def __init__(self, config: ScenarioConfig, sim_bus: Bus):
         self.server = TcpBridgeServer(sim_bus)
         self.hello = {"config": config.raw, "base_dir": str(config.base_dir),
-                      "name": config.name,
-                      "snapshot": str(snapshot) if snapshot else None}
+                      "name": config.name}
         self.child = multiprocessing.get_context("fork").Process(
             target=planner_proc.serve, args=("127.0.0.1", self.server.port))
         self.child.start()
@@ -264,10 +247,15 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         mode: Optional[str] = None, overrides: Optional[dict] = None,
         snapshot: Optional[str] = None, observer=None) -> RunReport:
     """Runs a scenario with its planner in this process (loopback) or in a
-    child process in TCP lockstep (tcp), which gets config.raw and the
-    snapshot path in a hello frame.  config_path and overrides are ignored
-    (config holds the overrides); they stay because perfbench/child.py
-    passes them, and a change to the benchmark can drop them.
+    child process in TCP lockstep (tcp), which gets config.raw in a hello
+    frame.  config_path and overrides are ignored (config holds the
+    overrides); they stay because perfbench/child.py passes them, and a
+    change to the benchmark can drop them.
+
+    With a snapshot path it replays this loop to the snapshot's step and
+    runs config.max_sim_time on; its artifacts leave out the rows, cycles,
+    cell switches and dig starts of the snapshot's run, so cycle numbers
+    continue.  A snapshot of another config or version is a ValueError.
 
     With out_dir, samples.csv is written there as the run goes and the
     other artifacts when it ends; the report's wall time covers all of
@@ -280,25 +268,20 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     mode = mode or config.transport
     if mode == "tcp" and observer is not None:
         raise ValueError("an observer needs loopback mode")
-    snap = load_snapshot(snapshot) if snapshot else None
+    resume = (load_snapshot(snapshot, config) if snapshot
+              else {"step_count": 0, "sim_time": 0.0})
+    resume_step = resume["step_count"]
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
     sim_bus = Bus(machine_ids=_bus_ids(config))
-    collector = TelemetryCollector(sim_bus, config.timestep * TELEMETRY_EVERY,
-                                   out / "samples.csv" if out else None)
+    collector = TelemetryCollector(sim_bus, config.timestep * TELEMETRY_EVERY)
     try:
-        sim = Simulator(config, sim_bus, collector.samples,
-                        terrain=snap["terrain"] if snap else None,
-                        machine_states=snap["machines"] if snap else None)
-        if snap:
-            sim.sim_time = snap["sim_time"]
-        cell_index = snap["cell_index"] if snap else 0
+        sim = Simulator(config, sim_bus, collector.samples)
         if mode == "tcp":
-            link = _ChildLink(config, sim_bus, snapshot)
+            link = _ChildLink(config, sim_bus)
         else:
-            link = _InProcessLink(config, sim_bus,
-                                  sim.terrain if snap else None, cell_index)
+            link = _InProcessLink(config, sim_bus)
         steps_per_tick = max(1, round(PLANNER_PERIOD / config.timestep))
 
         start_wall = time.perf_counter()
@@ -306,14 +289,25 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         deadlocked = False
         error = None
         planner_state = {"mean_tick_seconds": 0.0, "cell_switch_times": [],
-                         "cell_index": cell_index, "bus_dropped": 0,
-                         "bus_errors": 0}
-        end_time = sim.sim_time + config.max_sim_time
+                         "bus_dropped": 0, "bus_errors": 0}
+
+        def start_artifacts() -> int:
+            """Starts the artifacts; returns the cell switches they hide."""
+            if out:
+                collector.samples.open(out / "samples.csv")
+            collector.hidden_starts = {m: len(starts) for m, starts
+                                       in collector.dig_starts.items()}
+            return len(planner_state["cell_switch_times"])
+
+        hidden_switches = None
+        end_time = resume["sim_time"] + config.max_sim_time
         last_sig = None
         last_change = sim.sim_time
         digits = _signature_digits(sim)
         try:
             while sim.sim_time < end_time - 1e-9:
+                if sim.step_count == resume_step:
+                    hidden_switches = start_artifacts()
                 for _ in range(steps_per_tick):
                     sim.step()
                 planner_state.update(link.tick(sim.sim_time))
@@ -337,20 +331,20 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
             error = f"{type(exc).__name__}: {exc}"
         finally:
             link.close()
+        if hidden_switches is None:     # ended by the snapshot's step
+            hidden_switches = start_artifacts()
         sim.flush_terrain()
         collector.drain(sim.sim_time)
 
-        report = _finalize(config, sim, collector, complete=complete,
-                           deadlocked=deadlocked, error=error,
-                           mean_tick=planner_state["mean_tick_seconds"],
-                           cell_switches=planner_state["cell_switch_times"],
-                           bus_errors=(len(sim_bus.error_events)
-                                       + planner_state["bus_errors"]),
-                           bus_dropped=(sim_bus.dropped
-                                        + planner_state["bus_dropped"]))
+        report = _finalize(
+            config, sim, collector, complete=complete,
+            deadlocked=deadlocked, error=error,
+            mean_tick=planner_state["mean_tick_seconds"],
+            cell_switches=planner_state["cell_switch_times"][hidden_switches:],
+            bus_errors=len(sim_bus.error_events) + planner_state["bus_errors"],
+            bus_dropped=sim_bus.dropped + planner_state["bus_dropped"])
         if out:
-            _write_outputs(out, report, collector, config, sim,
-                           planner_state["cell_index"])
+            _write_outputs(out, report, collector, config, sim)
         report.wall_time = time.perf_counter() - start_wall
         report.realtime_factor = report.sim_time / report.wall_time
         if out:
@@ -397,17 +391,19 @@ def _finalize(config: ScenarioConfig, sim: Simulator,
 
 def _write_outputs(out_dir: Path, report: RunReport,
                    collector: TelemetryCollector, config: ScenarioConfig,
-                   sim: Simulator, cell_index: int) -> None:
+                   sim: Simulator) -> None:
     all_cycles = [r for machine_id in sorted(report.cycles)
                   for r in report.cycles[machine_id]]
     write_cycles_csv(out_dir / "cycles.csv", all_cycles)
     write_samples_csv(out_dir / "samples.csv", collector.samples)
     events = [(t, "cell_switch") for t in report.cell_switch_times]
-    for machine_id in sorted(report.cycles):
-        for t in collector.dig_starts[machine_id]:
-            events.append((t, f"dig_start:{machine_id}"))
+    for machine_id, starts in collector.dig_starts.items():
+        events += [(t, f"dig_start:{machine_id}") for t in
+                   starts[collector.hidden_starts.get(machine_id, 0):]]
     with open(out_dir / "events.csv", "w") as fh:
         fh.write("sim_time,event\n")
         for t, label in sorted(events):
             fh.write(f"{t!r},{label}\n")
-    save_snapshot(out_dir / "snapshot.json", sim, cell_index)
+    snap = {"version": SNAPSHOT_VERSION, "step_count": sim.step_count,
+            "sim_time": sim.sim_time, "config": _replay_key(config)}
+    (out_dir / "snapshot.json").write_text(json.dumps(snap))

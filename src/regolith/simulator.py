@@ -173,15 +173,13 @@ class SkillRunner:
 class Simulator:
     """Fixed-timestep world: terrain, machines, and their skill runners."""
 
-    def __init__(self, config: ScenarioConfig, bus: Bus, samples: SampleLog,
-                 terrain=None, machine_states: Optional[dict] = None):
+    def __init__(self, config: ScenarioConfig, bus: Bus, samples: SampleLog):
         self.config = config
         self.bus = bus
         self.samples = samples
         self.dt = config.timestep
         self.soil = config.build_soil()
-        self.terrain = terrain if terrain is not None \
-            else config.build_terrain()
+        self.terrain = config.build_terrain()
         self.sim_time = 0.0
         self.step_count = 0
         self.ledger = MassLedger()
@@ -191,9 +189,6 @@ class Simulator:
             spec = mc.build_spec()
             state = MachineState(x=mc.pose[0], y=mc.pose[1],
                                  heading=mc.pose[2])
-            if machine_states and mc.machine_id in machine_states:
-                for key, value in machine_states[mc.machine_id].items():
-                    setattr(state, key, value)
             settle_on_terrain(state, self.terrain)
             self.machines[mc.machine_id] = (spec, state)
             self.runners[mc.machine_id] = SkillRunner(

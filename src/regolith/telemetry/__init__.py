@@ -61,14 +61,14 @@ class WorkCycleRecord:
 class SampleLog:
     """Actuator readings as the simulator logs them, in time order.
 
-    Every row is counted.  Given a path, the log writes samples.csv there
-    as rows arrive: it buffers them one column per field, the floats as
-    `array('d')`, and writes each `SAMPLE_CSV_CHUNK` rows as they fill.
-    Without a path no row is kept.  Each `extend` is also held as one entry
-    until `take` hands it to the collector, which sums its work.
+    Every row is counted.  Once `open` is given a path, the log writes
+    samples.csv there as rows arrive: it buffers them one column per field,
+    the floats as `array('d')`, and writes each `SAMPLE_CSV_CHUNK` rows as
+    they fill.  Until then no row is kept.  Each `extend` is also held as
+    one entry until `take` hands it to the collector, which sums its work.
     """
 
-    def __init__(self, path=None):
+    def __init__(self):
         self.rows = 0
         #: (sim_time, machine, joints, torques, omegas, skill_state) per
         #: extend call not yet taken, in logging order
@@ -81,9 +81,12 @@ class SampleLog:
         self.joint: list[str] = []
         self.skill_state: list[str] = []
         self._file = None
-        if path is not None:
-            self._file = open(path, "w")
-            self._file.write(SAMPLE_CSV_HEADER + "\n")
+
+    def open(self, path) -> None:
+        """Writes samples.csv at path: its header, then the rows logged
+        from now on."""
+        self._file = open(path, "w")
+        self._file.write(SAMPLE_CSV_HEADER + "\n")
 
     def extend(self, sim_time: float, machine: str, joints: tuple,
                torques: list, omegas: list, payload_kg: float,
@@ -180,7 +183,8 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
     positive work the collector summed over the span's rows, and the task
     breakdown from the skill activity intervals; time in no skill counts
     as waiting.  The trailing span with no terminating dig start is
-    dropped: events.csv still lists its dig start.
+    dropped: events.csv still lists its dig start.  So are the spans that
+    the collector's hidden dig starts close.
 
     fleet charges every machine's actuator work to the spans, e.g. a
     hauler's transit work to the digging machine's cycles.
@@ -194,7 +198,8 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
     intervals = _skill_intervals(events, collector.last_event_time[machine])
 
     records = []
-    for k in range(len(dig_starts) - 1):
+    first = max(0, collector.hidden_starts.get(machine, 0) - 1)
+    for k in range(first, len(dig_starts) - 1):
         lo, hi = dig_starts[k], dig_starts[k + 1]
         duration = hi - lo
         # a numpy-scalar torque leaves its joint's sum a numpy scalar
@@ -290,9 +295,9 @@ class TelemetryCollector:
     activations end.
     """
 
-    def __init__(self, bus, sample_dt: float, samples_path=None):
+    def __init__(self, bus, sample_dt: float):
         self.sub_skill = bus.subscribe_category("skill")
-        self.samples = SampleLog(samples_path)
+        self.samples = SampleLog()
         self.sample_dt = sample_dt
         self.events: list[SkillEvent] = []
         self.last_event_time: dict[str, float] = {}
@@ -305,6 +310,9 @@ class TelemetryCollector:
         #: machine -> excavation-only work of each of its dig cycles, the
         #: last one still open
         self.excavation_work: dict[str, list[float]] = {}
+        #: machine -> how many of its first dig starts the run's artifacts
+        #: leave out, with the cycles they close (a resumed run's replay)
+        self.hidden_starts: dict[str, int] = {}
         self._running: set[tuple] = set()
         self._dig_ids: set[tuple] = set()
 

@@ -16,6 +16,10 @@ from collections import Counter
 
 import pytest
 
+from regolith.config import load_config
+from regolith.runner import run
+from regolith.scenarios import scenario_path
+
 SMOKE_SHA256 = {
     "cycles.csv":
         "35a66360beade62682fe77a294acda861d7fa45d05826ecf8db72b8b93f7d8e4",
@@ -75,3 +79,19 @@ def test_trailing_dig_span_shows_in_events_only(smoke_rerun):
     with open(out / "cycles.csv") as fh:
         rows = Counter(row["machine"] for row in csv.DictReader(fh))
     assert starts and all(starts[m] == rows[m] + 1 for m in starts)
+
+
+def test_events_list_dig_starts_that_close_no_cycle(tmp_path):
+    # capped at 20 s, smoke's excavator has started digging but closed no
+    # cycle
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"max_sim_time": 20.0})
+    report = run(config, out_dir=tmp_path)
+    assert report.cycles == {}
+    with open(tmp_path / "samples.csv") as fh:
+        first_dig = next(float(row["sim_time"]) for row in csv.DictReader(fh)
+                         if row["skill_state"] == "dig")
+    with open(tmp_path / "events.csv") as fh:
+        starts = [float(row["sim_time"]) for row in csv.DictReader(fh)
+                  if row["event"] == "dig_start:excavator1"]
+    assert starts and starts[0] < first_dig

@@ -14,6 +14,7 @@ import pytest
 import regolith
 from regolith.cli import EXIT_ERROR, EXIT_INCOMPLETE, EXIT_OK, main
 from regolith.config import ConfigError, load_config, validate_config
+from regolith.machines import settle_on_terrain
 from regolith import planner_proc
 from regolith.bus import Bus, TcpBridgeClient, bridge, topic_for, wire
 from regolith.planner import SITE_ID
@@ -263,8 +264,10 @@ def test_report_counts_mass_dumped_off_the_grid():
     bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])
     collector = TelemetryCollector(bus, config.timestep * TELEMETRY_EVERY)
     # backed up to the grid's west edge: the bed empties beyond it
-    sim = Simulator(config, bus, collector.samples, machine_states={
-        "truck1": {"x": 0.3, "y": 20.0, "heading": 0.0, "payload_kg": 500.0}})
+    sim = Simulator(config, bus, collector.samples)
+    truck = sim.machines["truck1"][1]
+    truck.x, truck.y, truck.heading, truck.payload_kg = 0.3, 20.0, 0.0, 500.0
+    settle_on_terrain(truck, sim.terrain)
     bus.publish(topic_for("truck1", "target", "beddump"),
                 {"kind": "command", "action": "beddump", "id": 1}, 0.0)
     sim.step()
@@ -395,23 +398,90 @@ def test_tcp_run_takes_its_overrides_from_the_config_alone(tmp_path):
         == _artifact_bytes(tmp_path / "loopback")
 
 
-def test_snapshot_resume_is_the_same_in_both_transports(tmp_path, capsys):
+def _rows(path) -> list[str]:
+    """A CSV's lines after its header."""
+    return Path(path).read_text().splitlines()[1:]
+
+
+def test_snapshot_resume_is_the_same_in_both_transports(smoke_rerun, tmp_path,
+                                                          capsys):
+    """Smoke stopped at 100 s and resumed, in either transport, ends where
+    the unbroken run ends, and the halves' rows make up the unbroken rows."""
+    unbroken, whole = smoke_rerun
     first = tmp_path / "A"
-    assert main(["run", "--config", "scenario2_smoke", "--max-sim-time", "20",
+    assert main(["run", "--config", "scenario2_smoke", "--max-sim-time", "100",
                  "--out", str(first)]) == EXIT_INCOMPLETE
     resumed = {}
     for mode in ("loopback", "tcp"):
         out = tmp_path / f"resumed_{mode}"
-        assert main(["run", "--config", "scenario2_smoke",
-                     "--max-sim-time", "20", "--mode", mode,
+        assert main(["run", "--config", "scenario2_smoke", "--mode", mode,
                      "--snapshot", str(first / "snapshot.json"),
-                     "--out", str(out)]) == EXIT_INCOMPLETE
+                     "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["error"] is None
-        assert report["sim_time"] == pytest.approx(40.0)
+        assert report["sim_time"] == unbroken.sim_time
+        assert report["mass_closure_error"] < 1e-4
+        for name in ARTIFACTS:
+            assert _rows(first / name) + _rows(out / name) \
+                == _rows(whole / name), name
         resumed[mode] = _artifact_bytes(out)
     capsys.readouterr()
     assert resumed["tcp"] == resumed["loopback"]
+
+
+def test_a_capped_resume_continues_the_unbroken_rows(flat_run, tmp_path):
+    _, whole = flat_run
+    path = scenario_path("scenario1_flat")
+    first = run(load_config(path, overrides={"max_sim_time": 301.0}),
+                out_dir=tmp_path / "A")
+    resumed = run(load_config(path, overrides={"max_sim_time": 200.0}),
+                  out_dir=tmp_path / "B",
+                  snapshot=tmp_path / "A" / "snapshot.json")
+    assert resumed.error is None and not resumed.complete
+    assert resumed.sim_time == pytest.approx(first.sim_time + 200.0)
+    assert resumed.mass_closure_error < 1e-4
+    for name in ARTIFACTS:
+        head, tail = _rows(tmp_path / "A" / name), _rows(tmp_path / "B" / name)
+        assert head + tail == _rows(whole / name)[:len(head) + len(tail)], \
+            name
+
+
+def test_a_resume_from_where_the_run_ended_adds_no_rows(tmp_path):
+    # an idle excavator makes no progress: the run deadlocks at 5.2 s
+    config = validate_config(minimal_raw(deadlock_window=5.0), TREE_DIR)
+    first = run(config, out_dir=tmp_path / "A")
+    assert first.deadlocked and len(_rows(tmp_path / "A" / "samples.csv"))
+    resumed = run(config, out_dir=tmp_path / "B",
+                  snapshot=tmp_path / "A" / "snapshot.json")
+    assert resumed.deadlocked and resumed.sim_time == first.sim_time
+    assert [_rows(tmp_path / "B" / name) for name in ARTIFACTS] == [[]] * 3
+
+
+#: The layout of a version 1 snapshot.
+V1_SNAPSHOT = json.dumps({"sim_time": 1.0, "cell_index": 0, "machines": {},
+                          "terrain": {"nx": 1, "ny": 1, "cell_size": 1.0,
+                                      "origin": [0.0, 0.0],
+                                      "elevation": [[0.0]]}})
+
+
+@pytest.mark.parametrize("text, seed", [
+    (V1_SNAPSHOT, []), (None, ["--seed", "5"]), ("{version: 2", []),
+], ids=["version-1", "another-seed", "not-json"])
+def test_a_foreign_snapshot_is_refused_before_any_artifact(tmp_path, capsys,
+                                                           text, seed):
+    first = tmp_path / "A"
+    assert main(["run", "--config", "scenario2_smoke", "--max-sim-time", "1",
+                 "--out", str(first)]) == EXIT_INCOMPLETE
+    snapshot = first / "snapshot.json"
+    if text is not None:
+        snapshot.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "B"
+    assert main(["run", "--config", "scenario2_smoke", *seed,
+                 "--snapshot", str(snapshot), "--out", str(out)]) \
+        == EXIT_ERROR
+    assert str(snapshot) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
@@ -447,16 +517,27 @@ def test_cli_validate_bt_bad_file(tmp_path, capsys):
         == EXIT_ERROR
 
 
-def test_entry_points_import_without_scipy():
+def _fresh_python(code: str) -> str:
+    """What code prints in a new interpreter that imports this regolith."""
     src = str(Path(regolith.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_entry_points_import_without_scipy():
     code = ("import sys\n"
             "import regolith.cli, regolith.runner, regolith.planner_proc\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_the_config():
+    code = ("import sys, regolith.cli\n"
+            "print(sorted({'numpy', 'regolith.config'} & set(sys.modules)))")
+    assert _fresh_python(code) == "[]"
 
 
 def test_progress_check_matches_rounded_tuple_compare():

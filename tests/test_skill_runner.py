@@ -6,6 +6,7 @@ import pytest
 
 from regolith.bus import Bus, topic_for
 from regolith.config import load_config
+from regolith.machines import settle_on_terrain
 from regolith.planner import SITE_ID
 from regolith.scenarios import scenario_path
 from regolith.simulator import TELEMETRY_EVERY, MassLedger, Simulator
@@ -22,8 +23,12 @@ def world(machine_states=None):
     config = load_config(scenario_path("scenario1_flat"))
     bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])
     collector = TelemetryCollector(bus, config.timestep * TELEMETRY_EVERY)
-    sim = Simulator(config, bus, collector.samples,
-                    machine_states=machine_states)
+    sim = Simulator(config, bus, collector.samples)
+    for machine_id, values in (machine_states or {}).items():
+        state = sim.machines[machine_id][1]
+        for key, value in values.items():
+            setattr(state, key, value)
+        settle_on_terrain(state, sim.terrain)
     return sim, bus.subscribe_category("skill")
 
 

@@ -575,7 +575,8 @@ def test_cycle_csv_header_and_rows():
 
 def write_rows(path, samples):
     """samples.csv of the rows as a log streams it, one extend per row."""
-    log = SampleLog(path)
+    log = SampleLog()
+    log.open(path)
     for s in samples:
         log.extend(s.sim_time, s.machine, (s.joint,), [s.torque], [s.omega],
                    s.payload_kg, s.skill_state)
@@ -624,7 +625,8 @@ def test_simulator_logs_samples_off_the_bus(tmp_path):
     bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])
     telemetry = bus.subscribe_category("telemetry")
     path = tmp_path / "samples.csv"
-    log = SampleLog(path)
+    log = SampleLog()
+    log.open(path)
     sim = Simulator(config, bus, log)
     for _ in range(2 * TELEMETRY_EVERY):
         sim.step()
@@ -745,7 +747,8 @@ def test_column_extend_builds_the_columns_the_rows_built(tmp_path):
     tuples = [ACTUATORS, ("stick", "boom"), ("boom", "stick"), ("boom",),
               ("bed",), ()]
     path = tmp_path / "samples.csv"
-    log = SampleLog(path)
+    log = SampleLog()
+    log.open(path)
     rows = []
     for k in range(600):
         joints = rng.choice(tuples)
