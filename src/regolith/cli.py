@@ -3,7 +3,7 @@ behaviour-tree files.
 
 Exit codes: 0 scenario complete / command succeeded, 2 scenario ran but
 did not complete, 3 error.  Each subcommand imports what it uses, so
-`plots` loads no numpy.
+`plots` loads no simulator code.
 """
 
 from __future__ import annotations

@@ -261,11 +261,15 @@ class ScenarioConfig:
         x0, y0, x1, y1 = self.cells["area"]
         i0, j0 = terrain.cell_of(x0, y0)
         i1, j1 = terrain.cell_of(x1 - 1e-9, y1 - 1e-9)
-        region = (slice(i0, i1 + 1), slice(j0, j1 + 1))
+        rows = target.elevation[i0:i1 + 1]
         if "flat_height" in self.target:
-            target.elevation[region] = float(self.target["flat_height"])
+            flat = float(self.target["flat_height"])
+            for row in rows:
+                row[j0:j1 + 1] = [flat] * (j1 + 1 - j0)
         elif "dig_depth" in self.target:
-            target.elevation[region] -= float(self.target["dig_depth"])
+            depth = float(self.target["dig_depth"])
+            for row in rows:
+                row[j0:j1 + 1] = [z - depth for z in row[j0:j1 + 1]]
         return target
 
     def cell_grid(self):

@@ -698,8 +698,7 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
     half_l = cs if cs > speed_step else speed_step   # max(|v|*dt, cs)
     area = cs * cs
     ox, oy = h.origin
-    elevation = h.elevation
-    e = elevation.item
+    rows = h.elevation
     dirty = h.dirty
     graded_volume = 0.0
     max_depth = 0.0
@@ -742,15 +741,16 @@ def blade_level_step(state: MachineState, spec: MachineSpec,
             hi = hi_w if hi_w < hi else hi
         if lo > hi:
             continue
+        row = rows[i]
         for j in range(math.ceil(lo), math.floor(hi) + 1):
             dy = oy + (j + 0.5) * cs - by
             longi = dx * ch + dy * sh
             lat = -dx * sh + dy * ch
             if abs(longi) > half_l or abs(lat) > half_w:
                 continue
-            cut = e(i, j) - blade_height
+            cut = row[j] - blade_height
             if cut > 0.0:
-                elevation[i, j] = blade_height
+                row[j] = blade_height
                 dirty.add((i, j))
                 graded_volume += cut * area
                 max_depth = cut if cut > max_depth else max_depth

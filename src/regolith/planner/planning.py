@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Union
 
 from ..terrain import SweptCut
@@ -96,7 +97,9 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float,
     # row (fixed j) with the most removable material
     best_j, best_excess = j0, -1.0
     for j in range(j0, j1):
-        excess = sum(max(h[i, j] - t[i, j], 0.0) for i in range(i0, i1))
+        excess = 0.0
+        for i in range(i0, i1):
+            excess += max(h[i][j] - t[i][j], 0.0)
         if excess > best_excess:
             best_j, best_excess = j, excess
     y = oy + (best_j + 0.5) * cs
@@ -107,8 +110,8 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float,
     started = False
     for i in range(i0, i1):
         x = ox + (i + 0.5) * cs
-        cut_z = max(t[i, best_j], h[i, best_j] - dig_depth)
-        excess = h[i, best_j] - cut_z
+        cut_z = max(t[i][best_j], h[i][best_j] - dig_depth)
+        excess = h[i][best_j] - cut_z
         if not started:
             if excess < 1e-4:
                 continue
@@ -116,7 +119,7 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float,
         # bucket rake adapted to the local target slope along the cut
         i_hi = min(i + 1, wm.terrain.nx - 1)
         i_lo = max(i - 1, 0)
-        slope = math.atan((t[i_hi, best_j] - t[i_lo, best_j])
+        slope = math.atan((t[i_hi][best_j] - t[i_lo][best_j])
                           / ((i_hi - i_lo) * cs)) if i_hi > i_lo else 0.0
         pt_attack = min(max(ATTACK + slope, 0.15), 1.2)
         points.append((x, y, cut_z, pt_attack))
@@ -138,9 +141,9 @@ def plan_dig(wm: WorldModel, machine_id: str, dig_depth: float,
 
 def _max_excess(wm: WorldModel, index: int) -> float:
     i0, j0, i1, j1 = wm.cells[index]
-    diff = wm.terrain.elevation[i0:i1, j0:j1] \
-        - wm.target.elevation[i0:i1, j0:j1]
-    return float(diff.max())
+    return max(max(map(sub, cur[j0:j1], tgt[j0:j1]))
+               for cur, tgt in zip(wm.terrain.elevation[i0:i1],
+                                   wm.target.elevation[i0:i1]))
 
 
 def plan_dump(wm: WorldModel, machine_id: str, reach: float,

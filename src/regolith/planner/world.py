@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..bus import Envelope, split_topic
 from ..terrain import Heightfield
+from ..terrain.summation import pairwise_sum
 
 #: Pseudo machine id used for site-wide topics (terrain patches).
 SITE_ID = "site"
@@ -58,7 +59,7 @@ class WorldModel:
                 and action == "terrain":
             for i, j, z in env.payload.get("cells", []):
                 if 0 <= i < self.terrain.nx and 0 <= j < self.terrain.ny:
-                    self.terrain.elevation[int(i), int(j)] = z
+                    self.terrain.elevation[int(i)][int(j)] = float(z)
             return
         if category == "telemetry" and action == "state":
             report = self.machines.get(machine)
@@ -94,9 +95,13 @@ class WorldModel:
         if self.target is None:
             raise ValueError("no target profile configured")
         i0, j0, i1, j1 = self.cells[index]
-        cur = self.terrain.elevation[i0:i1, j0:j1]
-        tgt = self.target.elevation[i0:i1, j0:j1]
-        return float(abs(cur - tgt).mean())
+        # numpy's mean: the pairwise sum over the row-major block, divided
+        # by its size
+        errors = [abs(c - t)
+                  for cur, tgt in zip(self.terrain.elevation[i0:i1],
+                                      self.target.elevation[i0:i1])
+                  for c, t in zip(cur[j0:j1], tgt[j0:j1])]
+        return pairwise_sum(errors) / len(errors)
 
     def cell_done(self, index: int) -> bool:
         return self.cell_error(index) <= self.cell_tolerance

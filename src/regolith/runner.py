@@ -182,8 +182,8 @@ class _ChildLink:
     """Planner in a child process, in TCP lockstep.
 
     The child is forked from this process with `planner_proc.serve` as its
-    target, so it starts with the interpreter, numpy and regolith already
-    imported (POSIX only).  It still takes its config from the hello frame
+    target, so it starts with the interpreter and regolith already imported
+    (POSIX only).  It still takes its config from the hello frame
     alone, as a planner started by hand does.  multiprocessing flushes the
     standard streams before the fork and ends the child with `os._exit`, so
     the child never flushes buffers it inherited, such as the open

@@ -255,9 +255,9 @@ class Simulator:
         cells = self.terrain.drain_dirty()      # sorted
         if not cells:
             return
-        e = self.terrain.elevation.item
+        rows = self.terrain.elevation
         for k in range(0, len(cells), PATCH_CHUNK):
-            chunk = [[i, j, e(i, j)] for i, j in cells[k:k + PATCH_CHUNK]]
+            chunk = [[i, j, rows[i][j]] for i, j in cells[k:k + PATCH_CHUNK]]
             self.bus.publish(topic_for(SITE_ID, "telemetry", "terrain"),
                              {"kind": "telemetry", "cells": chunk},
                              sim_time=self.sim_time, publisher=SITE_ID)

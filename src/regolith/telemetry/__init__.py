@@ -202,9 +202,7 @@ def segment_cycles(collector: "TelemetryCollector", machine: str,
     for k in range(first, len(dig_starts) - 1):
         lo, hi = dig_starts[k], dig_starts[k + 1]
         duration = hi - lo
-        # a numpy-scalar torque leaves its joint's sum a numpy scalar
-        actuator_work = {joint: float(work)
-                         for joint, work in span_work[k].items()}
+        actuator_work = dict(span_work[k])
         loaded = spilled = 0.0
         for ev in events:
             if not (lo <= ev.sim_time < hi) or ev.state != "Succeeded":

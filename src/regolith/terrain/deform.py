@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-import numpy as np
 
 from .heightfield import Heightfield, OutOfBounds, SoilParams
+from .summation import sparse_pairwise_sum
 
 #: Relaxation stops when no cell pair exceeds repose by more than this slope.
 RELAX_SLOPE_TOL = 1e-3
@@ -146,17 +146,17 @@ def excavate_swept(h: Heightfield, cut: SweptCut, soil: SoilParams) -> float:
             raise OutOfBounds(f"cut point ({x:.2f}, {y:.2f}) outside grid")
     removed_volume = 0.0
     area = h.cell_size ** 2
-    elevation = h.elevation
-    e = elevation.item
+    rows = h.elevation
     max_depth = cut.max_depth
     dirty = h.dirty
     for i, j, cz in _cut_cells(h, cut):
-        old = e(i, j)
+        row = rows[i]
+        old = row[j]
         floor = old - max_depth
         new = floor if floor > cz else cz               # max(cz, floor)
         if new < old:
             removed_volume += (old - new) * area
-            elevation[i, j] = new
+            row[j] = new
             dirty.add((i, j))
     return removed_volume * soil.bank_density
 
@@ -194,15 +194,14 @@ def deposit(h: Heightfield, x: float, y: float, mass: float,
     lost_volume = 0.0
     area = cs ** 2
     nx, ny = h.nx, h.ny
-    elevation = h.elevation
-    e = elevation.item
+    rows = h.elevation
     dirty = h.dirty
     # index bounds of the cells written
     ti0, ti1, tj0, tj1 = nx, -1, ny, -1
     for i, j, w in weights:
         share = volume * w / total_w
         if 0 <= i < nx and 0 <= j < ny:
-            elevation[i, j] = e(i, j) + share / area
+            rows[i][j] += share / area
             dirty.add((i, j))
             ti0 = i if i < ti0 else ti0
             ti1 = i if i > ti1 else ti1
@@ -222,53 +221,153 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
                     region=None) -> RelaxResult:
     """Relax slopes steeper than the angle of repose by pairwise transfers.
 
-    Alternating x/y Gauss-Seidel sweeps; each sweep moves half of the
-    equalizing amount for every cell pair whose slope exceeds
-    tan(internal_friction_angle).  Mass is conserved exactly (pairwise
+    Alternating x/y sweeps; each sweep moves half of the equalizing amount
+    for every cell pair whose slope exceeds tan(internal_friction_angle).
+    A pass along one axis computes every pair's transfer t from the heights
+    before the pass, then adds each t to the lower cell of its pair and
+    subtracts it from the upper one.  Mass is conserved exactly (pairwise
     antisymmetric updates).
+
+    A pass checks only the pairs that can exceed the limit.  At first those
+    are the pairs with a cell more than the limit above the region's lowest
+    cell.  Later they are the pairs that touch a cell moved since the last
+    pass along the axis, and the pairs that pass found over the limit but
+    within tolerance: no other pair can have changed.  Heights, sweeps and
+    moved mass are those of the whole-array numpy form, which summed each
+    pass's excesses pairwise (`sparse_pairwise_sum`).
     """
     if region is None:
         region = (0, 0, h.nx, h.ny)
     si, sj = h.region_slice(region)
-    e = h.elevation[si, sj]         # a view: the sweeps write the terrain
-    if e.shape[0] < 1 or e.shape[1] < 1:
-        return RelaxResult(0.0, False, 0)
+    rows = h.elevation[si]
+    m = sj.stop - sj.start
+    # the region's cells, row-major: cell (i0 + k // m, j0 + k % m) is z[k]
+    z = []
+    for row in rows:
+        z += row[sj]
+    size = len(z)
     cs = h.cell_size
     limit = soil.repose_tan * cs
+    lowest = min(z)
+    highest = max(z)
+    if highest - lowest <= limit:       # bounds every |difference|
+        return RelaxResult(0.0, False, 1)
     tol = RELAX_SLOPE_TOL * cs
+    factor = RELAX_TRANSFER_FACTOR * 0.5  # 0.5 of the equalizing half-diff
+    # (axis, step, pair count): pair k joins cell k to cell k + step, the
+    # one above it
+    axes = []
+    if size > m:
+        axes.append((0, m, size - m))
+    if m > 1:
+        axes.append((1, 1, size - size // m))
+    # per axis, the cells whose pairs its next pass checks: at first those
+    # more than the limit above the lowest, and so above `floor`, a relative
+    # 1e-9 below lowest + limit, further than rounding reaches
+    floor = lowest + limit - 1e-9 * (abs(lowest) + limit)
+    high = [k for k, v in enumerate(z) if v > floor]
+    touched = (set(high), set(high))
+    # -0.0 cells: numpy's `+= 0.0` turns some into +0.0; none is made
+    neg_zeros = [k for k, v in enumerate(z)
+                 if v == 0.0 and math.copysign(1.0, v) < 0] \
+        if lowest <= 0.0 <= highest else []
     moved_volume = 0.0
     sweeps = 0
-    factor = RELAX_TRANSFER_FACTOR * 0.5  # 0.5 of the equalizing half-diff
-    # (the pair below cell k along an axis, the pair above it)
-    axes = [(e[:-1, :], e[1:, :])] if e.shape[0] >= 2 else []
-    if e.shape[1] >= 2:
-        axes.append((e[:, :-1], e[:, 1:]))
+    hot = False
     for sweeps in range(1, RELAX_MAX_SWEEPS + 1):
-        worst = 0.0
-        for lower, upper in axes:
-            d = upper - lower               # np.diff along the axis
-            excess = np.abs(d)
-            # rounding a - limit is monotone in a, so this is the largest
-            # excess over the repose limit, or <= 0 where none is positive
-            m = float(excess.max()) - limit
-            worst = m if m > worst else worst
-            if m <= tol:
+        hot = False
+        for axis, step, n_pairs in axes:
+            cells = touched[axis]
+            ks = _pairs_over(z, cells, m, axis, limit)
+            cells.clear()
+            if not ks:
                 continue
-            np.subtract(excess, limit, out=excess)
-            np.maximum(excess, 0.0, out=excess)
-            np.multiply(excess, factor, out=excess)
-            # |factor * excess * sign(d)| is factor * excess: sign(d) is
-            # +-1, or 0 where the excess is 0
-            moved_volume += float(excess.sum()) * cs ** 2
-            t = np.multiply(excess, np.sign(d, out=d), out=excess)
-            lower += t
-            upper -= t
-        if worst <= tol:
+            ds = [z[k + step] - z[k] for k in ks]
+            if max(map(abs, ds)) - limit <= tol:
+                cells.update(ks)        # their lower cells
+                continue
+            hot = True
+            excess = [(abs(d) - limit) * factor for d in ds]
+            moved_volume += sparse_pairwise_sum(
+                [k - k // m for k in ks] if axis else ks, excess, n_pairs) \
+                * cs ** 2
+            zeros = [(k, _zero_cell(z, k, m, axis, limit, factor))
+                     for k in neg_zeros] if neg_zeros else None
+            ts = [t if d > 0.0 else -t for t, d in zip(excess, ds)]
+            for k, t in zip(ks, ts):
+                z[k] += t
+            for k, t in zip(ks, ts):
+                z[k + step] -= t
+            if zeros:
+                for k, v in zeros:
+                    z[k] = v
+                neg_zeros = [k for k, v in zeros
+                             if math.copysign(1.0, v) < 0]
+            moved = ks + [k + step for k in ks]
+            for cells in touched:
+                cells.update(moved)
+        if not hot:
             break
     if moved_volume > 0.0:
+        for r, row in enumerate(rows):
+            row[sj] = z[r * m:(r + 1) * m]
         _mark_region_dirty(h, region)
-    return RelaxResult(moved_volume * soil.bank_density,
-                       worst > tol, sweeps)
+    return RelaxResult(moved_volume * soil.bank_density, hot, sweeps)
+
+
+def _pairs_over(z: list, cells, m: int, axis: int, limit: float) -> list:
+    """The pairs along the axis that join one of the cells to a neighbor
+    and whose height difference exceeds the limit in size, in increasing
+    order."""
+    low = -limit
+    over = set()
+    if axis == 0:
+        top = len(z) - m
+        for c in cells:
+            if c >= m:
+                d = z[c] - z[c - m]
+                if d > limit or d < low:
+                    over.add(c - m)
+            if c < top:
+                d = z[c + m] - z[c]
+                if d > limit or d < low:
+                    over.add(c)
+    else:
+        last = m - 1
+        for c in cells:
+            col = c % m
+            if col:
+                d = z[c] - z[c - 1]
+                if d > limit or d < low:
+                    over.add(c - 1)
+            if col < last:
+                d = z[c + 1] - z[c]
+                if d > limit or d < low:
+                    over.add(c)
+    return sorted(over)
+
+
+def _zero_cell(z: list, k: int, m: int, axis: int, limit: float,
+               factor: float) -> float:
+    """Cell k's height after a pass along the axis, as numpy's
+    `lower += t; upper -= t` over every pair leaves it, with the signed
+    zero transfers of the pairs within the limit."""
+    v = z[k]
+    step = 1 if axis else m
+    has_above = k % m < m - 1 if axis else k + m < len(z)
+    has_below = k % m > 0 if axis else k >= m
+    if has_above:
+        v += _transfer(z[k + step] - z[k], limit, factor)
+    if has_below:
+        v -= _transfer(z[k] - z[k - step], limit, factor)
+    return v
+
+
+def _transfer(d: float, limit: float, factor: float) -> float:
+    """numpy's max(|d| - limit, 0) * factor * sign(d), signed zero and all."""
+    excess = abs(d) - limit
+    excess = excess if excess > 0.0 else 0.0
+    return excess * factor * (1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0)
 
 
 def _mark_region_dirty(h: Heightfield, region) -> None:
@@ -281,12 +380,10 @@ def max_region_slope(h: Heightfield, region=None) -> float:
     the oracle of the repose invariant checked after relaxation."""
     if region is None:
         region = (0, 0, h.nx, h.ny)
-    si, sj = h.region_slice(region)
-    e = h.elevation[si, sj]
-    worst = 0.0
-    for axis in (0, 1):
-        if e.shape[axis] >= 2:
-            d = np.abs(np.diff(e, axis=axis))
-            if d.size:
-                worst = max(worst, float(d.max()) / h.cell_size)
-    return worst
+    h.region_slice(region)
+    i0, j0, i1, j1 = region
+    block = [row[j0:j1] for row in h.elevation[i0:i1]]
+    steps = [abs(b - a) for lo, up in zip(block, block[1:])
+             for a, b in zip(lo, up)]
+    steps += [abs(b - a) for row in block for a, b in zip(row, row[1:])]
+    return max(steps, default=0.0) / h.cell_size

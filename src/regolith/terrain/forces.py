@@ -40,8 +40,7 @@ _MAX_EVALS = 500
 
 
 def _step_sign(v: float) -> float:
-    """``np.sign(v) + (v == 0)``: +1 at zero, NaN stays NaN.  Comparisons
-    rather than bool arithmetic, so numpy scalars work too."""
+    """``np.sign(v) + (v == 0)``: +1 at zero, NaN stays NaN."""
     if v >= 0.0:
         return 1.0
     if v < 0.0:
@@ -154,7 +153,7 @@ def dig_resistance(depth: float, width: float, attack_angle: float,
     cos_a = math.cos(angle)
     sin_a = math.sin(angle)
     cot_rho = 1.0 / math.tan(attack_angle)
-    d = float(depth)     # numpy scalars give the same bits, more slowly
+    d = float(depth)
     weight = soil.bank_density * soil.gravity * d ** 2
     cohesion = soil.cohesion * d
 

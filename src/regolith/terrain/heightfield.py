@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 
 @dataclass
@@ -41,13 +40,13 @@ class OutOfBounds(ValueError):
 class Heightfield:
     """nx-by-ny grid of elevations with world-frame origin at cell (0,0).
 
-    The point queries `height_at` and `surface_at` return plain Python
-    floats read with `elevation.item`: the same bits as numpy scalars, at
-    a fraction of the cost per call.
+    `elevation` is a list of nx rows, each a list of ny plain floats:
+    `elevation[i][j]` is the height of cell (i, j).  The kernels read and
+    write it in place.
     """
 
     def __init__(self, nx: int, ny: int, cell_size: float,
-                 origin=(0.0, 0.0), elevation: np.ndarray | None = None):
+                 origin=(0.0, 0.0), elevation=None):
         if nx < 2 or ny < 2:
             raise ValueError("grid needs at least 2x2 cells")
         if cell_size <= 0:
@@ -57,14 +56,15 @@ class Heightfield:
         self.cell_size = float(cell_size)
         self.origin = (float(origin[0]), float(origin[1]))
         if elevation is None:
-            self.elevation = np.zeros((nx, ny), dtype=np.float64)
+            self.elevation = [[0.0] * ny for _ in range(nx)]
         else:
-            elevation = np.asarray(elevation, dtype=np.float64)
-            if elevation.shape != (nx, ny):
-                raise ValueError(f"elevation shape {elevation.shape} != ({nx},{ny})")
-            if not np.all(np.isfinite(elevation)):
+            rows = [[float(z) for z in row] for row in elevation]
+            shape = (len(rows), len(rows[0]) if rows else 0)
+            if shape != (nx, ny) or any(len(row) != ny for row in rows):
+                raise ValueError(f"elevation shape {shape} != ({nx},{ny})")
+            if not all(map(math.isfinite, chain.from_iterable(rows))):
                 raise ValueError("elevations must be finite")
-            self.elevation = elevation.copy()
+            self.elevation = rows
         # Upper bounds of the closed grid rectangle; the geometry is fixed
         # at construction.
         self.x_max = self.origin[0] + nx * self.cell_size
@@ -136,11 +136,12 @@ class Heightfield:
         fv = v - j0
         fv = 0.0 if 0.0 > fv else fv
         fv = 1.0 if 1.0 < fv else fv
-        e = self.elevation.item
-        return ((1 - fu) * (1 - fv) * e(i0, j0)
-                + fu * (1 - fv) * e(i0 + 1, j0)
-                + (1 - fu) * fv * e(i0, j0 + 1)
-                + fu * fv * e(i0 + 1, j0 + 1))
+        row0 = self.elevation[i0]
+        row1 = self.elevation[i0 + 1]
+        return ((1 - fu) * (1 - fv) * row0[j0]
+                + fu * (1 - fv) * row1[j0]
+                + (1 - fu) * fv * row0[j0 + 1]
+                + fu * fv * row1[j0 + 1])
 
     def surface_at(self, x: float, y: float) -> tuple[float, float, float]:
         """(z, dz/dx, dz/dy) as plain floats: `height_at`'s elevation and the
@@ -166,16 +167,11 @@ class Heightfield:
         i_hi = i + 1 if i + 1 < nx else nx - 1
         j_lo = j - 1 if j > 0 else 0
         j_hi = j + 1 if j + 1 < ny else ny - 1
-        e = self.elevation.item
-        gx = (e(i_hi, j) - e(i_lo, j)) / ((i_hi - i_lo) * cs)
-        gy = (e(i, j_hi) - e(i, j_lo)) / ((j_hi - j_lo) * cs)
+        e = self.elevation
+        row = e[i]
+        gx = (e[i_hi][j] - e[i_lo][j]) / ((i_hi - i_lo) * cs)
+        gy = (row[j_hi] - row[j_lo]) / ((j_hi - j_lo) * cs)
         return z, gx, gy
-
-    def total_volume(self, datum: float = 0.0) -> float:
-        return float(np.sum(self.elevation - datum)) * self.cell_size ** 2
-
-    def total_mass(self, bank_density: float, datum: float = 0.0) -> float:
-        return self.total_volume(datum) * bank_density
 
     # -- region arithmetic -------------------------------------------------
 
@@ -202,9 +198,8 @@ class Heightfield:
         for line in text[1:]:
             if line.strip():
                 values.append([float(v) for v in line.split()])
-        elevation = np.array(values, dtype=np.float64)
-        if elevation.shape != (nx, ny):
+        if len(values) != nx or any(len(row) != ny for row in values):
             raise ValueError(
-                f"heightfield body {elevation.shape} does not match header "
-                f"({nx}, {ny})")
-        return cls(nx, ny, cell_size, origin, elevation)
+                f"heightfield body of {len(values)} rows does not match "
+                f"header ({nx}, {ny})")
+        return cls(nx, ny, cell_size, origin, values)

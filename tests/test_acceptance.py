@@ -292,8 +292,8 @@ def test_criterion_09_scenario2_smoke(smoke_run, announce):
         h = sim.terrain
         i0, j0 = h.cell_of(x0 + 1e-9, y0 + 1e-9)
         i1, j1 = h.cell_of(x1 - 1e-9, y1 - 1e-9)
-        err = np.abs(h.elevation[i0:i1 + 1, j0:j1 + 1]
-                     - target.elevation[i0:i1 + 1, j0:j1 + 1])
+        err = np.abs(np.array(h.elevation)[i0:i1 + 1, j0:j1 + 1]
+                     - np.array(target.elevation)[i0:i1 + 1, j0:j1 + 1])
         assert float(err.mean()) <= 0.05
         assert data["first_level"] is not None
         assert data["first_success"] is not None

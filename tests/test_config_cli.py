@@ -1,5 +1,6 @@
 """Config validation and command-line interface behaviour."""
 
+import ast
 import json
 import math
 import os
@@ -538,6 +539,37 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_config():
     code = ("import sys, regolith.cli\n"
             "print(sorted({'numpy', 'regolith.config'} & set(sys.modules)))")
     assert _fresh_python(code) == "[]"
+
+
+def test_runs_in_either_transport_load_no_numpy():
+    code = ("import sys, tempfile\n"
+            "from regolith.config import load_config\n"
+            "from regolith.runner import run\n"
+            "from regolith.scenarios import scenario_path\n"
+            "for mode in ('loopback', 'tcp'):\n"
+            "    config = load_config(scenario_path('scenario2_smoke'),\n"
+            "        overrides={'max_sim_time': 40.0, 'transport': mode})\n"
+            "    with tempfile.TemporaryDirectory() as out:\n"
+            "        report = run(config, out_dir=out)\n"
+            "    assert report.error is None, report.error\n"
+            "print('numpy' in sys.modules)")
+    assert _fresh_python(code) == "False"
+
+
+def test_no_module_imports_numpy():
+    package = Path(regolith.__file__).parent
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(str(path.relative_to(package)))
+    assert importers == []
 
 
 def test_progress_check_matches_rounded_tuple_compare():

@@ -10,6 +10,12 @@ through `ArmGeometry.clamp` and `forward_kinematics`; and `DigExecution`
 with its constants read each step and `excavate_swept` over a dict of
 cells.  The kernels do the same floating-point operations in the same
 order, so every result must be equal bit for bit.
+
+The terrain is rows of plain floats; each numpy reference runs on
+`np.array(h.elevation)` and writes its result back.  numpy is also the
+oracle of the in-repo generator (`SeedRng` against
+`np.random.default_rng`, `generate_heightfield` against
+`_ref_generate_heightfield`) and of `pairwise_sum` against `np.add.reduce`.
 """
 
 import math
@@ -80,10 +86,20 @@ from regolith.terrain import (
     dig_resistance,
     excavate_swept,
 )
-from regolith.terrain import deform
+from regolith.config import load_config
+from regolith.planner.world import WorldModel
+from regolith.scenarios import REFERENCE_SCENARIOS, scenario_path
+from regolith.terrain import deform, generate_heightfield, max_region_slope
 from regolith.terrain.deform import RELAX_TRANSFER_FACTOR
+from regolith.terrain.generate import SeedRng
+from regolith.terrain.summation import pairwise_sum
 
 SOIL = SoilParams()
+
+
+def _write_back(h, elevation):
+    """Stores a reference kernel's float64 array as h's rows of floats."""
+    h.elevation[:] = elevation.tolist()
 
 
 # -- reference point queries ---------------------------------------------------
@@ -118,7 +134,7 @@ def _ref_height_at(h, x, y):
     fv = v - j0
     fv = 0.0 if 0.0 > fv else fv
     fv = 1.0 if 1.0 < fv else fv
-    e = h.elevation.item
+    e = np.array(h.elevation).item
     return ((1 - fu) * (1 - fv) * e(i0, j0)
             + fu * (1 - fv) * e(i0 + 1, j0)
             + (1 - fu) * fv * e(i0, j0 + 1)
@@ -133,7 +149,7 @@ def _ref_surface_at(h, x, y):
     i_hi = i + 1 if i + 1 < nx else nx - 1
     j_lo = j - 1 if j > 0 else 0
     j_hi = j + 1 if j + 1 < ny else ny - 1
-    e = h.elevation.item
+    e = np.array(h.elevation).item
     gx = (e(i_hi, j) - e(i_lo, j)) / ((i_hi - i_lo) * cs)
     gy = (e(i, j_hi) - e(i, j_lo)) / ((j_hi - j_lo) * cs)
     return z, gx, gy
@@ -202,16 +218,18 @@ def _ref_excavate_swept(h, cut, soil, target=None):
             raise OutOfBounds(f"cut point ({x:.2f}, {y:.2f}) outside grid")
     removed_volume = 0.0
     area = h.cell_size ** 2
+    e = np.array(h.elevation)
     for (i, j), cz in _ref_cut_depth_map(h, cut).items():
-        old = h.elevation.item(i, j)
+        old = e.item(i, j)
         floor = old - cut.max_depth
         if target is not None:
-            floor = max(floor, target.elevation.item(i, j))
+            floor = max(floor, np.array(target.elevation).item(i, j))
         new = max(cz, floor)
         if new < old:
             removed_volume += (old - new) * area
-            h.elevation[i, j] = new
+            e[i, j] = new
             h.dirty.add((i, j))
+    _write_back(h, e)
     return removed_volume * soil.bank_density
 
 
@@ -243,14 +261,16 @@ def _ref_deposit(h, x, y, mass, soil, spread_radius=1.0, relax=True,
     lost_volume = 0.0
     area = cs ** 2
     touched = []
+    e = np.array(h.elevation)
     for i, j, w in weights:
         share = volume * w / total_w
         if 0 <= i < h.nx and 0 <= j < h.ny:
-            h.elevation[i, j] += share / area
+            e[i, j] += share / area
             h.dirty.add((i, j))
             touched.append((i, j))
         else:
             lost_volume += share
+    _write_back(h, e)
     if relax and touched:
         margin = int(math.ceil(radius / cs)) + 3
         i0 = max(min(i for i, _ in touched) - margin, 0)
@@ -267,7 +287,8 @@ def _ref_avalanche_relax(h, soil, region=None):
     if region is None:
         region = (0, 0, h.nx, h.ny)
     si, sj = h.region_slice(region)
-    e = h.elevation[si, sj]
+    elevation = np.array(h.elevation)
+    e = elevation[si, sj]
     if e.shape[0] < 1 or e.shape[1] < 1:
         return RelaxResult(0.0, False, 0)
     cs = h.cell_size
@@ -297,11 +318,13 @@ def _ref_avalanche_relax(h, soil, region=None):
                 e[:, 1:] -= t
             moved_volume += float(np.abs(t).sum()) * cs ** 2
         if worst <= tol:
-            h.elevation[si, sj] = e
+            elevation[si, sj] = e
+            _write_back(h, elevation)
             if moved_volume > 0.0:
                 _ref_mark_region_dirty(h, region)
             return RelaxResult(moved_volume * soil.bank_density, False, sweeps)
-    h.elevation[si, sj] = e
+    elevation[si, sj] = e
+    _write_back(h, elevation)
     if moved_volume > 0.0:
         _ref_mark_region_dirty(h, region)
     return RelaxResult(moved_volume * soil.bank_density, True, sweeps)
@@ -598,6 +621,7 @@ def _ref_blade_level_step(state, spec, target_height, h, soil, pid, dt,
     i_hi = min(int((bx + ext_x - h.origin[0]) / cs) + 1, h.nx - 1)
     j_lo = max(int((by - ext_y - h.origin[1]) / cs) - 1, 0)
     j_hi = min(int((by + ext_y - h.origin[1]) / cs) + 1, h.ny - 1)
+    e = np.array(h.elevation)
     for i in range(i_lo, i_hi + 1):
         for j in range(j_lo, j_hi + 1):
             cx, cy = _ref_cell_center(h, i, j)
@@ -606,12 +630,13 @@ def _ref_blade_level_step(state, spec, target_height, h, soil, pid, dt,
             lat = -dx * sh + dy * ch
             if abs(longi) > half_l or abs(lat) > half_w:
                 continue
-            cut = h.elevation[i, j] - state.blade_height
+            cut = e[i, j] - state.blade_height
             if cut > 0.0:
-                h.elevation[i, j] = state.blade_height
+                e[i, j] = state.blade_height
                 h.dirty.add((i, j))
                 graded_volume += cut * area
                 max_depth = max(max_depth, cut)
+    _write_back(h, e)
     graded = graded_volume * soil.bank_density
     state.blade_load_kg += graded
     shed = lost = 0.0
@@ -659,7 +684,7 @@ def _state_of(state):
 
 
 def _terrain_of(h):
-    return h.elevation.tobytes(), sorted(h.dirty)
+    return np.array(h.elevation).tobytes(), sorted(h.dirty)
 
 
 def _outcome(query, *args):
@@ -774,8 +799,8 @@ def test_avalanche_relax_matches_reference(seed):
 
 def test_capped_relaxation_matches_reference():
     h = Heightfield(24, 24, 0.25, elevation=np.zeros((24, 24)))
-    h.elevation[12, 12] = 60.0
-    h.elevation[5, 18] = -40.0
+    h.elevation[12][12] = 60.0
+    h.elevation[5][18] = -40.0
     ref = h.copy()
     got = avalanche_relax(h, SOIL)
     want = _ref_avalanche_relax(ref, SOIL)
@@ -996,3 +1021,146 @@ def test_dig_execution_matches_reference(seed):
         if got[0] != SKILL_RUNNING:
             break
     assert got[0] in (SUCCEEDED, FAILED)
+
+
+# -- seeded generation, pairwise sums and signed zeros -------------------------
+
+def _ref_generate_heightfield(nx, ny, cell_size, origin=(0.0, 0.0),
+                              amplitude=0.05, wavelength=8.0, seed=0,
+                              base_height=1.0, ridge=None):
+    rng = np.random.default_rng(seed)
+    xs = (np.arange(nx) + 0.5) * cell_size + origin[0]
+    ys = (np.arange(ny) + 0.5) * cell_size + origin[1]
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    elev = np.full((nx, ny), float(base_height))
+    for _ in range(4):
+        kx = rng.uniform(0.5, 1.5) * 2 * math.pi / wavelength
+        ky = rng.uniform(0.5, 1.5) * 2 * math.pi / wavelength
+        phase_x = rng.uniform(0, 2 * math.pi)
+        phase_y = rng.uniform(0, 2 * math.pi)
+        elev += (amplitude / 4.0) * np.cos(gx * kx + phase_x) \
+            * np.cos(gy * ky + phase_y)
+    if ridge:
+        cx = float(ridge["x"])
+        height = float(ridge["height"])
+        half_width = float(ridge["half_width"])
+        dist = np.abs(gx - cx)
+        profile = np.where(dist < half_width,
+                           0.5 * (1 + np.cos(math.pi * dist / half_width)),
+                           0.0)
+        elev += height * profile
+    return elev
+
+
+def test_seed_rng_draws_numpys_uniforms():
+    for seed in [*range(300), 2**32 + 5, 10**15]:
+        ours, theirs = SeedRng(seed), np.random.default_rng(seed)
+        for low, high in [(0.5, 1.5), (0, 2 * math.pi), (-3.0, 1e-3)] * 3:
+            got = ours.uniform(low, high)
+            assert type(got) is float
+            assert repr(got) == repr(float(theirs.uniform(low, high))), seed
+
+
+@pytest.mark.parametrize("name", REFERENCE_SCENARIOS)
+def test_bundled_terrain_matches_reference_generator(name):
+    config = load_config(scenario_path(name))
+    gen = dict(config.terrain["generate"], seed=config.seed)
+    got = generate_heightfield(**gen)
+    assert np.array(got.elevation).tobytes() \
+        == _ref_generate_heightfield(**gen).tobytes()
+    assert ("ridge" in gen) == name.startswith("scenario1")
+
+
+@given(st.integers(2, 24), st.integers(2, 24),
+       st.floats(0.05, 2.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+       st.floats(0.0, 2.0), st.floats(0.5, 30.0), st.integers(0, 2**64),
+       st.floats(-10.0, 10.0),
+       st.one_of(st.none(), st.fixed_dictionaries({
+           "x": st.floats(-60.0, 60.0), "height": st.floats(-2.0, 2.0),
+           "half_width": st.floats(0.1, 10.0)})))
+@settings(max_examples=100, deadline=None)
+def test_generate_heightfield_matches_reference(nx, ny, cs, ox, oy, amplitude,
+                                                wavelength, seed, base,
+                                                ridge):
+    args = dict(nx=nx, ny=ny, cell_size=cs, origin=(ox, oy),
+                amplitude=amplitude, wavelength=wavelength, seed=seed,
+                base_height=base, ridge=ridge)
+    got = generate_heightfield(**args)
+    assert np.array(got.elevation).tobytes() \
+        == _ref_generate_heightfield(**args).tobytes()
+
+
+_SUM_TERMS = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e6, 1e6),
+                       st.floats(-1e-6, 1e-6))
+
+
+@given(st.lists(_SUM_TERMS, min_size=1, max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_pairwise_sum_matches_numpy(values):
+    got = pairwise_sum(values)
+    assert type(got) is float
+    assert repr(got) == repr(float(np.add.reduce(np.array(values))))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cell_error_matches_numpy_mean(seed):
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(4, 40))
+    terrain = _field(rng, n, n, 0.5, spread=float(rng.uniform(0.0, 2.0)))
+    target = _field(rng, n, n, 0.5, spread=0.1)
+    cells = []
+    for _ in range(8):
+        i0, i1 = sorted(rng.choice(np.arange(n + 1), 2, replace=False))
+        j0, j1 = sorted(rng.choice(np.arange(n + 1), 2, replace=False))
+        cells.append((int(i0), int(j0), int(i1), int(j1)))
+    wm = WorldModel(terrain, target, cells, {}, 0.05)
+    cur, tgt = np.array(terrain.elevation), np.array(target.elevation)
+    for index, (i0, j0, i1, j1) in enumerate(cells):
+        want = float(abs(cur[i0:i1, j0:j1] - tgt[i0:i1, j0:j1]).mean())
+        assert repr(wm.cell_error(index)) == repr(want)
+
+
+def _signed_zero_field(rng, nx, ny, cs):
+    """Heights on a few levels, half the cells +0.0 or -0.0: pairs within
+    the limit next to zero cells give numpy's +-0.0 transfers."""
+    e = rng.choice([-1.5, -0.4, 0.3, 0.9, 2.5], (nx, ny)) * cs
+    zeros = rng.random((nx, ny)) < 0.5
+    e[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    h = Heightfield(nx, ny, cs, elevation=e)
+    assert np.array(h.elevation).tobytes() == e.tobytes()
+    return h
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_relaxation_keeps_numpys_signed_zeros(seed):
+    rng = np.random.default_rng(700 + seed)
+    nx, ny = (int(v) for v in rng.integers(2, 14, size=2))
+    cs = float(rng.choice([0.25, 0.5, 1.0]))
+    a = _signed_zero_field(rng, nx, ny, cs)
+    b = a.copy()
+    i0, i1 = sorted(rng.choice(np.arange(nx + 1), 2, replace=False))
+    j0, j1 = sorted(rng.choice(np.arange(ny + 1), 2, replace=False))
+    for region in ((int(i0), int(j0), int(i1), int(j1)), None):
+        got = avalanche_relax(a, SOIL, region=region)
+        want = _ref_avalanche_relax(b, SOIL, region=region)
+        assert got == want
+        assert _terrain_of(a) == _terrain_of(b)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_max_region_slope_matches_numpy(seed):
+    rng = np.random.default_rng(800 + seed)
+    nx, ny = (int(v) for v in rng.integers(1, 12, size=2))
+    nx, ny = max(nx, 2), max(ny, 2)
+    h = _field(rng, nx, ny, 0.5, spread=2.0)
+    e = np.array(h.elevation)
+    for i0, j0, i1, j1 in ((0, 0, nx, ny), (0, 0, 1, ny), (0, 0, nx, 1),
+                           (1, 1, nx, ny)):
+        block = e[i0:i1, j0:j1]
+        want = 0.0
+        for axis in (0, 1):
+            if block.shape[axis] >= 2:
+                d = np.abs(np.diff(block, axis=axis))
+                want = max(want, float(d.max()) / h.cell_size)
+        assert repr(max_region_slope(h, (i0, j0, i1, j1))) == repr(want)

@@ -46,6 +46,12 @@ def flat_field(height=2.0, n=48, cs=0.5):
     return Heightfield(n, n, cs, elevation=np.full((n, n), height))
 
 
+def _mass(h, bank_density):
+    """Terrain mass above z = 0: numpy's sum over every cell."""
+    return float(np.sum(np.array(h.elevation))) * h.cell_size ** 2 \
+        * bank_density
+
+
 def machine(role="excavator", x=10.0, y=10.0, heading=0.0, h=None):
     spec = default_spec(f"{role}1", role)
     state = MachineState(x=x, y=y, heading=heading)
@@ -265,9 +271,9 @@ def test_dig_conserves_mass_into_bucket():
     traj = SweptCut(points=[(12.0, 10.0, surface - 0.15, 0.5),
                             (13.0, 10.0, surface - 0.15, 0.5)],
                     width=0.6, max_depth=0.3)
-    before = h.total_mass(SOIL.bank_density)
+    before = _mass(h, SOIL.bank_density)
     status, removed, _ = run_dig(spec, state, traj, h)
-    after = h.total_mass(SOIL.bank_density)
+    after = _mass(h, SOIL.bank_density)
     assert status == SUCCEEDED
     assert removed > 10.0
     assert state.payload_kg == pytest.approx(removed, rel=1e-12)
@@ -295,7 +301,7 @@ def test_dig_fully_above_surface_succeeds_with_zero():
     spec, state = machine(h=h)
     traj = SweptCut(points=[(12.0, 10.0, 2.5, 0.5), (13.0, 10.0, 2.5, 0.5)],
                     width=0.6)
-    before = h.elevation.copy()
+    before = np.array(h.elevation)
     status, removed, _ = run_dig(spec, state, traj, h)
     assert status == SUCCEEDED
     assert removed == 0.0
@@ -307,7 +313,7 @@ def test_dig_unreachable_start_fails_without_terrain_change():
     spec, state = machine(h=h)
     traj = SweptCut(points=[(20.0, 10.0, 1.85, 0.5), (21.0, 10.0, 1.85, 0.5)],
                     width=0.6)
-    before = h.elevation.copy()
+    before = np.array(h.elevation)
     status, removed, _ = run_dig(spec, state, traj, h, max_steps=100)
     assert status == FAILED
     assert removed == 0.0
@@ -339,7 +345,7 @@ def test_dig_is_deterministic():
                         width=0.6, max_depth=0.3)
         _, removed, _ = run_dig(spec, state, traj, h)
         results.append((removed, state.payload_kg, tuple(state.joints.values()),
-                        h.elevation.tobytes()))
+                        np.array(h.elevation).tobytes()))
     assert results[0] == results[1]
 
 
@@ -358,7 +364,7 @@ def test_spill_conserves_mass():
     h = flat_field()
     spec, state = machine(h=h)
     state.payload_kg = 70.0
-    terrain_before = h.total_mass(SOIL.bank_density)
+    terrain_before = _mass(h, SOIL.bank_density)
     spilled_total = 0.0
     for _ in range(100):
         spilled, lost = spill_model(state, spec, 1.0, h, SOIL, DT)
@@ -366,7 +372,7 @@ def test_spill_conserves_mass():
         spilled_total += spilled
     assert spilled_total > 0.0
     assert state.payload_kg == pytest.approx(70.0 - spilled_total, rel=1e-12)
-    gained = h.total_mass(SOIL.bank_density) - terrain_before
+    gained = _mass(h, SOIL.bank_density) - terrain_before
     assert gained == pytest.approx(spilled_total, rel=1e-9)
 
 
@@ -393,12 +399,12 @@ def test_transfer_misses_bed_and_lands_on_terrain():
     exc.joints = {"swing": 0.0, "boom": 0.4, "stick": -0.5, "bucket": -0.6}
     exc.payload_kg = 64.0
     truck_spec, truck = machine("dumptruck", x=2.0, y=2.0, h=h)
-    before = h.total_mass(SOIL.bank_density)
+    before = _mass(h, SOIL.bank_density)
     moved, into_truck, lost = transfer_bucket(exc, exc_spec, truck, truck_spec,
                                               h, SOIL)
     assert not into_truck
     assert truck.payload_kg == 0.0
-    gained = h.total_mass(SOIL.bank_density) - before
+    gained = _mass(h, SOIL.bank_density) - before
     assert gained + lost == pytest.approx(64.0, rel=1e-9)
 
 
@@ -406,7 +412,7 @@ def test_bed_dump_sequence_duration_and_conservation():
     h = flat_field()
     spec, state = machine("dumptruck", h=h)
     state.payload_kg = 200.0
-    before = h.total_mass(SOIL.bank_density)
+    before = _mass(h, SOIL.bank_density)
     execution = BedDumpExecution(spec)
     steps = 0
     dumped_total = lost_total = 0.0
@@ -423,7 +429,7 @@ def test_bed_dump_sequence_duration_and_conservation():
     assert steps * DT == pytest.approx(duration, abs=0.1)
     assert state.payload_kg == pytest.approx(0.0, abs=1e-9)
     assert state.bed_angle == 0.0
-    gained = h.total_mass(SOIL.bank_density) - before
+    gained = _mass(h, SOIL.bank_density) - before
     assert gained + lost_total == pytest.approx(200.0, rel=1e-9)
     assert dumped_total == pytest.approx(200.0, rel=1e-12)
 
@@ -491,7 +497,7 @@ def test_blade_run_levels_cells_to_target():
     spec, state = machine(x=5.0, y=10.0, h=h)
     target = 1.92
     pid = Pid(3.0, 0.8, out_limit=0.25)
-    terrain_before = h.total_mass(SOIL.bank_density)
+    terrain_before = _mass(h, SOIL.bank_density)
     graded_total = shed_total = lost_total = 0.0
     for _ in range(4000):  # drive 12 m at 0.3 m/s
         state.x += 0.3 * DT
@@ -508,7 +514,7 @@ def test_blade_run_levels_cells_to_target():
     # cells along the run (excluding the start transient) sit at the target
     for x in np.arange(8.0, 16.0, 0.5):
         assert h.height_at(x, 10.0) == pytest.approx(target, abs=0.02)
-    terrain_after = h.total_mass(SOIL.bank_density)
+    terrain_after = _mass(h, SOIL.bank_density)
     expected_delta = -graded_total + shed_total - lost_total
     assert terrain_after - terrain_before == pytest.approx(expected_delta,
                                                            abs=1e-6)
@@ -618,7 +624,8 @@ def _step_both(make, max_steps, perturb=None):
                 state.clear_samples()
         expected, got = ref_step(k), step(k)
         assert repr(got) == repr(expected), k
-        assert h.elevation.tobytes() == ref_h.elevation.tobytes(), k
+        assert np.array(h.elevation).tobytes() \
+            == np.array(ref_h.elevation).tobytes(), k
         for ref_state, state in zip(ref_states, states):
             assert _state_bits(state) == _state_bits(ref_state), k
             if logged:

@@ -51,12 +51,19 @@ def flat(height=2.0, n=40):
     return Heightfield(n, n, CS, elevation=np.full((n, n), height))
 
 
+def _write(h, si, sj, values):
+    """h.elevation[si, sj] = values, as numpy assigns it, on the rows."""
+    e = np.array(h.elevation)
+    e[si, sj] = values
+    h.elevation[:] = e.tolist()
+
+
 def make_wm(excess=0.2, machines=None, n_cells=2):
     terrain = flat(2.0)
     target = flat(2.0)
     # dig area: x in [10, 14), y in [10, 14)
     si, sj = slice(20, 28), slice(20, 28)
-    target.elevation[si, sj] = 2.0 - excess
+    _write(target, si, sj, 2.0 - excess)
     cells = grid_cells(terrain, (10.0, 10.0, 14.0, 14.0), n_cells, n_cells)
     roles = machines or {"excavator1": "excavator", "truck1": "dumptruck"}
     wm = WorldModel(terrain, target, cells, roles, 0.05)
@@ -101,7 +108,7 @@ def test_ingest_terrain_patch_updates_belief():
     env = Envelope("/site/telemetry/terrain", 1, 1.0,
                    {"kind": "telemetry", "cells": [[20, 20, 1.8]]})
     wm.ingest(env)
-    assert wm.terrain.elevation[20, 20] == 1.8
+    assert wm.terrain.elevation[20][20] == 1.8
 
 
 def test_ingest_skill_status():
@@ -144,7 +151,8 @@ def test_plan_dig_advances_past_completed_cell():
     wm = make_wm(excess=0.2)
     # complete the first cell by lowering terrain to target there
     i0, j0, i1, j1 = wm.cells[0]
-    wm.terrain.elevation[i0:i1, j0:j1] = wm.target.elevation[i0:i1, j0:j1]
+    _write(wm.terrain, slice(i0, i1), slice(j0, j1),
+           np.array(wm.target.elevation)[i0:i1, j0:j1])
     plan = plan_dig(wm, "excavator1", **DIG)
     assert isinstance(plan, DigPlan)
     assert wm.cell_index == 1
@@ -169,14 +177,15 @@ def test_plan_dig_never_below_target_on_random_fields():
     for _ in range(20):
         wm = make_wm(excess=0.2)
         i0, j0, i1, j1 = wm.cells[0]
-        wm.terrain.elevation[i0:i1, j0:j1] += rng.uniform(
-            -0.05, 0.3, (i1 - i0, j1 - j0))
+        _write(wm.terrain, slice(i0, i1), slice(j0, j1),
+               np.array(wm.terrain.elevation)[i0:i1, j0:j1] + rng.uniform(
+                   -0.05, 0.3, (i1 - i0, j1 - j0)))
         plan = plan_dig(wm, "excavator1", **DIG)
         if not isinstance(plan, DigPlan):
             continue
         for (x, y, z, attack) in plan.trajectory.points:
             i, j = wm.terrain.cell_of(x, y)
-            assert z >= wm.target.elevation[i, j] - 1e-12
+            assert z >= wm.target.elevation[i][j] - 1e-12
 
 
 def test_plan_dig_cell_index_monotone():
@@ -189,8 +198,8 @@ def test_plan_dig_cell_index_monotone():
             break
         # emulate completing the active cell
         i0, j0, i1, j1 = wm.cells[wm.cell_index]
-        wm.terrain.elevation[i0:i1, j0:j1] = \
-            wm.target.elevation[i0:i1, j0:j1]
+        _write(wm.terrain, slice(i0, i1), slice(j0, j1),
+               np.array(wm.target.elevation)[i0:i1, j0:j1])
     assert seen == sorted(seen)
 
 

@@ -25,17 +25,26 @@ def flat(nx=10, ny=10, cs=1.0, height=2.0):
     return Heightfield(nx, ny, cs, elevation=np.full((nx, ny), height))
 
 
+def _volume(h, datum=0.0):
+    """Terrain volume above the datum: numpy's sum over every cell."""
+    return float(np.sum(np.array(h.elevation) - datum)) * h.cell_size ** 2
+
+
+def _mass(h, bank_density, datum=0.0):
+    return _volume(h, datum) * bank_density
+
+
 # -- height / slope queries -------------------------------------------------
 
 def test_height_at_cell_center():
     h = flat()
-    h.elevation[3, 4] = 5.0
+    h.elevation[3][4] = 5.0
     assert h.height_at(3.5, 4.5) == pytest.approx(5.0)
 
 
 def test_height_at_midpoint_of_two_cells():
     h = flat(height=1.0)
-    h.elevation[4, 4] = 2.0  # neighbors at 1.0; centers at x 4.5 and 5.5
+    h.elevation[4][4] = 2.0  # neighbors at 1.0; centers at x 4.5 and 5.5
     assert h.height_at(5.0, 4.5) == pytest.approx(1.5)
 
 
@@ -51,7 +60,7 @@ def test_height_at_within_neighbor_bounds(x, y):
     h = Heightfield(10, 10, 1.0, elevation=rng.uniform(0, 3, (10, 10)))
     i0 = int(x - 0.5)
     j0 = int(y - 0.5)
-    patch = h.elevation[i0:i0 + 2, j0:j0 + 2]
+    patch = np.array(h.elevation)[i0:i0 + 2, j0:j0 + 2]
     val = h.height_at(x, y)
     assert patch.min() - 1e-12 <= val <= patch.max() + 1e-12
 
@@ -90,7 +99,7 @@ def _reference_height(h, x, y):
     j0 = min(max(int(math.floor(v)), 0), h.ny - 2)
     fu = min(max(u - i0, 0.0), 1.0)
     fv = min(max(v - j0, 0.0), 1.0)
-    e = h.elevation
+    e = np.array(h.elevation)
     return ((1 - fu) * (1 - fv) * e[i0, j0]
             + fu * (1 - fv) * e[i0 + 1, j0]
             + (1 - fu) * fv * e[i0, j0 + 1]
@@ -102,7 +111,7 @@ def _reference_surface(h, x, y):
     cell (one-sided on the boundary), as the two separate queries did."""
     z = h.height_at(x, y)
     i, j = h.cell_of(x, y)
-    e = h.elevation
+    e = np.array(h.elevation)
     cs = h.cell_size
     i_lo, i_hi = max(i - 1, 0), min(i + 1, h.nx - 1)
     j_lo, j_hi = max(j - 1, 0), min(j + 1, h.ny - 1)
@@ -197,23 +206,23 @@ def test_excavate_prism_mass():
     removed = excavate_swept(h, cut, SOIL)
     # cell rasterization of the racetrack-shaped footprint is not exactly
     # the 1 m^2 prism; verify against the actual footprint area
-    lowered = np.sum(2.0 - h.elevation) * 0.25 ** 2
+    lowered = np.sum(2.0 - np.array(h.elevation)) * 0.25 ** 2
     assert removed == pytest.approx(lowered * SOIL.bank_density, rel=1e-9)
     assert removed == pytest.approx(158.0, rel=0.30)
 
 
 def test_excavate_mass_matches_volume_times_density_exactly():
     h = flat(20, 20, cs=0.5)
-    before = h.total_volume()
+    before = _volume(h)
     removed = excavate_swept(h, prism_cut(z=1.6), SOIL)
-    after = h.total_volume()
+    after = _volume(h)
     assert removed == pytest.approx((before - after) * SOIL.bank_density,
                                     rel=1e-12)
 
 
 def test_excavate_above_surface_is_noop():
     h = flat()
-    before = h.elevation.copy()
+    before = np.array(h.elevation)
     assert excavate_swept(h, prism_cut(z=3.5), SOIL) == 0.0
     assert np.array_equal(h.elevation, before)
 
@@ -230,7 +239,7 @@ def test_excavate_respects_max_depth():
     cut = SweptCut(points=[(4.0, 5.0, 0.0, 0.5), (5.0, 5.0, 0.0, 0.5)],
                    width=1.0, max_depth=0.3)
     excavate_swept(h, cut, SOIL)
-    assert h.elevation.min() >= 2.0 - 0.3 - 1e-12
+    assert np.array(h.elevation).min() >= 2.0 - 0.3 - 1e-12
 
 
 def test_degenerate_cut_polyline_rejected():
@@ -244,16 +253,16 @@ def test_degenerate_cut_polyline_rejected():
 
 def test_deposit_conserves_mass():
     h = flat(30, 30, cs=0.5)
-    before = h.total_mass(SOIL.bank_density)
+    before = _mass(h, SOIL.bank_density)
     lost = deposit(h, 7.0, 7.0, 158.0, SOIL, spread_radius=1.0)
     assert lost == 0.0
-    after = h.total_mass(SOIL.bank_density)
+    after = _mass(h, SOIL.bank_density)
     assert after - before == pytest.approx(158.0, rel=1e-9)
 
 
 def test_deposit_zero_mass_noop():
     h = flat()
-    before = h.elevation.copy()
+    before = np.array(h.elevation)
     assert deposit(h, 5.0, 5.0, 0.0, SOIL) == 0.0
     assert np.array_equal(h.elevation, before)
 
@@ -266,10 +275,10 @@ def test_deposit_mound_respects_repose_after_relax():
 
 def test_deposit_at_boundary_reports_lost_mass():
     h = flat(10, 10, cs=0.5, height=1.0)
-    before = h.total_mass(SOIL.bank_density)
+    before = _mass(h, SOIL.bank_density)
     lost = deposit(h, 0.1, 0.1, 100.0, SOIL, spread_radius=1.0)
     assert lost > 0.0
-    gained = h.total_mass(SOIL.bank_density) - before
+    gained = _mass(h, SOIL.bank_density) - before
     assert gained + lost == pytest.approx(100.0, rel=1e-9)
 
 
@@ -287,7 +296,7 @@ def test_no_transfer_below_repose():
     result = avalanche_relax(h, SOIL)
     assert result.moved_mass == 0.0
     assert not result.residual
-    assert h.elevation[0, 0] == 1.0
+    assert h.elevation[0][0] == 1.0
 
 
 def test_two_cell_closed_form_split():
@@ -297,10 +306,10 @@ def test_two_cell_closed_form_split():
     d0 = 2.0
     limit = SOIL.repose_tan * 1.0
     delta = (d0 - limit) / 2.0  # symmetric split down to the repose slope
-    assert h.elevation[0, 0] == pytest.approx(2.0 - delta, abs=2e-3)
-    assert h.elevation[1, 0] == pytest.approx(0.0 + delta, abs=2e-3)
+    assert h.elevation[0][0] == pytest.approx(2.0 - delta, abs=2e-3)
+    assert h.elevation[1][0] == pytest.approx(0.0 + delta, abs=2e-3)
     # mass conserved
-    assert h.total_volume() == pytest.approx(2.0 * 3, rel=1e-12)
+    assert _volume(h) == pytest.approx(2.0 * 3, rel=1e-12)
 
 
 def test_flat_field_moves_nothing():
@@ -313,20 +322,20 @@ def test_relax_reaches_repose_on_random_fields():
     for seed in range(3):
         elev = rng.uniform(0, 4, (12, 12))
         h = Heightfield(12, 12, 0.5, elevation=elev)
-        before = h.total_volume()
+        before = _volume(h)
         result = avalanche_relax(h, SOIL)
-        assert h.total_volume() == pytest.approx(before, rel=1e-9)
+        assert _volume(h) == pytest.approx(before, rel=1e-9)
         if not result.residual:
             assert max_region_slope(h) <= SOIL.repose_tan + 1e-3
 
 
 def test_mass_conserved_across_operation_sequences():
     h = flat(30, 30, cs=0.5, height=2.0)
-    total0 = h.total_mass(SOIL.bank_density)
+    total0 = _mass(h, SOIL.bank_density)
     removed = excavate_swept(h, prism_cut(z=1.7, x0=4.0, x1=6.0), SOIL)
     avalanche_relax(h, SOIL, region=(2, 4, 18, 16))
     lost = deposit(h, 12.0, 12.0, removed * 0.5, SOIL)
-    total1 = h.total_mass(SOIL.bank_density)
+    total1 = _mass(h, SOIL.bank_density)
     assert (total1 - (total0 - removed + removed * 0.5 - lost)) / total0 \
         == pytest.approx(0.0, abs=1e-9)
 
