@@ -8,12 +8,12 @@ stale; planning on stale data degrades to skill failure and re-planning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..bus import Envelope, split_topic
 from ..terrain import Heightfield
-from ..terrain.summation import pairwise_sum
 
 #: Pseudo machine id used for site-wide topics (terrain patches).
 SITE_ID = "site"
@@ -95,13 +95,12 @@ class WorldModel:
         if self.target is None:
             raise ValueError("no target profile configured")
         i0, j0, i1, j1 = self.cells[index]
-        # numpy's mean: the pairwise sum over the row-major block, divided
-        # by its size
+        # math.fsum rounds the exact sum once, whatever the terms' order
         errors = [abs(c - t)
                   for cur, tgt in zip(self.terrain.elevation[i0:i1],
                                       self.target.elevation[i0:i1])
                   for c, t in zip(cur[j0:j1], tgt[j0:j1])]
-        return pairwise_sum(errors) / len(errors)
+        return math.fsum(errors) / len(errors)
 
     def cell_done(self, index: int) -> bool:
         return self.cell_error(index) <= self.cell_tolerance

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .heightfield import Heightfield, OutOfBounds, SoilParams
-from .summation import sparse_pairwise_sum
 
 #: Relaxation stops when no cell pair exceeds repose by more than this slope.
 RELAX_SLOPE_TOL = 1e-3
@@ -51,7 +50,12 @@ class SweptCut:
 
 @dataclass
 class RelaxResult:
-    moved_mass: float
+    """What one `avalanche_relax` call did: whether it stopped at
+    RELAX_MAX_SWEEPS still over tolerance, and how many sweeps it made.
+    The simulation reads neither field; `perfbench/layers.py`'s `_relax`
+    hook sums them into `terrain.relax.capped` and `terrain.relax.sweeps`,
+    and traced runs compare those sums from run to run."""
+
     residual: bool
     sweeps: int
 
@@ -232,9 +236,9 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
     are the pairs with a cell more than the limit above the region's lowest
     cell.  Later they are the pairs that touch a cell moved since the last
     pass along the axis, and the pairs that pass found over the limit but
-    within tolerance: no other pair can have changed.  Heights, sweeps and
-    moved mass are those of the whole-array numpy form, which summed each
-    pass's excesses pairwise (`sparse_pairwise_sum`).
+    within tolerance: no other pair can have changed.  Heights (by value:
+    a -0.0 cell may stay -0.0 where numpy's `+= 0.0` made it +0.0), sweeps
+    and the residual flag are those of the whole-array numpy form.
     """
     if region is None:
         region = (0, 0, h.nx, h.ny)
@@ -251,32 +255,27 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
     lowest = min(z)
     highest = max(z)
     if highest - lowest <= limit:       # bounds every |difference|
-        return RelaxResult(0.0, False, 1)
+        return RelaxResult(False, 1)
     tol = RELAX_SLOPE_TOL * cs
     factor = RELAX_TRANSFER_FACTOR * 0.5  # 0.5 of the equalizing half-diff
-    # (axis, step, pair count): pair k joins cell k to cell k + step, the
-    # one above it
+    # (axis, step): pair k joins cell k to cell k + step, the one above it
     axes = []
     if size > m:
-        axes.append((0, m, size - m))
+        axes.append((0, m))
     if m > 1:
-        axes.append((1, 1, size - size // m))
+        axes.append((1, 1))
     # per axis, the cells whose pairs its next pass checks: at first those
     # more than the limit above the lowest, and so above `floor`, a relative
     # 1e-9 below lowest + limit, further than rounding reaches
     floor = lowest + limit - 1e-9 * (abs(lowest) + limit)
     high = [k for k, v in enumerate(z) if v > floor]
     touched = (set(high), set(high))
-    # -0.0 cells: numpy's `+= 0.0` turns some into +0.0; none is made
-    neg_zeros = [k for k, v in enumerate(z)
-                 if v == 0.0 and math.copysign(1.0, v) < 0] \
-        if lowest <= 0.0 <= highest else []
-    moved_volume = 0.0
+    applied = False
     sweeps = 0
     hot = False
     for sweeps in range(1, RELAX_MAX_SWEEPS + 1):
         hot = False
-        for axis, step, n_pairs in axes:
+        for axis, step in axes:
             cells = touched[axis]
             ks = _pairs_over(z, cells, m, axis, limit)
             cells.clear()
@@ -286,33 +285,24 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
             if max(map(abs, ds)) - limit <= tol:
                 cells.update(ks)        # their lower cells
                 continue
-            hot = True
-            excess = [(abs(d) - limit) * factor for d in ds]
-            moved_volume += sparse_pairwise_sum(
-                [k - k // m for k in ks] if axis else ks, excess, n_pairs) \
-                * cs ** 2
-            zeros = [(k, _zero_cell(z, k, m, axis, limit, factor))
-                     for k in neg_zeros] if neg_zeros else None
-            ts = [t if d > 0.0 else -t for t, d in zip(excess, ds)]
+            hot = applied = True
+            # (|d| - limit) * factor, signed like d
+            ts = [(d - limit) * factor if d > 0.0 else (d + limit) * factor
+                  for d in ds]
             for k, t in zip(ks, ts):
                 z[k] += t
             for k, t in zip(ks, ts):
                 z[k + step] -= t
-            if zeros:
-                for k, v in zeros:
-                    z[k] = v
-                neg_zeros = [k for k, v in zeros
-                             if math.copysign(1.0, v) < 0]
             moved = ks + [k + step for k in ks]
             for cells in touched:
                 cells.update(moved)
         if not hot:
             break
-    if moved_volume > 0.0:
+    if applied:
         for r, row in enumerate(rows):
             row[sj] = z[r * m:(r + 1) * m]
         _mark_region_dirty(h, region)
-    return RelaxResult(moved_volume * soil.bank_density, hot, sweeps)
+    return RelaxResult(hot, sweeps)
 
 
 def _pairs_over(z: list, cells, m: int, axis: int, limit: float) -> list:
@@ -345,29 +335,6 @@ def _pairs_over(z: list, cells, m: int, axis: int, limit: float) -> list:
                 if d > limit or d < low:
                     over.add(c)
     return sorted(over)
-
-
-def _zero_cell(z: list, k: int, m: int, axis: int, limit: float,
-               factor: float) -> float:
-    """Cell k's height after a pass along the axis, as numpy's
-    `lower += t; upper -= t` over every pair leaves it, with the signed
-    zero transfers of the pairs within the limit."""
-    v = z[k]
-    step = 1 if axis else m
-    has_above = k % m < m - 1 if axis else k + m < len(z)
-    has_below = k % m > 0 if axis else k >= m
-    if has_above:
-        v += _transfer(z[k + step] - z[k], limit, factor)
-    if has_below:
-        v -= _transfer(z[k] - z[k - step], limit, factor)
-    return v
-
-
-def _transfer(d: float, limit: float, factor: float) -> float:
-    """numpy's max(|d| - limit, 0) * factor * sign(d), signed zero and all."""
-    excess = abs(d) - limit
-    excess = excess if excess > 0.0 else 0.0
-    return excess * factor * (1.0 if d > 0.0 else -1.0 if d < 0.0 else 0.0)
 
 
 def _mark_region_dirty(h: Heightfield, region) -> None:

@@ -38,6 +38,8 @@ from regolith.machines.skills import _tip_jacobian
 from regolith.simulator import TELEMETRY_EVERY
 from regolith.terrain import Heightfield, OutOfBounds, SoilParams, SweptCut
 
+from terrain_bytes import elevation_bytes
+
 SOIL = SoilParams()
 DT = 0.01
 
@@ -624,8 +626,7 @@ def _step_both(make, max_steps, perturb=None):
                 state.clear_samples()
         expected, got = ref_step(k), step(k)
         assert repr(got) == repr(expected), k
-        assert np.array(h.elevation).tobytes() \
-            == np.array(ref_h.elevation).tobytes(), k
+        assert elevation_bytes(h) == elevation_bytes(ref_h), k
         for ref_state, state in zip(ref_states, states):
             assert _state_bits(state) == _state_bits(ref_state), k
             if logged:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from regolith.terrain import (
     Heightfield,
     OutOfBounds,
-    RelaxResult,
     SoilParams,
     SweptCut,
     avalanche_relax,
@@ -293,10 +292,11 @@ def two_cell_field(h0, h1):
 def test_no_transfer_below_repose():
     # tan(0.80 rad) = 1.0296 > slope 1.0 -> stable
     h = two_cell_field(1.0, 0.0)
+    before = [row[:] for row in h.elevation]
     result = avalanche_relax(h, SOIL)
-    assert result.moved_mass == 0.0
     assert not result.residual
-    assert h.elevation[0][0] == 1.0
+    assert h.elevation == before
+    assert not h.dirty
 
 
 def test_two_cell_closed_form_split():
@@ -314,7 +314,10 @@ def test_two_cell_closed_form_split():
 
 def test_flat_field_moves_nothing():
     h = flat()
-    assert avalanche_relax(h, SOIL).moved_mass == 0.0
+    before = [row[:] for row in h.elevation]
+    assert not avalanche_relax(h, SOIL).residual
+    assert h.elevation == before
+    assert not h.dirty
 
 
 def test_relax_reaches_repose_on_random_fields():
