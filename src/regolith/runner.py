@@ -110,9 +110,9 @@ def _replay_key(config: ScenarioConfig) -> str:
     return replace(config, raw=raw).config_hash
 
 
-def load_snapshot(path, config: ScenarioConfig) -> dict:
-    """The resume point saved at path by a run of this config, but for its
-    max_sim_time and transport."""
+def load_snapshot(path, config: ScenarioConfig) -> int:
+    """The step count saved at path by a run of this config, but for its
+    max_sim_time and transport (the clock: its sim_time is not read)."""
     try:
         snap = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -121,7 +121,7 @@ def load_snapshot(path, config: ScenarioConfig) -> dict:
         raise ValueError(f"{path}: not a version {SNAPSHOT_VERSION} snapshot")
     if snap["config"] != _replay_key(config):
         raise ValueError(f"{path}: written by a run of another config")
-    return snap
+    return snap["step_count"]
 
 
 # -- progress / deadlock -----------------------------------------------------
@@ -268,9 +268,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     mode = mode or config.transport
     if mode == "tcp" and observer is not None:
         raise ValueError("an observer needs loopback mode")
-    resume = (load_snapshot(snapshot, config) if snapshot
-              else {"step_count": 0, "sim_time": 0.0})
-    resume_step = resume["step_count"]
+    resume_step = load_snapshot(snapshot, config) if snapshot else 0
     out = Path(out_dir) if out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -300,12 +298,12 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
             return len(planner_state["cell_switch_times"])
 
         hidden_switches = None
-        end_time = resume["sim_time"] + config.max_sim_time
+        end_step = resume_step + round(config.max_sim_time / config.timestep)
         last_sig = None
-        last_change = sim.sim_time
+        last_change = sim.step_count
         digits = _signature_digits(sim)
         try:
-            while sim.sim_time < end_time - 1e-9:
+            while sim.step_count < end_step:
                 if sim.step_count == resume_step:
                     hidden_switches = start_artifacts()
                 for _ in range(steps_per_tick):
@@ -323,8 +321,9 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
                 sig = _progress_signature(sim, planner_state["cell_index"])
                 if _progressed(last_sig, sig, digits):
                     last_sig = sig
-                    last_change = sim.sim_time
-                elif sim.sim_time - last_change > config.deadlock_window:
+                    last_change = sim.step_count
+                elif ((sim.step_count - last_change) * config.timestep
+                      > config.deadlock_window):
                     deadlocked = True
                     break
         except Exception as exc:           # report with partial artifacts

@@ -171,7 +171,8 @@ class SkillRunner:
 
 
 class Simulator:
-    """Fixed-timestep world: terrain, machines, and their skill runners."""
+    """Fixed-timestep world: terrain, machines, and their skill runners,
+    clocked by `step_count`: `sim_time` is `step_count * dt`, not a sum."""
 
     def __init__(self, config: ScenarioConfig, bus: Bus, samples: SampleLog):
         self.config = config
@@ -230,8 +231,8 @@ class Simulator:
             if logged:
                 state.clear_samples()
             runner.step(dt)
-        self.sim_time += dt
         self.step_count += 1
+        self.sim_time = self.step_count * dt
         if logged:
             self._publish_machine_telemetry()
         if self.step_count % TERRAIN_EVERY == 0:

@@ -7,7 +7,6 @@ assert global conservation across arbitrary operation sequences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -230,7 +229,8 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
     A pass along one axis computes every pair's transfer t from the heights
     before the pass, then adds each t to the lower cell of its pair and
     subtracts it from the upper one.  Mass is conserved exactly (pairwise
-    antisymmetric updates).
+    antisymmetric updates).  Only the cells of the pairs moved are written
+    back and marked dirty.
 
     A pass checks only the pairs that can exceed the limit.  At first those
     are the pairs with a cell more than the limit above the region's lowest
@@ -270,7 +270,7 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
     floor = lowest + limit - 1e-9 * (abs(lowest) + limit)
     high = [k for k, v in enumerate(z) if v > floor]
     touched = (set(high), set(high))
-    applied = False
+    written = set()     # the cells of every pair a transfer was applied to
     sweeps = 0
     hot = False
     for sweeps in range(1, RELAX_MAX_SWEEPS + 1):
@@ -285,7 +285,7 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
             if max(map(abs, ds)) - limit <= tol:
                 cells.update(ks)        # their lower cells
                 continue
-            hot = applied = True
+            hot = True
             # (|d| - limit) * factor, signed like d
             ts = [(d - limit) * factor if d > 0.0 else (d + limit) * factor
                   for d in ds]
@@ -294,14 +294,15 @@ def avalanche_relax(h: Heightfield, soil: SoilParams,
             for k, t in zip(ks, ts):
                 z[k + step] -= t
             moved = ks + [k + step for k in ks]
-            for cells in touched:
+            for cells in (*touched, written):
                 cells.update(moved)
         if not hot:
             break
-    if applied:
-        for r, row in enumerate(rows):
-            row[sj] = z[r * m:(r + 1) * m]
-        _mark_region_dirty(h, region)
+    i0, j0, _, _ = region
+    for k in written:
+        r, c = divmod(k, m)
+        rows[r][j0 + c] = z[k]
+        h.dirty.add((i0 + r, j0 + c))
     return RelaxResult(hot, sweeps)
 
 
@@ -335,11 +336,6 @@ def _pairs_over(z: list, cells, m: int, axis: int, limit: float) -> list:
                 if d > limit or d < low:
                     over.add(c)
     return sorted(over)
-
-
-def _mark_region_dirty(h: Heightfield, region) -> None:
-    i0, j0, i1, j1 = region
-    h.dirty.update(itertools.product(range(i0, i1), range(j0, j1)))
 
 
 def max_region_slope(h: Heightfield, region=None) -> float:

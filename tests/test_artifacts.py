@@ -13,38 +13,40 @@ acceptance criteria.
 import csv
 import hashlib
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
 from regolith.config import load_config
 from regolith.runner import run
 from regolith.scenarios import scenario_path
+from regolith.simulator import TELEMETRY_EVERY
 
 SMOKE_SHA256 = {
     "cycles.csv":
-        "35a66360beade62682fe77a294acda861d7fa45d05826ecf8db72b8b93f7d8e4",
+        "4badcfa5cc35ae76b91b4d93f28fdc46d8725c89de4b6fa6066d93a3dc0ec9a7",
     "samples.csv":
-        "bff6c7914f92ba1aceb4569d56f2dab9856e95aad7a140bf253f0d05b4fdea73",
+        "b00c254391a74784a00b49ad7d7132d8c34bdbded8f4c705515366b85d30fadb",
     "events.csv":
-        "ec91d8441cdbc7a28fce2b4bba3090754f75ec1d162149d680ef4417760ade18",
+        "9a1df799aeb1a7cec82565347eaa4ce0ccca84bb228754df485bac528ff9b8ee",
 }
 
 FLAT_SHA256 = {
     "cycles.csv":
-        "c046d751aac87c22e970db0e15ae4f3f0f448f41cb88b6b412ca8447b8bf4c40",
+        "421257a2c4a259a64fb9b3d31e51bbf85a2d470e5cc06b402962c07f2ec6a096",
     "samples.csv":
-        "9101bcbc411823548daac0c4e2c0618e178709a3d7e2df9bf6b709edd0c616b7",
+        "3ccc98f294bc6d069ec87f2064b921df6413183ebb0854a42e0bcf89d03395e2",
     "events.csv":
-        "b9761396d049983b6fb6e10cdbc06f66e5e0119620ac0569b15623055790db95",
+        "f542782ec171b0c564ed170aad928d626530967ff2ddc35079f5c93827f22c56",
 }
 
 SLOPED_SHA256 = {
     "cycles.csv":
-        "a5d4366308b78a69e6fad8724961f61ef640fb4d8cad78363622b83e842863bc",
+        "7d931472466031384298c29aaab3771b05a07a7cc1e19e5d94f9f4d904b7f81b",
     "samples.csv":
-        "b6d2a79f79db705e2bca84b195e30b60200a85f4a8aeb4fe7532233774833920",
+        "a3dd75c71b9ac2166b68c182f58688901efd5e1e6123b87303f2fede0a4def44",
     "events.csv":
-        "0f158100a944911d6905429141cc92a7ddb4b6e5accec54355d423c4bd1e7e57",
+        "c3fe70383eca83ba0782f3dac32add0e8ef5d8d7692d6e2bcda264bc1b888d4e",
 }
 
 
@@ -88,9 +90,17 @@ def test_events_list_dig_starts_that_close_no_cycle(tmp_path):
                          overrides={"max_sim_time": 20.0})
     report = run(config, out_dir=tmp_path)
     assert report.cycles == {}
+    assert report.sim_time == 20.0
     with open(tmp_path / "samples.csv") as fh:
-        first_dig = next(float(row["sim_time"]) for row in csv.DictReader(fh)
-                         if row["skill_state"] == "dig")
+        rows = list(csv.DictReader(fh))
+    # the k-th telemetry step's rows are stamped with exactly its step
+    # count times the timestep, not a sum of timesteps
+    stamps = [t for t, _ in groupby(row["sim_time"] for row in rows)]
+    assert [float(t) for t in stamps] == [
+        (TELEMETRY_EVERY * k) * config.timestep
+        for k in range(1, len(stamps) + 1)]
+    first_dig = next(float(row["sim_time"]) for row in rows
+                     if row["skill_state"] == "dig")
     with open(tmp_path / "events.csv") as fh:
         starts = [float(row["sim_time"]) for row in csv.DictReader(fh)
                   if row["event"] == "dig_start:excavator1"]

@@ -299,7 +299,6 @@ def _ref_avalanche_relax(h, soil, region=None):
     cs = h.cell_size
     limit = soil.repose_tan * cs
     tol = RELAX_SLOPE_TOL * cs
-    applied = False
     sweeps = 0
     factor = RELAX_TRANSFER_FACTOR * 0.5
     for sweeps in range(1, RELAX_MAX_SWEEPS + 1):
@@ -321,25 +320,25 @@ def _ref_avalanche_relax(h, soil, region=None):
             else:
                 e[:, :-1] += t
                 e[:, 1:] -= t
-            applied = True
+            _ref_mark_moved_pairs(h, region, excess > 0.0, axis)
         if worst <= tol:
             elevation[si, sj] = e
             _write_back(h, elevation)
-            if applied:
-                _ref_mark_region_dirty(h, region)
             return RelaxResult(False, sweeps)
     elevation[si, sj] = e
     _write_back(h, elevation)
-    if applied:
-        _ref_mark_region_dirty(h, region)
     return RelaxResult(True, sweeps)
 
 
-def _ref_mark_region_dirty(h, region):
-    i0, j0, i1, j1 = region
-    for i in range(i0, i1):
-        for j in range(j0, j1):
-            h.dirty.add((i, j))
+def _ref_mark_moved_pairs(h, region, moved, axis):
+    """Marks dirty both cells of each pair along the axis whose mask entry
+    (indexed like np.diff of the region) is set."""
+    i0, j0 = region[0], region[1]
+    di, dj = (1, 0) if axis == 0 else (0, 1)
+    for a, b in zip(*np.nonzero(moved)):
+        i, j = i0 + int(a), j0 + int(b)
+        h.dirty.add((i, j))
+        h.dirty.add((i + di, j + dj))
 
 
 # -- reference motion kernels --------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,21 @@ def test_deposit_at_boundary_reports_lost_mass():
     assert lost > 0.0
     gained = _mass(h, SOIL.bank_density) - before
     assert gained + lost == pytest.approx(100.0, rel=1e-9)
+
+
+def test_deposit_marks_only_the_cells_it_and_its_relaxation_wrote():
+    h = flat(16, 16, cs=0.5, height=1.0)
+    # the same mound on soil too steep to avalanche: the cells the deposit
+    # itself writes
+    mound = h.copy()
+    deposit(mound, 4.1, 3.9, 1000.0,
+            dataclasses.replace(SOIL, internal_friction_angle=1.5),
+            spread_radius=0.5)
+    deposit(h, 4.1, 3.9, 1000.0, SOIL, spread_radius=0.5)
+    moved = {(i, j) for i in range(16) for j in range(16)
+             if h.elevation[i][j] != mound.elevation[i][j]}
+    assert moved - mound.dirty           # the relaxation spread the mound
+    assert h.dirty == mound.dirty | moved
 
 
 # -- avalanching ------------------------------------------------------------
