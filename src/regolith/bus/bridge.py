@@ -5,6 +5,10 @@ Direction is fixed by topic category: ``target`` flows planner -> simulator,
 suppression is needed.  The TCP bridge runs in lockstep with the simulator
 loop: after one hello frame, each planner period the simulator sends its
 pending envelopes plus a sync mark, and waits for the planner's plus an ack.
+Each frame is a u32 little-endian length and the UTF-8 JSON of one object
+(`wire`): an envelope ``{"topic", "seq", "sim_time", "payload"}``, or a
+control frame whose ``_ctl`` is ``hello``, ``sync``, ``ack`` or
+``shutdown``.
 """
 
 from __future__ import annotations

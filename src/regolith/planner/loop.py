@@ -74,10 +74,12 @@ class PlannerLoop:
         """The run driver's view of a tick, as JSON-ready data, with the
         planner bus's drop and error counts so far.  `cell_switch_times`
         is there only when a cell switch was recorded since the last
-        report; the driver merges each report into the one before."""
+        report; `run()` merges each report into the one before.
+        `mean_tick_seconds` is fixed-width text for `float`: a host timing
+        whose JSON length varied would vary a run's wire bytes with it."""
         bus = self.runtime.bus
         report = {"status": status.name,
-                  "mean_tick_seconds": self.mean_tick_seconds(),
+                  "mean_tick_seconds": f"{self.mean_tick_seconds():.6e}",
                   "cell_index": self.runtime.wm.cell_index,
                   "bus_dropped": bus.dropped,
                   "bus_errors": len(bus.error_events)}

@@ -338,7 +338,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         report = _finalize(
             config, sim, collector, complete=complete,
             deadlocked=deadlocked, error=error,
-            mean_tick=planner_state["mean_tick_seconds"],
+            mean_tick=float(planner_state["mean_tick_seconds"]),
             cell_switches=planner_state["cell_switch_times"][hidden_switches:],
             bus_errors=len(sim_bus.error_events) + planner_state["bus_errors"],
             bus_dropped=sim_bus.dropped + planner_state["bus_dropped"])

@@ -8,7 +8,6 @@ bus: each telemetry step appends them to the run's `SampleLog`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,7 +84,7 @@ class SkillRunner:
         self.action: Optional[str] = None
         self.command_id: Optional[int] = None
         self.execution = None
-        self.last_status_time = -math.inf
+        self.last_status_step = 0
         #: When False the machine rejects commands and fails its active
         #: skill (breakdown / taken out of service).
         self.available = True
@@ -141,7 +140,7 @@ class SkillRunner:
         self.sim.bus.publish(topic_for(self.machine_id, "skill", self.action),
                              payload, sim_time=self.sim.sim_time,
                              publisher=self.machine_id)
-        self.last_status_time = self.sim.sim_time
+        self.last_status_step = self.sim.step_count
 
     def _finish(self, state: str, extra: Optional[dict] = None) -> None:
         self._publish_status(state, extra)
@@ -166,7 +165,7 @@ class SkillRunner:
         ledger.boundary_lost_kg += lost
         if status != RUNNING:
             self._finish(status, execution.result)
-        elif sim.sim_time - self.last_status_time >= HEARTBEAT_PERIOD:
+        elif sim.step_count - self.last_status_step >= sim.heartbeat_steps:
             self._publish_status("Running")
 
 
@@ -179,6 +178,8 @@ class Simulator:
         self.bus = bus
         self.samples = samples
         self.dt = config.timestep
+        #: HEARTBEAT_PERIOD in steps, so no rounded time difference adds one.
+        self.heartbeat_steps = max(1, round(HEARTBEAT_PERIOD / self.dt))
         self.soil = config.build_soil()
         self.terrain = config.build_terrain()
         self.sim_time = 0.0

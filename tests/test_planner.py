@@ -14,7 +14,7 @@ from regolith.bt import (
     TickContext,
     Task,
 )
-from regolith.bus import Bus, Envelope, topic_for
+from regolith.bus import Bus, Envelope, topic_for, wire
 from regolith.config import PlannerParams, Rig
 from regolith.machines import MachineState
 from regolith.planner import (
@@ -354,6 +354,20 @@ def test_status_report_counts_planner_bus_drops_and_errors():
     assert flooded.dropped == 3
     assert (report["bus_dropped"], report["bus_errors"]) == (3, 1)
     assert json.loads(json.dumps(report)) == report
+
+
+def test_status_report_frame_length_does_not_depend_on_the_tick_time():
+    runtime, bus = make_runtime()
+    loop = PlannerLoop(runtime, Condition("Done", lambda ctx: True))
+    status = loop.step(0.1)
+    lengths = set()
+    for total in (0.0, 1.5e-05, 0.000123456789, 0.25, 3.0):
+        loop.tick_seconds_total = total
+        report = loop.status_report(status)
+        assert float(report["mean_tick_seconds"]) \
+            == pytest.approx(total, rel=1e-6)
+        lengths.add(len(wire.frame(report)))
+    assert len(lengths) == 1
 
 
 def test_status_report_sends_cell_switch_times_only_when_they_change():

@@ -9,7 +9,8 @@ from regolith.config import load_config
 from regolith.machines import settle_on_terrain
 from regolith.planner import SITE_ID
 from regolith.scenarios import scenario_path
-from regolith.simulator import TELEMETRY_EVERY, MassLedger, Simulator
+from regolith.simulator import (HEARTBEAT_PERIOD, TELEMETRY_EVERY, MassLedger,
+                                Simulator)
 from regolith.telemetry import TelemetryCollector
 
 #: A loaded excavator with a truck in its reach (flat scenario terrain).
@@ -93,6 +94,22 @@ def test_a_command_to_an_unavailable_machine_fails_its_active_skill_too():
     assert [(p["id"], p["state"], p.get("error")) for p in statuses(sub)] \
         == [(7, "Running", None), (7, "Failed", "machine unavailable"),
             (8, "Failed", "machine unavailable")]
+
+
+def test_running_heartbeats_come_a_whole_period_of_steps_apart():
+    sim, sub = world()
+    dt = sim.dt
+    period = round(HEARTBEAT_PERIOD / dt)
+    # a start step whose period, as a difference of two times, rounds low
+    k0 = next(k for k in range(1000)
+              if (k + period) * dt - k * dt < HEARTBEAT_PERIOD)
+    for _ in range(k0):
+        sim.step()
+    command(sim, "truck1", "drive", {"waypoints": [[20.0, 26.0]]})
+    for _ in range(1 + period):
+        sim.step()
+    assert [(env.payload["state"], env.sim_time) for env in sub.poll()] \
+        == [("Running", k0 * dt), ("Running", (k0 + period) * dt)]
 
 
 def test_a_dump_into_a_truck_leaves_the_dumped_mass_unchanged():
