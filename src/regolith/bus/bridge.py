@@ -5,10 +5,11 @@ Direction is fixed by topic category: ``target`` flows planner -> simulator,
 suppression is needed.  The TCP bridge runs in lockstep with the simulator
 loop: after one hello frame, each planner period the simulator sends its
 pending envelopes plus a sync mark, and waits for the planner's plus an ack.
-Each frame is a u32 little-endian length and the UTF-8 JSON of one object
-(`wire`): an envelope ``{"topic", "seq", "sim_time", "payload"}``, or a
-control frame whose ``_ctl`` is ``hello``, ``sync``, ``ack`` or
-``shutdown``.
+At the end the simulator sends shutdown, and the planner answers with one
+final frame that carries the figures a run reads once.  Each frame is a u32
+little-endian length and the UTF-8 JSON of one object (`wire`): an envelope
+``{"topic", "seq", "sim_time", "payload"}``, or a control frame whose
+``_ctl`` is ``hello``, ``sync``, ``ack``, ``shutdown`` or ``final``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ class BridgeError(Exception):
     pass
 
 
+# No run uses this class: a loopback run's planner shares the simulator's
+# bus.  The benchmark's tracer (perfbench/layers.py, SPANS "bus.pump")
+# resolves LoopbackBridge.pump; when that span goes, so does this class.
 class LoopbackBridge:
     """Connects two in-process buses.  Pumping after every publish makes
     the pair of buses behave exactly like one shared bus."""
@@ -67,14 +71,21 @@ class _Endpoint:
         self.sock = sock
         self.decoder = wire.FrameDecoder()
         self._inbox: deque = deque()
+        #: Set once a send or receive has failed: the link is dead.
+        self.failed = False
+
+    def _lost(self, message: str, detail: str) -> BridgeError:
+        """Records the failure on the bus; returns the error to raise."""
+        self.failed = True
+        self.bus.report_error(message)
+        return BridgeError(detail)
 
     def send(self, objs: list) -> None:
         """Frame each object and send them all in one write."""
         try:
             self.sock.sendall(b"".join([wire.frame(obj) for obj in objs]))
         except OSError as exc:
-            self.bus.report_error(f"bridge connection lost: {exc}")
-            raise BridgeError(str(exc))
+            raise self._lost(f"bridge connection lost: {exc}", str(exc))
 
     def recv_until(self, ctl_kinds: tuple) -> dict:
         """Deliver envelope frames until a control frame in ctl_kinds."""
@@ -98,14 +109,14 @@ class _Endpoint:
                 data = self.sock.recv(65536)
             except OSError as exc:
                 # a TimeoutError cause is a peer that stopped answering
-                self.bus.report_error(f"bridge connection lost: {exc}")
-                raise BridgeError(str(exc)) from exc
+                raise self._lost(f"bridge connection lost: {exc}",
+                                 str(exc)) from exc
             if not data:
                 self.decoder.close()
                 for err in self.decoder.errors:
                     self.bus.report_error(err)
-                self.bus.report_error("bridge connection closed by peer")
-                raise BridgeError("connection closed")
+                raise self._lost("bridge connection closed by peer",
+                                 "connection closed")
             before = len(self.decoder.errors)
             self._inbox.extend(self.decoder.feed(data))
             for err in self.decoder.errors[before:]:
@@ -155,14 +166,22 @@ class TcpBridgeServer:
                             + [{"_ctl": "sync", "sim_time": sim_time}])
         return self._endpoint.recv_until(("ack",))
 
-    def shutdown(self) -> None:
-        if self._endpoint is not None:
+    def shutdown(self) -> Optional[dict]:
+        """Sends shutdown and returns the planner's final frame, or None
+        when the link has already failed or the planner closes without
+        one.  The wait for the frame is bounded by SYNC_TIMEOUT."""
+        final = None
+        endpoint = self._endpoint
+        if endpoint is not None:
             try:
-                self._endpoint.send([{"_ctl": "shutdown"}])
+                if not endpoint.failed:
+                    endpoint.send([{"_ctl": "shutdown"}])
+                    final = endpoint.recv_until(("final",))
             except BridgeError:
                 pass
-            self._endpoint.close()
+            endpoint.close()
         self._listener.close()
+        return final
 
 
 class TcpBridgeClient:
@@ -194,6 +213,14 @@ class TcpBridgeClient:
             msg.update(extra)
         self._endpoint.send([env.to_wire() for env in _drain(self._subs)]
                             + [msg])
+
+    def final(self, report: dict) -> None:
+        """Answers shutdown with the planner's final report; a simulator
+        already gone misses it."""
+        try:
+            self._endpoint.send([{"_ctl": "final", **report}])
+        except BridgeError:
+            pass
 
     def close(self) -> None:
         self._endpoint.close()

@@ -62,6 +62,30 @@ _ARM_JOINTS = ("swing", "boom", "stick", "bucket")
 _ARM_STILL = dict.fromkeys(_ARM_JOINTS, 0.0)
 
 
+class _LastIk:
+    """`calculate_ik` for one arm, solved again only when the input
+    differs from the last one.  An arm skill asks for the same solve step
+    after step while neither the machine nor its target moves: the dig's
+    approach and raise, and a dump over a parked truck.  The solve reads
+    no other state.  Inputs compare as floats, so 0.0 would match -0.0;
+    the equal inputs of consecutive steps come from unchanged state, and
+    are the same bits."""
+
+    __slots__ = ("geom", "key", "result")
+
+    def __init__(self, geom):
+        self.geom = geom
+        self.key = None
+        self.result = None
+
+    def __call__(self, pose: tuple, target: tuple, angle: float):
+        key = (pose, target, angle)
+        if key != self.key:
+            self.key = key
+            self.result = calculate_ik(self.geom, pose, target, angle)
+        return self.result
+
+
 # -- arm motion and torque bookkeeping --------------------------------------
 
 def move_arm_toward(state: MachineState, spec: MachineSpec, targets: dict,
@@ -238,6 +262,7 @@ class DigExecution:
         self.prev_tip: Optional[tuple] = None
         self.removed_total = 0.0
         self.prev_swing_rate = 0.0
+        self.ik = _LastIk(spec.arm)
         self.result: Optional[dict] = None
 
     def _point_at(self, s: float):
@@ -272,7 +297,7 @@ class DigExecution:
         else:  # raise
             x, y, z, tgt_angle = self.carry
 
-        ik = calculate_ik(spec.arm, state.pose, (x, y, z), tgt_angle)
+        ik = self.ik(state.pose, (x, y, z), tgt_angle)
         sampling = state.sampling
         if ik.residual > TRACK_IK_TOL:
             if sampling:
@@ -548,6 +573,7 @@ class ArmDumpExecution:
         self.point = tuple(point) if point else None
         self.prev_swing_rate = 0.0
         self.spilled_total = 0.0
+        self.ik = _LastIk(spec.arm)
         self.result: Optional[dict] = None
 
     def _target(self, state, h):
@@ -563,7 +589,7 @@ class ArmDumpExecution:
              dt: float):
         spec = self.spec
         target = self._target(state, h)
-        ik = calculate_ik(spec.arm, state.pose, target, self.DUMP_TOOL_ANGLE)
+        ik = self.ik(state.pose, target, self.DUMP_TOOL_ANGLE)
         sampling = state.sampling
         if ik.residual > 0.5:
             if sampling:

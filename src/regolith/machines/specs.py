@@ -68,6 +68,11 @@ class MachineSpec:
                 raise ValueError(f"unknown actuator {actuator!r}")
             if limit <= 0:
                 raise ValueError(f"torque limit for {actuator} must be positive")
+        # a clamped torque is its limit, and samples.csv writes a torque
+        # as repr(float): an int limit from a config file would print
+        # without its ".0"
+        self.torque_limits = {actuator: float(limit) for actuator, limit
+                              in self.torque_limits.items()}
         if self.role == "excavator" and self.arm is None:
             self.arm = ArmGeometry()
 

@@ -71,20 +71,24 @@ class PlannerLoop:
         return self.tick_seconds_total / self.tick_count
 
     def status_report(self, status: NodeStatus) -> dict:
-        """The run driver's view of a tick, as JSON-ready data, with the
-        planner bus's drop and error counts so far.  `cell_switch_times`
-        is there only when a cell switch was recorded since the last
-        report; `run()` merges each report into the one before.
-        `mean_tick_seconds` is fixed-width text for `float`: a host timing
-        whose JSON length varied would vary a run's wire bytes with it."""
-        bus = self.runtime.bus
+        """What a tick changed, as JSON-ready data: the tree status, the
+        cell index, and `cell_switch_times` only when a cell switch was
+        recorded since the last report; `run()` merges each report into
+        the one before.  What a run reads once is in `final_report`."""
         report = {"status": status.name,
-                  "mean_tick_seconds": f"{self.mean_tick_seconds():.6e}",
-                  "cell_index": self.runtime.wm.cell_index,
-                  "bus_dropped": bus.dropped,
-                  "bus_errors": len(bus.error_events)}
+                  "cell_index": self.runtime.wm.cell_index}
         switches = self.runtime.wm.cell_switch_times
         if len(switches) != self._switches_reported:
             self._switches_reported = len(switches)
             report["cell_switch_times"] = list(switches)
         return report
+
+    def final_report(self) -> dict:
+        """The figures a run reads once, when it ends: the mean tick time
+        and the planner bus's drop and error counts, as JSON-ready data.
+        `mean_tick_seconds` is fixed-width text for `float`: a host timing
+        whose JSON length varied would vary a run's wire bytes with it."""
+        bus = self.runtime.bus
+        return {"mean_tick_seconds": f"{self.mean_tick_seconds():.6e}",
+                "bus_dropped": bus.dropped,
+                "bus_errors": len(bus.error_events)}

@@ -2,9 +2,11 @@
 
 `serve` connects to the simulator's TCP bridge, takes the resolved config
 from its hello frame alone, runs the planner loop in lockstep with its
-sync marks, and reports tree status plus planning counters in every ack; a
-resumed run replays from the first sync.  A TCP run forks its planner
-child from the simulator process with `serve` as the target; `main` starts the same
+sync marks, and reports what each tick changed (tree status, cell index,
+cell switches) in its ack; a resumed run replays from the first sync.  On
+shutdown it sends one final frame with the mean tick time and its bus's
+drop and error counts.  A TCP run forks its planner child from the
+simulator process with `serve` as the target; `main` starts the same
 planner by hand (``python -m regolith.planner_proc --port P``).
 """
 
@@ -37,6 +39,7 @@ def serve(host: str, port: int) -> None:
             if sim_time is None:
                 break
             client.ack(loop.status_report(loop.step(sim_time)))
+        client.final(loop.final_report())
     finally:
         client.close()
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import planner_proc
 from .bt import NodeStatus, SUCCESS, parse_document, resolve
-from .bus import BridgeError, Bus, LoopbackBridge, TcpBridgeServer, bridge
+from .bus import BridgeError, Bus, TcpBridgeServer, bridge
 from .config import ScenarioConfig
 from .planner import (
     PLANNER_PERIOD,
@@ -158,24 +158,24 @@ def _progressed(last: Optional[tuple], now: tuple, digits: tuple) -> bool:
 # -- planner links -----------------------------------------------------------
 # Once per planner period the run driver calls link.tick(sim_time), which
 # returns PlannerLoop.status_report's dict, merged into the driver's view of
-# the planner, and link.close() when it stops.
+# the planner, and link.close() when it stops, which returns the part of
+# PlannerLoop.final_report the driver does not already hold, merged too.
 
 class _InProcessLink:
-    """Planner loop in this process, on its own bus joined by a bridge."""
+    """Planner loop in this process, on the simulator's bus."""
 
     def __init__(self, config: ScenarioConfig, sim_bus: Bus):
-        bus = Bus(machine_ids=_bus_ids(config))
-        self.bridge = LoopbackBridge(bus, sim_bus)
-        self.loop = build_planner(config, bus)
+        self.loop = build_planner(config, sim_bus)
 
     def tick(self, sim_time: float) -> dict:
-        self.bridge.pump()
-        status = self.loop.step(sim_time)
-        self.bridge.pump()
-        return self.loop.status_report(status)
+        loop = self.loop
+        return loop.status_report(loop.step(sim_time))
 
-    def close(self) -> None:
-        pass
+    def close(self) -> dict:
+        """The mean tick only: the planner's drops and errors are on the
+        simulator's bus, which the run counts already."""
+        return {"mean_tick_seconds":
+                self.loop.final_report()["mean_tick_seconds"]}
 
 
 class _ChildLink:
@@ -234,13 +234,15 @@ class _ChildLink:
             if time.monotonic() > deadline:
                 raise TimeoutError("planner child did not connect in 30 s")
 
-    def close(self) -> None:
-        self.server.shutdown()
+    def close(self) -> dict:
+        """Ends the child; returns its final frame, or {} without one."""
+        final = self.server.shutdown()
         self.child.join(timeout=30.0)
         if self.child.exitcode is None:
             self.child.kill()
             self.child.join()
         self.child.close()
+        return final or {}
 
 
 def run(config: ScenarioConfig, config_path=None, out_dir=None,
@@ -260,6 +262,11 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
     With out_dir, samples.csv is written there as the run goes and the
     other artifacts when it ends; the report's wall time covers all of
     them but report.json.
+
+    In loopback the planner runs in this process on the simulator's bus,
+    so the report's bus counts cover both sides.  In tcp the child's
+    mean tick time and bus counts arrive once, in its final frame after
+    shutdown, and are added to the simulator's.
 
     observer(sim, loop, status), when given, is called after every planner
     tick; test harnesses use it for fault injection and tree
@@ -329,7 +336,7 @@ def run(config: ScenarioConfig, config_path=None, out_dir=None,
         except Exception as exc:           # report with partial artifacts
             error = f"{type(exc).__name__}: {exc}"
         finally:
-            link.close()
+            planner_state.update(link.close())
         if hidden_switches is None:     # ended by the snapshot's step
             hidden_switches = start_artifacts()
         sim.flush_terrain()

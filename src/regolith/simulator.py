@@ -223,8 +223,11 @@ class Simulator:
         """Advance the world by one timestep and publish due telemetry.
 
         Only a telemetry step's actuator samples are logged, so only on
-        that step do the machines sample (`MachineState.sampling`)."""
-        self._drain_commands()
+        that step do the machines sample (`MachineState.sampling`).
+        Commands arrive only at a planner tick, so the command queue is
+        drained only when it holds any."""
+        if self.sub_commands:
+            self._drain_commands()
         dt = self.dt
         logged = (self.step_count + 1) % TELEMETRY_EVERY == 0
         for state, runner in self._stepping:

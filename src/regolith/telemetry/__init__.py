@@ -5,7 +5,6 @@ run goes, cycle segmentation, summary statistics, and CSV export."""
 from __future__ import annotations
 
 import statistics
-from array import array
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -18,9 +17,9 @@ CYCLE_CSV_HEADER = ("cycle,machine,loaded_kg,spilled_kg,duration_s,work_J,"
 SAMPLE_CSV_HEADER = ("sim_time,machine,joint,torque_Nm,omega_rad_s,"
                      "payload_kg,skill_state")
 
-#: Rows buffered per write of samples.csv.  A chunk's columns, text and
-#: memo of formatted floats are all the log holds of them, so the chunk
-#: size bounds the log's memory.
+#: Rows buffered per write of samples.csv.  A chunk's pending entries and
+#: their text are all the log holds of them, so the chunk size bounds the
+#: log's memory.
 SAMPLE_CSV_CHUNK = 1024
 
 #: Skill action → task-time bucket of the cycle breakdown.
@@ -62,10 +61,12 @@ class SampleLog:
     """Actuator readings as the simulator logs them, in time order.
 
     Every row is counted.  Once `open` is given a path, the log writes
-    samples.csv there as rows arrive: it buffers them one column per field,
-    the floats as `array('d')`, and writes each `SAMPLE_CSV_CHUNK` rows as
-    they fill.  Until then no row is kept.  Each `extend` is also held as
-    one entry until `take` hands it to the collector, which sums its work.
+    samples.csv there as rows arrive: it keeps each `extend` as one pending
+    entry, with the text before and after its rows' joint columns (time
+    and machine; payload and skill state) formatted once, and writes the
+    pending entries once `SAMPLE_CSV_CHUNK` rows are pending.  Until then
+    no row is kept.  Each `extend` is also held as one entry until `take`
+    hands it to the collector, which sums its work.
     """
 
     def __init__(self):
@@ -73,13 +74,11 @@ class SampleLog:
         #: (sim_time, machine, joints, torques, omegas, skill_state) per
         #: extend call not yet taken, in logging order
         self.held: list[tuple] = []
-        self.sim_time = array("d")
-        self.torque = array("d")
-        self.omega = array("d")
-        self.payload_kg = array("d")
-        self.machine: list[str] = []
-        self.joint: list[str] = []
-        self.skill_state: list[str] = []
+        #: (head, joints, torques, omegas, tail) per extend call not yet
+        #: written, in logging order
+        self.pending: list[tuple] = []
+        #: rows of the pending entries
+        self.pending_rows = 0
         self._file = None
 
     def open(self, path) -> None:
@@ -99,15 +98,10 @@ class SampleLog:
                           skill_state))
         if self._file is None:
             return
-        # one fromlist per column: the cheapest way to grow an array
-        self.torque.fromlist(torques)
-        self.omega.fromlist(omegas)
-        self.sim_time.fromlist([sim_time] * n)
-        self.payload_kg.fromlist([payload_kg] * n)
-        self.joint += joints
-        self.machine += [machine] * n
-        self.skill_state += [skill_state] * n
-        if len(self.sim_time) >= SAMPLE_CSV_CHUNK:
+        self.pending.append((f"{sim_time!r},{machine},", joints, torques,
+                             omegas, f",{payload_kg!r},{skill_state}\n"))
+        self.pending_rows += n
+        if self.pending_rows >= SAMPLE_CSV_CHUNK:
             self._write_rows()
 
     def __len__(self) -> int:
@@ -124,25 +118,14 @@ class SampleLog:
         return held[:k]
 
     def _write_rows(self) -> None:
-        """Writes the buffered rows, each float as `repr` gives it, and
-        empties the buffer.  Each distinct float is formatted once: the
-        memo is keyed by the float's 8-byte pattern, so values that compare
-        equal but print differently (0.0 and -0.0) keep their own text."""
-        floats = (self.sim_time, self.torque, self.omega, self.payload_kg)
-        keys = [array("Q", col.tobytes()) for col in floats]
-        distinct = {}
-        for key, col in zip(keys, floats):
-            distinct.update(zip(key, col))
-        text = {key: repr(value) for key, value in distinct.items()}
-        times, torques, omegas, payloads = (map(text.__getitem__, key)
-                                            for key in keys)
-        self._file.write("".join(
-            f"{t},{m},{j},{tq},{om},{kg},{s}\n"
-            for t, m, j, tq, om, kg, s in zip(
-                times, self.machine, self.joint, torques, omegas, payloads,
-                self.skill_state)))
-        for col in (*floats, self.machine, self.joint, self.skill_state):
-            del col[:]
+        """Writes the pending rows, each float as `repr` gives it (which
+        keeps -0.0 apart from 0.0), and empties the buffer."""
+        self._file.write("".join([
+            f"{head}{joint},{torque!r},{omega!r}{tail}"
+            for head, joints, torques, omegas, tail in self.pending
+            for joint, torque, omega in zip(joints, torques, omegas)]))
+        self.pending = []
+        self.pending_rows = 0
 
     def close(self) -> None:
         """Writes the buffered rows and closes samples.csv, if open."""

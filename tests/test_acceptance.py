@@ -353,3 +353,12 @@ def test_criterion_12_failure_recovery(fault_run, announce):
         # the outage is recoverable: the scenario still completes
         assert report.complete and report.error is None
         assert len(report.cycles["excavator1"]) >= 30
+
+
+def test_tcp_run_reports_the_planner_childs_final_figures(smoke_tcp):
+    # the child sends its tick time and bus counts once, after shutdown
+    report, out = smoke_tcp
+    assert report.mean_tick_seconds > 0.0
+    saved = json.loads((Path(out) / "report.json").read_text())
+    assert saved["mean_tick_seconds"] == report.mean_tick_seconds
+    assert (saved["bus_dropped"], saved["bus_errors"]) == (0, 0)

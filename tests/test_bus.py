@@ -460,3 +460,39 @@ def test_tcp_bridge_short_accept_wait_keeps_the_sync_deadline():
     thread.join(timeout=5)
     assert not thread.is_alive()
     assert acked and ack["tick"] == 1
+
+
+def _shutdown_after_one_sync(planner_end):
+    """(shutdown's return, its seconds) against a planner that acks one
+    sync, then ends as planner_end(client) says once shutdown arrives."""
+    server = TcpBridgeServer(Bus())
+
+    def planner_side():
+        client = TcpBridgeClient(Bus(), "127.0.0.1", server.port)
+        while client.wait_sync() is not None:
+            client.ack({"tick": 1})
+        planner_end(client)
+        client.close()
+
+    thread = threading.Thread(target=planner_side, daemon=True)
+    thread.start()
+    server.accept(wait=5.0)
+    server.sync(0.0)
+    start = time.monotonic()
+    final = server.shutdown()
+    seconds = time.monotonic() - start
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    return final, seconds
+
+
+def test_tcp_bridge_shutdown_returns_the_planners_final_frame():
+    final, _ = _shutdown_after_one_sync(
+        lambda client: client.final({"mean_tick_seconds": "1.0e-05"}))
+    assert final == {"_ctl": "final", "mean_tick_seconds": "1.0e-05"}
+
+
+def test_tcp_bridge_shutdown_without_a_final_frame_returns_none():
+    final, seconds = _shutdown_after_one_sync(lambda client: None)
+    assert final is None
+    assert seconds < 1.0

@@ -260,6 +260,19 @@ def test_run_reports_drops_on_both_buses():
     assert report.to_dict()["bus_dropped"] == report.bus_dropped
 
 
+def test_loopback_planner_runs_on_the_simulators_bus():
+    config = load_config(scenario_path("scenario2_smoke"),
+                         overrides={"max_sim_time": 1.0})
+    shared = []
+
+    def observer(sim, loop, status):
+        shared.append(loop.runtime.bus is sim.bus)
+
+    report = run(config, observer=observer)
+    assert shared and all(shared)
+    assert report.mean_tick_seconds > 0.0
+
+
 def test_report_counts_mass_dumped_off_the_grid():
     config = load_config(scenario_path("scenario1_flat"))
     bus = Bus(machine_ids=config.machine_ids() + [SITE_ID])

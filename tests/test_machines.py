@@ -34,6 +34,7 @@ from regolith.machines.kinematics import (
     forward_kinematics,
 )
 from regolith.machines.locomotion import SUBCRAWLER_RATE, SUBCRAWLER_STOW
+from regolith.machines import skills
 from regolith.machines.skills import _tip_jacobian
 from regolith.simulator import TELEMETRY_EVERY
 from regolith.terrain import Heightfield, OutOfBounds, SoilParams, SweptCut
@@ -78,6 +79,18 @@ def test_spec_rejects_unknown_role_and_bad_dims():
 
 
 # -- locomotion --------------------------------------------------------------
+
+def test_spec_keeps_torque_limits_as_floats():
+    # a clamped torque is its limit, and samples.csv prints a torque with
+    # repr: an int limit from a config file would lose its ".0"
+    limits = dict.fromkeys(
+        ("left_track", "right_track", "swing", "boom", "stick", "bucket",
+         "bed", "blade"), 5000)
+    spec = default_spec("excavator1", "excavator", torque_limits=limits)
+    state = MachineState()
+    state.set_sample("boom", 1e9, 0.0, spec.torque_limits["boom"])
+    assert repr(state.samples["boom"].torque) == "5000.0"
+
 
 def test_flat_straight_steady_empty_speed():
     h = flat_field()
@@ -296,6 +309,39 @@ def test_dig_keeps_payload_a_plain_float():
             break
     assert status == SUCCEEDED
     assert state.payload_kg > 10.0
+
+
+def test_arm_skills_solve_the_ik_once_per_distinct_input(monkeypatch):
+    # the dig's approach and raise, and a dump over a parked truck, ask
+    # for the same solve step after step
+    asked, solved = [], []
+    ask, calculate_ik = skills._LastIk.__call__, skills.calculate_ik
+
+    def recording_ask(self, pose, target, angle):
+        asked.append((pose, target, angle))
+        return ask(self, pose, target, angle)
+
+    def counting_ik(geom, pose, target, angle):
+        solved.append((pose, target, angle))
+        return calculate_ik(geom, pose, target, angle)
+
+    monkeypatch.setattr(skills._LastIk, "__call__", recording_ask)
+    monkeypatch.setattr(skills, "calculate_ik", counting_ik)
+    h = flat_field(height=2.0)
+    spec, state = machine(h=h)
+    traj = SweptCut(points=[(12.0, 10.0, 1.85, 0.5), (13.0, 10.0, 1.85, 0.5)],
+                    width=0.6, max_depth=0.3)
+    status, removed, _ = run_dig(spec, state, traj, h)
+    assert status == SUCCEEDED and removed > 10.0
+    truck_spec, truck = machine("dumptruck", x=12.8, y=11.5, heading=1.0,
+                                h=h)
+    dump = ArmDumpExecution(spec, (truck_spec, truck), None)
+    for _ in range(5000):
+        status = dump.step(state, h, SOIL, DT)[0]
+        if status != RUNNING:
+            break
+    assert status == SUCCEEDED and truck.payload_kg > 0.0
+    assert len(solved) == len(set(asked)) < len(asked)
 
 
 def test_dig_fully_above_surface_succeeds_with_zero():

@@ -350,7 +350,8 @@ def test_status_report_counts_planner_bus_drops_and_errors():
         bus.publish(topic_for("excavator1", "telemetry", "state"),
                     {"kind": "telemetry", "x": float(k)}, sim_time=0.0)
     bus.report_error("dropped bad envelope: test")
-    report = loop.status_report(loop.step(0.1))
+    loop.step(0.1)
+    report = loop.final_report()
     assert flooded.dropped == 3
     assert (report["bus_dropped"], report["bus_errors"]) == (3, 1)
     assert json.loads(json.dumps(report)) == report
@@ -359,15 +360,26 @@ def test_status_report_counts_planner_bus_drops_and_errors():
 def test_status_report_frame_length_does_not_depend_on_the_tick_time():
     runtime, bus = make_runtime()
     loop = PlannerLoop(runtime, Condition("Done", lambda ctx: True))
-    status = loop.step(0.1)
+    loop.step(0.1)
     lengths = set()
     for total in (0.0, 1.5e-05, 0.000123456789, 0.25, 3.0):
         loop.tick_seconds_total = total
-        report = loop.status_report(status)
+        report = loop.final_report()
         assert float(report["mean_tick_seconds"]) \
             == pytest.approx(total, rel=1e-6)
         lengths.add(len(wire.frame(report)))
     assert len(lengths) == 1
+
+
+def test_status_report_carries_only_what_a_tick_changes():
+    runtime, bus = make_runtime()
+    loop = PlannerLoop(runtime, Condition("Done", lambda ctx: False))
+    bus.report_error("dropped bad envelope: test")
+    for t in (0.1, 0.2, 0.3):
+        report = loop.status_report(loop.step(t))
+        assert set(report) == {"status", "cell_index"}
+    assert set(loop.final_report()) == {"mean_tick_seconds", "bus_dropped",
+                                        "bus_errors"}
 
 
 def test_status_report_sends_cell_switch_times_only_when_they_change():

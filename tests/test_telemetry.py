@@ -580,7 +580,7 @@ def write_rows(path, samples):
     for s in samples:
         log.extend(s.sim_time, s.machine, (s.joint,), [s.torque], [s.omega],
                    s.payload_kg, s.skill_state)
-        assert len(log.sim_time) < SAMPLE_CSV_CHUNK     # buffered rows
+        assert log.pending_rows < SAMPLE_CSV_CHUNK      # buffered rows
     write_samples_csv(path, log)
     assert len(log) == len(samples)
     return path.read_text()
