@@ -463,8 +463,9 @@ def test_tcp_bridge_short_accept_wait_keeps_the_sync_deadline():
 
 
 def _shutdown_after_one_sync(planner_end):
-    """(shutdown's return, its seconds) against a planner that acks one
-    sync, then ends as planner_end(client) says once shutdown arrives."""
+    """(shutdown's return, its seconds, the simulator bus's errors)
+    against a planner that acks one sync, then ends as planner_end(client)
+    says once shutdown arrives."""
     server = TcpBridgeServer(Bus())
 
     def planner_side():
@@ -483,16 +484,18 @@ def _shutdown_after_one_sync(planner_end):
     seconds = time.monotonic() - start
     thread.join(timeout=5)
     assert not thread.is_alive()
-    return final, seconds
+    return final, seconds, server.bus.error_events
 
 
 def test_tcp_bridge_shutdown_returns_the_planners_final_frame():
-    final, _ = _shutdown_after_one_sync(
+    final, _, errors = _shutdown_after_one_sync(
         lambda client: client.final({"mean_tick_seconds": "1.0e-05"}))
     assert final == {"_ctl": "final", "mean_tick_seconds": "1.0e-05"}
+    assert errors == []
 
 
 def test_tcp_bridge_shutdown_without_a_final_frame_returns_none():
-    final, seconds = _shutdown_after_one_sync(lambda client: None)
+    final, seconds, errors = _shutdown_after_one_sync(lambda client: None)
     assert final is None
     assert seconds < 1.0
+    assert errors == ["bridge connection closed by peer"]
