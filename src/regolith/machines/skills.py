@@ -284,6 +284,8 @@ class DigExecution:
 
         The arm torque samples, the Jacobian and the dig force, which
         feeds only those samples, are computed on a sampling step alone.
+        The bucket tip is read on a cut step and on the approach step that
+        settles; a sampling step has it from the Jacobian pass.
         """
         spec = self.spec
         phase = self.phase
@@ -307,25 +309,23 @@ class DigExecution:
         err, omegas = move_arm_toward(state, spec, ik.joints, dt)
         if sampling:
             kin = _tip_jacobian(spec.arm, state.joints, state.pose)
-            tip = kin[0]
-        else:
-            tip = bucket_tip(spec, state)
         swing_alpha = (state.swing_rate - self.prev_swing_rate) / dt \
             if dt > 0 else 0.0
         self.prev_swing_rate = state.swing_rate
 
-        removed = 0.0
         if phase == "approach":
             if sampling:
                 record_arm_samples(state, spec, soil, omegas,
                                    swing_alpha=swing_alpha, kinematics=kin)
             if err < JOINT_SETTLED_TOL:
                 self.phase = "cut"
-                self.prev_tip = tip
+                self.prev_tip = kin[0] if sampling else bucket_tip(spec, state)
             return RUNNING, 0.0, 0.0, 0.0, 0.0
 
         if phase == "cut":
+            tip = kin[0] if sampling else bucket_tip(spec, state)
             prev = self.prev_tip or tip
+            removed = 0.0
             advance = math.hypot(tip[0] - prev[0], tip[1] - prev[1])
             # min(max(attack, 0.06), steepest), as the builtins evaluate it
             attack_c = 0.06 if 0.06 > attack else attack

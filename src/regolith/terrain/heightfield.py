@@ -27,6 +27,11 @@ class SoilParams:
                      "gravity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"soil parameter {name} must be positive")
+        # the trial wedge of terrain.forces and the repose slope tan(phi)
+        # hold for a friction angle below a right angle
+        if not self.internal_friction_angle < math.pi / 2:
+            raise ValueError(
+                "soil parameter internal_friction_angle must be below pi/2")
 
     @property
     def repose_tan(self) -> float:

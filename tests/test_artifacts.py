@@ -26,7 +26,7 @@ SMOKE_SHA256 = {
     "cycles.csv":
         "4badcfa5cc35ae76b91b4d93f28fdc46d8725c89de4b6fa6066d93a3dc0ec9a7",
     "samples.csv":
-        "b00c254391a74784a00b49ad7d7132d8c34bdbded8f4c705515366b85d30fadb",
+        "7c3f77ee1c3e79d00b31b854edbf47de8f51a9009f28738647ed2640f16bd089",
     "events.csv":
         "9a1df799aeb1a7cec82565347eaa4ce0ccca84bb228754df485bac528ff9b8ee",
 }
@@ -35,7 +35,7 @@ FLAT_SHA256 = {
     "cycles.csv":
         "421257a2c4a259a64fb9b3d31e51bbf85a2d470e5cc06b402962c07f2ec6a096",
     "samples.csv":
-        "3ccc98f294bc6d069ec87f2064b921df6413183ebb0854a42e0bcf89d03395e2",
+        "f945955b9693b5b96c72bb187b646ad737645d37c2c0dc40a19532aab5720ec3",
     "events.csv":
         "f542782ec171b0c564ed170aad928d626530967ff2ddc35079f5c93827f22c56",
 }
@@ -44,7 +44,7 @@ SLOPED_SHA256 = {
     "cycles.csv":
         "7d931472466031384298c29aaab3771b05a07a7cc1e19e5d94f9f4d904b7f81b",
     "samples.csv":
-        "a3dd75c71b9ac2166b68c182f58688901efd5e1e6123b87303f2fede0a4def44",
+        "a79658b7ffe3dc176c3cf2462a4c4adabe552011ce37fc0d08547351512a3bb3",
     "events.csv":
         "c3fe70383eca83ba0782f3dac32add0e8ef5d8d7692d6e2bcda264bc1b888d4e",
 }

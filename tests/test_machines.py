@@ -344,6 +344,39 @@ def test_arm_skills_solve_the_ik_once_per_distinct_input(monkeypatch):
     assert len(solved) == len(set(asked)) < len(asked)
 
 
+def test_dig_computes_the_bucket_tip_once_per_reader(monkeypatch):
+    # the tip is read on a cut step and on the approach step that settles;
+    # a sampling step has it from the Jacobian pass, so only the other
+    # steps run forward kinematics, and a raise step reads no tip
+    passes = []
+    forward = skills.forward_kinematics
+
+    def counting_fk(*args, **kwargs):
+        passes.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(skills, "forward_kinematics", counting_fk)
+    h = flat_field(height=2.0)
+    spec, state = machine(h=h)
+    traj = SweptCut(points=[(12.0, 10.0, 1.85, 0.5), (13.0, 10.0, 1.85, 0.5)],
+                    width=0.6, max_depth=0.3)
+    execution = DigExecution(spec, traj)
+    readers = 0
+    raise_steps = 0
+    for k in range(20000):
+        state.sampling = (k + 1) % TELEMETRY_EVERY == 0
+        phase = execution.phase
+        status = execution.step(state, h, SOIL, DT)[0]
+        if not state.sampling and (phase == "cut" or execution.phase != phase):
+            readers += 1
+        raise_steps += phase == "raise"
+        if status != RUNNING:
+            break
+    assert status == SUCCEEDED and execution.removed_total > 10.0
+    assert raise_steps > TELEMETRY_EVERY
+    assert len(passes) == readers > 0
+
+
 def test_dig_fully_above_surface_succeeds_with_zero():
     h = flat_field(height=2.0)
     spec, state = machine(h=h)
